@@ -15,24 +15,20 @@ polycm.cli wires the same passes to the `polycm` console command.
 
 from .bounds import (
     BoundCheck,
+    bound_check,
     bound_table,
     endpoint_constant_forms,
     endpoint_constants,
-    even_k_bounds,
-    odd_k_bounds,
 )
 from .cm import (
     CMScanReport,
     GridSpec,
-    Parity,
     RatioParams,
     ShiftParams,
     cm_scan,
-    even_shift_gap,
     exp_diff_ratio,
     expm1_ratio,
     increasing_condition,
-    odd_shift_gap,
     shift_gap_derivative,
 )
 from .constants import (
@@ -77,7 +73,6 @@ __all__ = [
     "LN2",
     "MAX_ORDER",
     "PI",
-    "Parity",
     "QuadratureError",
     "QuadratureSpec",
     "RatioParams",
@@ -85,6 +80,7 @@ __all__ = [
     "ShiftParams",
     "TABLE",
     "bernoulli_even",
+    "bound_check",
     "bound_table",
     "cm_scan",
     "cm_weight",
@@ -92,16 +88,12 @@ __all__ = [
     "digamma_series",
     "endpoint_constant_forms",
     "endpoint_constants",
-    "even_k_bounds",
-    "even_shift_gap",
     "exp_diff_ratio",
     "expm1_ratio",
     "factorial_over_power",
     "gap_integral_even",
     "gap_integral_odd",
     "increasing_condition",
-    "odd_k_bounds",
-    "odd_shift_gap",
     "polygamma",
     "polygamma_integral",
     "polygamma_series",

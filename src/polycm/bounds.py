@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cm import GridSpec, Parity, ShiftParams
-from .polygamma import EvalResult, factorial_over_power, polygamma
-
-_EPS = 2.220446049250313e-16
+from .cm import GridSpec, ShiftParams, shift_gap_derivative
+from .polygamma import _EPS, factorial_over_power, polygamma
 
 
 @dataclass(frozen=True)
@@ -77,21 +75,20 @@ def _endpoint_shift_form(p: ShiftParams) -> tuple[float, float]:
     return value, err
 
 
-def even_k_bounds(p: ShiftParams, x: float) -> BoundCheck:
-    """Check a k!/x^(k+1) < psi_k(x+a) - psi_k(x) < a k!/x^(k+1) + C for even k."""
-    if p.parity is not Parity.EVEN:
-        raise ValueError(f"even_k_bounds requires even k, got k={p.k}")
-    x = _check_x_gt_one(x)
+def _bound_row(p: ShiftParams, x: float, c: float, c_err: float) -> BoundCheck:
+    """The chain at x > 1 given C(a, k) = c: C joins the upper side for even
+    k and the lower side for odd k; the other side is the bare base term."""
     base = p.a * factorial_over_power(p.k, x)
     middle, mid_err = _difference(p, x)
-    shift, shift_err = _endpoint_shift_form(p)
-    lower = base
-    upper = base + shift
+    even = p.k % 2 == 0
+    lower = base if even else base + c
+    upper = base + c if even else base
     lower_margin = middle - lower
     upper_margin = upper - middle
     base_err = _EPS * 4.0 * abs(base)
-    lo_err = mid_err + base_err + _EPS * abs(lower_margin)
-    up_err = mid_err + shift_err + base_err + _EPS * abs(upper_margin)
+    lo_c_err, up_c_err = (0.0, c_err) if even else (c_err, 0.0)
+    lo_err = mid_err + lo_c_err + base_err + _EPS * abs(lower_margin)
+    up_err = mid_err + up_c_err + base_err + _EPS * abs(upper_margin)
     return BoundCheck(
         x=x,
         lower=lower,
@@ -105,47 +102,9 @@ def even_k_bounds(p: ShiftParams, x: float) -> BoundCheck:
     )
 
 
-def odd_k_bounds(p: ShiftParams, x: float) -> BoundCheck:
-    """Check a k!/x^(k+1) + C < psi_k(x+a) - psi_k(x) < a k!/x^(k+1) for odd k."""
-    if p.parity is not Parity.ODD:
-        raise ValueError(f"odd_k_bounds requires odd k, got k={p.k}")
-    x = _check_x_gt_one(x)
-    base = p.a * factorial_over_power(p.k, x)
-    middle, mid_err = _difference(p, x)
-    shift, shift_err = _endpoint_shift_form(p)
-    lower = base + shift
-    upper = base
-    lower_margin = middle - lower
-    upper_margin = upper - middle
-    base_err = _EPS * 4.0 * abs(base)
-    lo_err = mid_err + shift_err + base_err + _EPS * abs(lower_margin)
-    up_err = mid_err + base_err + _EPS * abs(upper_margin)
-    return BoundCheck(
-        x=x,
-        lower=lower,
-        middle=middle,
-        upper=upper,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        lower_margin_error=lo_err,
-        upper_margin_error=up_err,
-        passed=lower_margin > 0.0 and upper_margin > 0.0,
-    )
-
-
-def _endpoint_direct_form(p: ShiftParams) -> tuple[float, float]:
-    """C(a, k) via the gap at x = 1 directly, with its error estimate."""
-    hi = polygamma(p.k, 1.0 + p.a)
-    lo = polygamma(p.k, 1.0)
-    fact = float(math.factorial(p.k))
-    pieces = (hi.value, -lo.value, -p.a * fact)
-    value = math.fsum(pieces)
-    err = (
-        hi.abs_error_estimate
-        + lo.abs_error_estimate
-        + _EPS * sum(abs(t) for t in pieces)
-    )
-    return value, err
+def bound_check(p: ShiftParams, x: float) -> BoundCheck:
+    """Check the parity-appropriate two-sided bound at one point x > 1."""
+    return _bound_row(p, _check_x_gt_one(x), *_endpoint_shift_form(p))
 
 
 def endpoint_constant_forms(p: ShiftParams) -> tuple[float, float]:
@@ -161,7 +120,7 @@ def endpoint_constant_forms(p: ShiftParams) -> tuple[float, float]:
     Route two cancels against that k!/a^(k+1) term, so for small a and
     large k it keeps only absolute, not relative, accuracy.
     """
-    direct, _ = _endpoint_direct_form(p)
+    direct = shift_gap_derivative(p, 0, 1.0).value
     shifted, _ = _endpoint_shift_form(p)
     return direct, shifted
 
@@ -174,7 +133,8 @@ def endpoint_constants(p: ShiftParams) -> float:
     itself is broken; the check costs four polygamma calls and buys a free
     invariant on every use.
     """
-    direct, direct_err = _endpoint_direct_form(p)
+    gap = shift_gap_derivative(p, 0, 1.0)
+    direct, direct_err = gap.value, gap.abs_error_estimate
     shifted, shifted_err = _endpoint_shift_form(p)
     allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + shifted_err))
     if abs(direct - shifted) > allowance:
@@ -187,9 +147,10 @@ def endpoint_constants(p: ShiftParams) -> float:
 def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """Evaluate the parity-appropriate two-sided bound at every grid point.
 
-    The grid must sit strictly above x = 1.
+    The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
+    so it is evaluated once for the whole table.
     """
     if grid.lo <= 1.0:
         raise ValueError(f"bound_table needs a grid with lo > 1, got lo={grid.lo}")
-    check = even_k_bounds if p.parity is Parity.EVEN else odd_k_bounds
-    return [check(p, float(x)) for x in grid.generate()]
+    c, c_err = _endpoint_shift_form(p)
+    return [_bound_row(p, float(x), c, c_err) for x in grid.generate()]

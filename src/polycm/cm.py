@@ -20,24 +20,24 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .polygamma import MAX_ORDER, EvalResult, factorial_over_power, polygamma
-
-_EPS = 2.220446049250313e-16
+from .polygamma import (
+    _EPS,
+    MAX_ORDER,
+    EvalResult,
+    _check_order,
+    _check_x,
+    factorial_over_power,
+    polygamma,
+)
 
 #: A sampled derivative value is treated as having a definite sign only when
 #: it clears its propagated error estimate by this factor; points under the
 #: guard are counted as indeterminate rather than failed, since the gap
 #: legitimately flattens toward zero at large x.
 SIGN_GUARD = 1e3
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class ShiftParams:
             raise ValueError(f"a must lie strictly in (0, 1), got {self.a!r}")
         if self.k < 0 or self.k > MAX_ORDER:
             raise ValueError(f"k must be in [0, {MAX_ORDER}], got {self.k}")
-
-    @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.k % 2 == 0 else Parity.ODD
 
 
 @dataclass(frozen=True)
@@ -163,61 +159,27 @@ def expm1_ratio(a: float, t: float) -> float:
     return math.expm1(-a * t) / math.expm1(-t)
 
 
-def _gap_value(a: float, k: int, x: float) -> EvalResult:
-    hi = polygamma(k, x + a)
-    lo = polygamma(k, x)
-    last = a * factorial_over_power(k, x)
-    value = hi.value - lo.value - last
-    err = (
-        hi.abs_error_estimate
-        + lo.abs_error_estimate
-        + _EPS * (abs(hi.value) + abs(lo.value) + 2.0 * abs(last))
-    )
-    return EvalResult(value, err)
-
-
-def even_shift_gap(p: ShiftParams, x: float) -> EvalResult:
-    """The gap psi_k(x+a) - psi_k(x) - a k!/x^(k+1) for even k; positive on x > 0."""
-    if p.parity is not Parity.EVEN:
-        raise ValueError(f"even_shift_gap requires even k, got k={p.k}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive, got {x!r}")
-    return _gap_value(p.a, p.k, x)
-
-
-def odd_shift_gap(p: ShiftParams, x: float) -> EvalResult:
-    """The same gap for odd k; negative on x > 0."""
-    if p.parity is not Parity.ODD:
-        raise ValueError(f"odd_shift_gap requires odd k, got k={p.k}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive, got {x!r}")
-    return _gap_value(p.a, p.k, x)
-
-
 def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
-    """Exact n-th derivative of the gap:
+    """Exact n-th derivative of the gap, the gap itself at n = 0:
 
     g^(n)(x) = psi_(k+n)(x+a) - psi_(k+n)(x) - (-1)^n a (k+n)!/x^(k+n+1)
 
     No finite differencing is involved; differentiating the gap just bumps
-    the polygamma order and alternates the sign of the power term.
+    the polygamma order and alternates the sign of the power term.  The
+    three terms are added with one final rounding (math.fsum), so at n = 0,
+    x = 1 this is the direct route to the endpoint constant C(a, k) in
+    polycm.bounds.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = p.k + n
-    if m > MAX_ORDER:
-        raise ValueError(f"k + n must stay <= {MAX_ORDER}, got {m}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive, got {x!r}")
+    m = _check_order(p.k + n)
+    x = _check_x(x)
     hi = polygamma(m, x + p.a)
     lo = polygamma(m, x)
     sign = 1.0 if n % 2 == 0 else -1.0
     last = sign * p.a * factorial_over_power(m, x)
-    value = hi.value - lo.value - last
+    value = math.fsum((hi.value, -lo.value, -last))
     err = (
         hi.abs_error_estimate
         + lo.abs_error_estimate
@@ -240,16 +202,16 @@ def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
     if max_order < 0 or p.k + max_order > MAX_ORDER:
         raise ValueError(f"max_order must satisfy 0 <= k + max_order <= {MAX_ORDER}")
     orders = list(range(max_order + 1))
-    flip = 1.0 if p.parity is Parity.EVEN else -1.0
     min_signed = math.inf
     witness: tuple[int, float] | None = None
     witness_err = math.inf
     indeterminate = 0
     for n in orders:
-        n_sign = 1.0 if n % 2 == 0 else -1.0
+        # (-1)^n for the derivative order, times -1 again for odd k
+        sign = 1.0 if (p.k + n) % 2 == 0 else -1.0
         for x in grid.generate():
             d = shift_gap_derivative(p, n, float(x))
-            signed = flip * n_sign * d.value
+            signed = sign * d.value
             if abs(signed) < SIGN_GUARD * d.abs_error_estimate:
                 indeterminate += 1
                 continue

@@ -79,34 +79,28 @@ def _zeta_euler_maclaurin(s: int, bern: list[float]) -> float:
 
 @dataclass(frozen=True)
 class ConstantTable:
-    """Read-only bundle of every scalar constant the package consumes."""
+    """Read-only bundle of the cached zeta values and Bernoulli numbers."""
 
-    gamma_euler: float
-    pi: float
-    ln2: float
     zeta_cache: Mapping[int, float]      # s -> zeta(s), s = 2 .. 64
     bernoulli_cache: Mapping[int, float]  # 2m -> B_2m, m = 1 .. 30
 
 
+_BERN_FLOATS = [float(b) for b in _bernoulli_exact(2 * MAX_BERNOULLI_M + 2)]
+
+
 def _build_table() -> ConstantTable:
-    exact = _bernoulli_exact(2 * MAX_BERNOULLI_M + 2)
-    bern = [float(b) for b in exact]
     zeta: dict[int, float] = {2: PI * PI / 6.0, 4: PI**4 / 90.0}
     for s in range(2, _ZETA_PRECOMPUTED_MAX + 1):
         if s not in zeta:
-            zeta[s] = _zeta_euler_maclaurin(s, bern)
-    b_cache = {2 * m: bern[2 * m] for m in range(1, MAX_BERNOULLI_M + 1)}
+            zeta[s] = _zeta_euler_maclaurin(s, _BERN_FLOATS)
+    b_cache = {2 * m: _BERN_FLOATS[2 * m] for m in range(1, MAX_BERNOULLI_M + 1)}
     return ConstantTable(
-        gamma_euler=GAMMA_EULER,
-        pi=PI,
-        ln2=LN2,
         zeta_cache=MappingProxyType(zeta),
         bernoulli_cache=MappingProxyType(b_cache),
     )
 
 
 TABLE = _build_table()
-_BERN_FLOATS = [float(b) for b in _bernoulli_exact(2 * MAX_BERNOULLI_M + 2)]
 
 
 def zeta_int(s: int) -> float:

@@ -7,8 +7,9 @@ per panel and a 7-point companion rule for the panel error estimate; the
 truncated upper tail is covered by an exact closed-form bound, so the
 reported error is sound, not heuristic.
 
-Nothing here shares evaluation code with the engine beyond the constant
-table.  Slow and transparent on purpose.
+Nothing here shares evaluation code with the engine; only the constant
+table, the argument checks and the machine epsilon are common.  Slow and
+transparent on purpose.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from typing import Callable
 import numpy as np
 
 from .constants import GAMMA_EULER
-from .polygamma import MAX_ORDER, EvalResult
+from .polygamma import _EPS, EvalResult, _check_order, _check_x
 
-_EPS = 2.220446049250313e-16
 _TINY_INTEGRAND = 1e-18
 _SMALL_T = 1e-3        # switch to the Taylor form of t/(1-e^-t)
 _SMALL_T_DIFF = 0.05   # switch to the series form of r(t) - r(at)
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-
-_TAIL_RULES = ("integral-comparison", "next-term")
 
 
 class QuadratureError(RuntimeError):
@@ -45,13 +43,10 @@ class SeriesSpec:
     """Controls for the direct summation oracles."""
 
     max_terms: int = 1_000_000
-    tail_rule: str = "integral-comparison"
 
     def __post_init__(self) -> None:
         if self.max_terms < 100:
             raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
-        if self.tail_rule not in _TAIL_RULES:
-            raise ValueError(f"tail_rule must be one of {_TAIL_RULES}, got {self.tail_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +76,6 @@ _DEFAULT_SERIES = SeriesSpec()
 _DEFAULT_QUAD = QuadratureSpec()
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive and finite, got {x!r}")
-    return x
-
-
 def _check_shift(a: float) -> float:
     a = float(a)
     if not (0.0 < a < 1.0):
@@ -108,11 +96,10 @@ def _offsets_from_one(count: int) -> np.ndarray:
 def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
     """psi_n(x) for n >= 1 via (-1)^(n+1) n! sum_k (k+x)^-(n+1).
 
-    With the integral-comparison rule the truncated tail sum_{k>=K} is
-    replaced by int_K^inf (u+x)^-(n+1) du = (K+x)^-n / n; the true remainder
-    then sits inside [0, (K+x)^-(n+1)], well under the half-correction
-    reported as the error bar.  The next-term rule skips the correction and
-    reports the first omitted term, which is the cruder classical habit.
+    The truncated tail sum_{k>=K} is replaced by its integral comparison
+    int_K^inf (u+x)^-(n+1) du = (K+x)^-n / n; the true remainder then sits
+    inside [0, (K+x)^-(n+1)], well under the half-correction reported as
+    the error bar.
     """
     n = operator.index(n)
     if n < 1:
@@ -121,31 +108,20 @@ def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> Ev
     k = _offsets(spec.max_terms)
     body = float(np.sum((k + x) ** (-(n + 1.0))))
     fact = float(math.factorial(n))
-    kx = spec.max_terms + x
-    if spec.tail_rule == "integral-comparison":
-        corr = kx ** (-float(n)) / n
-        mag = fact * (body + corr)
-        err = 0.5 * fact * corr
-    else:
-        corr = kx ** (-(n + 1.0))
-        mag = fact * body
-        err = fact * corr
+    corr = (spec.max_terms + x) ** (-float(n)) / n
+    mag = fact * (body + corr)
+    err = 0.5 * fact * corr
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * mag, err + 32.0 * _EPS * mag)
 
 
 def digamma_series(x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
-    """psi(x) via -gamma - 1/x + sum_{k>=1} x/(k(k+x)), same tail rules."""
+    """psi(x) via -gamma - 1/x + sum_{k>=1} x/(k(k+x)), same tail correction."""
     x = _check_x(x)
     k = _offsets_from_one(spec.max_terms)
     body = float(np.sum(x / (k * (k + x))))
-    kk = float(spec.max_terms)
-    if spec.tail_rule == "integral-comparison":
-        corr = math.log1p(x / kk)
-        err = 0.5 * corr
-    else:
-        corr = 0.0
-        err = x / (kk * (kk + x))
+    corr = math.log1p(x / float(spec.max_terms))
+    err = 0.5 * corr
     value = -GAMMA_EULER + body + corr - 1.0 / x
     budget = GAMMA_EULER + body + corr + 1.0 / x
     return EvalResult(value, err + 32.0 * _EPS * budget)
@@ -316,9 +292,7 @@ def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -
     on the dropped tail, so doubling the cutoff moves the value by less than
     the bar.
     """
-    n = operator.index(n)
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_ORDER}], got {n}")
+    n = _check_order(n)
     x = _check_x(x)
     if n == 0:
 
@@ -345,9 +319,7 @@ def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -
 
 def power_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> EvalResult:
     """n!/x^(n+1) via int_0^inf t^n e^-xt dt, for checking the gap's last term."""
-    n = operator.index(n)
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_ORDER}], got {n}")
+    n = _check_order(n)
     x = _check_x(x)
 
     def f(t: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .constants import TABLE
@@ -28,7 +29,7 @@ from .constants import TABLE
 #: and is far above anything the monotonicity scans request (k + n <~ 20).
 MAX_ORDER = 40
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 _MAX_ASYMPTOTIC_TERMS = 20
 
 

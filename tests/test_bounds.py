@@ -6,19 +6,19 @@ import math
 
 import pytest
 
+import polycm.bounds
 from polycm import (
     GridSpec,
     LN2,
     PI,
     SeriesSpec,
     ShiftParams,
+    bound_check,
     bound_table,
     digamma_series,
     endpoint_constant_forms,
     endpoint_constants,
-    even_k_bounds,
     factorial_over_power,
-    odd_k_bounds,
     zeta_int,
 )
 
@@ -29,7 +29,7 @@ class TestEvenBounds:
     def test_reference_point(self):
         # a=1/2, k=0, x=2: lower is 1/4, middle is psi(5/2) - psi(2)
         # = 5/3 - 2 ln 2, upper adds the endpoint constant 3/2 - 2 ln 2
-        r = even_k_bounds(ShiftParams(a=0.5, k=0), 2.0)
+        r = bound_check(ShiftParams(a=0.5, k=0), 2.0)
         assert r.lower == 0.25
         assert r.middle == pytest.approx(5.0 / 3.0 - 2.0 * LN2, abs=1e-13)
         assert r.upper == pytest.approx(0.25 + 1.5 - 2.0 * LN2, abs=1e-12)
@@ -39,7 +39,7 @@ class TestEvenBounds:
         assert r.upper_margin == r.upper - r.middle
 
     def test_middle_against_series_oracle(self):
-        r = even_k_bounds(ShiftParams(a=0.5, k=0), 2.0)
+        r = bound_check(ShiftParams(a=0.5, k=0), 2.0)
         hi = digamma_series(2.5, BIG)
         lo = digamma_series(2.0, BIG)
         bar = hi.abs_error_estimate + lo.abs_error_estimate + 1e-13
@@ -47,26 +47,20 @@ class TestEvenBounds:
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            even_k_bounds(ShiftParams(a=0.5, k=1), 2.0)
+            bound_check(ShiftParams(a=0.5, k=0), 1.0)
         with pytest.raises(ValueError):
-            even_k_bounds(ShiftParams(a=0.5, k=0), 1.0)
-        with pytest.raises(ValueError):
-            even_k_bounds(ShiftParams(a=0.5, k=0), 0.5)
+            bound_check(ShiftParams(a=0.5, k=0), 0.5)
 
 
 class TestOddBounds:
     def test_reference_point(self):
         # a=1/2, k=1, x=2: middle is psi_1(5/2) - psi_1(2) = pi^2/3 - 31/9,
         # the endpoint constant is pi^2/3 - 9/2 and the base is 1/8
-        r = odd_k_bounds(ShiftParams(a=0.5, k=1), 2.0)
+        r = bound_check(ShiftParams(a=0.5, k=1), 2.0)
         assert r.upper == 0.125
         assert r.middle == pytest.approx(PI * PI / 3.0 - 31.0 / 9.0, abs=1e-13)
         assert r.lower == pytest.approx(0.125 + PI * PI / 3.0 - 4.5, abs=1e-11)
         assert r.passed
-
-    def test_rejects_even_k(self):
-        with pytest.raises(ValueError):
-            odd_k_bounds(ShiftParams(a=0.5, k=2), 2.0)
 
 
 class TestEndpointConstants:
@@ -117,10 +111,32 @@ class TestBoundTable:
     def test_upper_margin_collapses_toward_one(self):
         # the even chain degenerates to equality at x = 1, so just above it
         # the margin is positive but tiny
-        r = even_k_bounds(ShiftParams(a=0.5, k=0), 1.0 + 1e-6)
+        r = bound_check(ShiftParams(a=0.5, k=0), 1.0 + 1e-6)
         assert 0.0 < r.upper_margin < 1e-5
         assert r.upper_margin > 10.0 * r.upper_margin_error
 
     def test_rejects_grid_reaching_one(self):
         with pytest.raises(ValueError):
             bound_table(ShiftParams(a=0.5, k=2), GridSpec(lo=0.9, hi=10.0, points=5))
+
+    def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
+        # two engine calls per row for the middle difference, plus two for
+        # C(a, k), which does not depend on x
+        calls = []
+        engine = polycm.bounds.polygamma
+
+        def counted(n, x):
+            calls.append((n, x))
+            return engine(n, x)
+
+        monkeypatch.setattr(polycm.bounds, "polygamma", counted)
+        grid = GridSpec(lo=1.5, hi=500.0, points=25)
+        bound_table(ShiftParams(a=0.3, k=1), grid)
+        assert len(calls) == 2 * grid.points + 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_bound_check_matches_table_row(self, k):
+        p = ShiftParams(a=0.3, k=k)
+        rows = bound_table(p, GridSpec(lo=1.5, hi=500.0, points=25))
+        for row in (rows[0], rows[12], rows[-1]):
+            assert bound_check(p, row.x) == row

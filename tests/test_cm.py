@@ -11,16 +11,13 @@ from polycm import (
     GridSpec,
     LN2,
     PI,
-    Parity,
     RatioParams,
     ShiftParams,
     cm_scan,
     cm_weight,
-    even_shift_gap,
     exp_diff_ratio,
     expm1_ratio,
     increasing_condition,
-    odd_shift_gap,
     shift_gap_derivative,
     zeta_int,
 )
@@ -115,10 +112,6 @@ class TestSqueeze:
 
 
 class TestShiftParams:
-    def test_parity(self):
-        assert ShiftParams(a=0.5, k=0).parity is Parity.EVEN
-        assert ShiftParams(a=0.5, k=7).parity is Parity.ODD
-
     def test_validation(self):
         for bad_a in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -154,31 +147,21 @@ class TestGridSpec:
 class TestShiftGaps:
     def test_even_gap_at_reference_point(self):
         # gap(1) for a=1/2, k=0 equals 3/2 - 2 ln 2
-        r = even_shift_gap(ShiftParams(a=0.5, k=0), 1.0)
+        r = shift_gap_derivative(ShiftParams(a=0.5, k=0), 0, 1.0)
         assert abs(r.value - (1.5 - 2.0 * LN2)) <= 1e-12
 
     def test_odd_gap_at_reference_point(self):
         # gap(1) for a=1/2, k=1 equals pi^2/3 - 9/2
-        r = odd_shift_gap(ShiftParams(a=0.5, k=1), 1.0)
+        r = shift_gap_derivative(ShiftParams(a=0.5, k=1), 0, 1.0)
         assert abs(r.value - (PI * PI / 3.0 - 4.5)) <= 1e-11
-
-    def test_parity_dispatch_enforced(self):
-        with pytest.raises(ValueError):
-            even_shift_gap(ShiftParams(a=0.5, k=1), 1.0)
-        with pytest.raises(ValueError):
-            odd_shift_gap(ShiftParams(a=0.5, k=2), 1.0)
 
     @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
     def test_gap_signs(self, a):
         for x in (0.1, 1.0, 10.0):
             for k in (0, 2, 4):
-                assert even_shift_gap(ShiftParams(a=a, k=k), x).value > 0.0
+                assert shift_gap_derivative(ShiftParams(a=a, k=k), 0, x).value > 0.0
             for k in (1, 3, 5):
-                assert odd_shift_gap(ShiftParams(a=a, k=k), x).value < 0.0
-
-    def test_derivative_order_zero_is_the_gap(self):
-        p = ShiftParams(a=0.4, k=2)
-        assert shift_gap_derivative(p, 0, 1.7).value == even_shift_gap(p, 1.7).value
+                assert shift_gap_derivative(ShiftParams(a=a, k=k), 0, x).value < 0.0
 
     def test_derivative_matches_finite_differences(self):
         # central differences of the gap against the closed-form derivative;
@@ -186,7 +169,7 @@ class TestShiftGaps:
         p = ShiftParams(a=0.3, k=2)
 
         def gap(x):
-            return even_shift_gap(p, x).value
+            return shift_gap_derivative(p, 0, x).value
 
         for x in (0.5, 1.0, 3.0):
             h = 1e-5 * max(1.0, x)

@@ -94,12 +94,11 @@ def test_scalar_constants():
     assert GAMMA_EULER == 0.5772156649015329
     assert LN2 == math.log(2.0)
     assert PI == math.pi
-    assert TABLE.gamma_euler == GAMMA_EULER
 
 
 def test_table_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        TABLE.pi = 3.0
+        TABLE.zeta_cache = {}
     with pytest.raises(TypeError):
         TABLE.zeta_cache[2] = 0.0
     with pytest.raises(TypeError):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -66,21 +64,6 @@ class TestSeries:
                 e = polygamma(n, x)
                 assert abs(s.value - e.value) <= s.abs_error_estimate + e.abs_error_estimate
 
-    def test_tail_rules_differ_by_correction(self):
-        # the integral-comparison value minus the next-term value is exactly
-        # the correction n!/(n (K+x)^n); checking the identity checks both
-        n, x = 2, 1.5
-        spec_ic = SeriesSpec(max_terms=100_000, tail_rule="integral-comparison")
-        spec_nt = SeriesSpec(max_terms=100_000, tail_rule="next-term")
-        ic = polygamma_series(n, x, spec_ic)
-        nt = polygamma_series(n, x, spec_nt)
-        corr = math.factorial(n) / (n * (100_000 + x) ** n)
-        assert abs(ic.value - nt.value) == pytest.approx(corr, rel=1e-12)
-        # next-term deliberately omits the correction, so its bar is smaller
-        # but its value is farther from truth
-        truth = polygamma(n, x).value
-        assert abs(nt.value - truth) > abs(ic.value - truth)
-
     def test_more_terms_tighten_the_bar(self):
         small = polygamma_series(1, 1.0, SeriesSpec(max_terms=10_000))
         large = polygamma_series(1, 1.0, SeriesSpec(max_terms=1_000_000))
@@ -89,8 +72,6 @@ class TestSeries:
     def test_series_spec_validation(self):
         with pytest.raises(ValueError):
             SeriesSpec(max_terms=10)
-        with pytest.raises(ValueError):
-            SeriesSpec(tail_rule="magic")
         with pytest.raises(ValueError):
             polygamma_series(0, 1.0)
         with pytest.raises(ValueError):

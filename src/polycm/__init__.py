@@ -35,8 +35,6 @@ from .constants import (
     GAMMA_EULER,
     LN2,
     PI,
-    TABLE,
-    ConstantTable,
     bernoulli_even,
     zeta_int,
 )
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCheck",
     "CMScanReport",
-    "ConstantTable",
     "EvalResult",
     "GAMMA_EULER",
     "GridSpec",
@@ -78,7 +75,6 @@ __all__ = [
     "RatioParams",
     "SeriesSpec",
     "ShiftParams",
-    "TABLE",
     "bernoulli_even",
     "bound_check",
     "bound_table",

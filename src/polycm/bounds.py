@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cm import GridSpec, ShiftParams, shift_gap_derivative
-from .polygamma import _EPS, factorial_over_power, polygamma
+from .polygamma import _EPS, EvalResult, factorial_over_power, polygamma
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ def _endpoint_shift_form(p: ShiftParams) -> tuple[float, float]:
     return value, err
 
 
-def _bound_row(p: ShiftParams, x: float, c: float, c_err: float) -> BoundCheck:
-    """The chain at x > 1 given C(a, k) = c: C joins the upper side for even
-    k and the lower side for odd k; the other side is the bare base term."""
+def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
+    """The chain at x > 1 given C(a, k) = endpoint: C joins the upper side for
+    even k and the lower side for odd k; the other side is the bare base term."""
+    c, c_err = endpoint.value, endpoint.abs_error_estimate
     base = p.a * factorial_over_power(p.k, x)
     middle, mid_err = _difference(p, x)
     even = p.k % 2 == 0
@@ -104,7 +105,7 @@ def _bound_row(p: ShiftParams, x: float, c: float, c_err: float) -> BoundCheck:
 
 def bound_check(p: ShiftParams, x: float) -> BoundCheck:
     """Check the parity-appropriate two-sided bound at one point x > 1."""
-    return _bound_row(p, _check_x_gt_one(x), *_endpoint_shift_form(p))
+    return _bound_row(p, _check_x_gt_one(x), shift_gap_derivative(p, 0, 1.0))
 
 
 def endpoint_constant_forms(p: ShiftParams) -> tuple[float, float]:
@@ -148,9 +149,10 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """Evaluate the parity-appropriate two-sided bound at every grid point.
 
     The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
-    so it is evaluated once for the whole table.
+    so it is evaluated once for the whole table, by the direct route (the gap
+    at x = 1); the recurrence route only cross-checks it in endpoint_constants.
     """
     if grid.lo <= 1.0:
         raise ValueError(f"bound_table needs a grid with lo > 1, got lo={grid.lo}")
-    c, c_err = _endpoint_shift_form(p)
-    return [_bound_row(p, float(x), c, c_err) for x in grid.generate()]
+    endpoint = shift_gap_derivative(p, 0, 1.0)
+    return [_bound_row(p, float(x), endpoint) for x in grid.generate()]

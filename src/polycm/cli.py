@@ -7,7 +7,8 @@ Verbs:
   table          the same bound rows, emitted as csv or json
   constants      the four reference endpoint constants against closed forms
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+error (a result left the binary64 range).
 """
 
 from __future__ import annotations
@@ -226,9 +227,12 @@ def main(cli_args=None) -> int:
     args = parser.parse_args(cli_args)
     try:
         return _DISPATCH[args.verb](args)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"polycm: error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError:
+        print("polycm: numerical error: a result left the binary64 range", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

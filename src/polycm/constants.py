@@ -1,22 +1,19 @@
 """High-accuracy scalar constants: Euler-Mascheroni, integer zeta values, Bernoulli numbers.
 
-Everything is computed once at import time and frozen.  Zeta at 2 and 4 comes
-from the closed forms pi^2/6 and pi^4/90; every other integer argument uses
-direct summation plus an Euler-Maclaurin tail, which keeps the truncation
-error certifiably below 1e-14 without special-casing slow convergence near
-s = 2.  Bernoulli numbers are generated with the defining recurrence in exact
-rational arithmetic and rounded once at the end; running the same recurrence
-in floating point loses most digits past B_20 to cancellation.
+Zeta at 2 and 4 comes from the closed forms pi^2/6 and pi^4/90; every other
+integer argument uses direct summation plus an Euler-Maclaurin tail, which
+keeps the truncation error certifiably below 1e-14 without special-casing
+slow convergence near s = 2.  Bernoulli numbers are generated once at import
+with the defining recurrence in exact rational arithmetic and rounded once at
+the end; running the same recurrence in floating point loses most digits past
+B_20 to cancellation.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
 GAMMA_EULER = 0.5772156649015328606065120900824024
 PI = math.pi
@@ -26,31 +23,33 @@ LN2 = math.log(2.0)
 #: indices past 30 never survive division by the matching power in binary64.
 MAX_BERNOULLI_M = 30
 
-_ZETA_PRECOMPUTED_MAX = 64
 _EM_BASE = 20            # terms summed directly before the Euler-Maclaurin tail
 _EM_MAX_CORRECTIONS = 14
 
 
 def _bernoulli_exact(count: int) -> list[Fraction]:
-    """B_0 .. B_count from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals."""
+    """B_0 .. B_count from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals.
+
+    B_m = 0 for odd m >= 3, so those indices are neither solved for nor summed.
+    """
     values = [Fraction(1)]
     for m in range(1, count + 1):
+        if m > 1 and m % 2 == 1:
+            values.append(Fraction(0))
+            continue
         acc = Fraction(0)
         for j in range(m):
-            acc += math.comb(m + 1, j) * values[j]
+            if j < 2 or j % 2 == 0:
+                acc += math.comb(m + 1, j) * values[j]
         values.append(-acc / (m + 1))
     return values
 
 
-def _rising(s: int, count: int) -> int:
-    """s (s+1) ... (s+count-1), exact."""
-    out = 1
-    for i in range(s, s + count):
-        out *= i
-    return out
+#: B_0 .. B_60 as floats, each rounded once from its exact value.
+_BERNOULLI = tuple(float(b) for b in _bernoulli_exact(2 * MAX_BERNOULLI_M))
 
 
-def _zeta_euler_maclaurin(s: int, bern: list[float]) -> float:
+def _zeta_euler_maclaurin(s: int) -> float:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin off a short direct sum.
 
     zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
@@ -67,8 +66,8 @@ def _zeta_euler_maclaurin(s: int, bern: list[float]) -> float:
     total += float(n) ** (1 - s) / (s - 1) + 0.5 * float(n) ** (-s)
     for j in range(1, _EM_MAX_CORRECTIONS + 1):
         term = (
-            bern[2 * j]
-            * _rising(s, 2 * j - 1)
+            _BERNOULLI[2 * j]
+            * math.perm(s + 2 * j - 2, 2 * j - 1)
             / (math.factorial(2 * j) * float(n) ** (s + 2 * j - 1))
         )
         total += term
@@ -77,40 +76,16 @@ def _zeta_euler_maclaurin(s: int, bern: list[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ConstantTable:
-    """Read-only bundle of the cached zeta values and Bernoulli numbers."""
-
-    zeta_cache: Mapping[int, float]      # s -> zeta(s), s = 2 .. 64
-    bernoulli_cache: Mapping[int, float]  # 2m -> B_2m, m = 1 .. 30
-
-
-_BERN_FLOATS = [float(b) for b in _bernoulli_exact(2 * MAX_BERNOULLI_M + 2)]
-
-
-def _build_table() -> ConstantTable:
-    zeta: dict[int, float] = {2: PI * PI / 6.0, 4: PI**4 / 90.0}
-    for s in range(2, _ZETA_PRECOMPUTED_MAX + 1):
-        if s not in zeta:
-            zeta[s] = _zeta_euler_maclaurin(s, _BERN_FLOATS)
-    b_cache = {2 * m: _BERN_FLOATS[2 * m] for m in range(1, MAX_BERNOULLI_M + 1)}
-    return ConstantTable(
-        zeta_cache=MappingProxyType(zeta),
-        bernoulli_cache=MappingProxyType(b_cache),
-    )
-
-
-TABLE = _build_table()
-
-
 def zeta_int(s: int) -> float:
     """Riemann zeta at an integer argument s >= 2, absolute error below 1e-14."""
     s = operator.index(s)
     if s < 2:
         raise ValueError(f"zeta_int requires s >= 2, got {s}")
-    if s <= _ZETA_PRECOMPUTED_MAX:
-        return TABLE.zeta_cache[s]
-    return _zeta_euler_maclaurin(s, _BERN_FLOATS)
+    if s == 2:
+        return PI * PI / 6.0
+    if s == 4:
+        return PI**4 / 90.0
+    return _zeta_euler_maclaurin(s)
 
 
 def bernoulli_even(m: int) -> float:
@@ -118,4 +93,4 @@ def bernoulli_even(m: int) -> float:
     m = operator.index(m)
     if m < 1 or m > MAX_BERNOULLI_M:
         raise ValueError(f"bernoulli_even requires 1 <= m <= {MAX_BERNOULLI_M}, got {m}")
-    return TABLE.bernoulli_cache[2 * m]
+    return _BERNOULLI[2 * m]

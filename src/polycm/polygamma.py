@@ -23,7 +23,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .constants import TABLE
+from .constants import _BERNOULLI
 
 #: Hard cap on the derivative order.  Keeps n! comfortably inside binary64
 #: and is far above anything the monotonicity scans request (k + n <~ 20).
@@ -68,70 +68,54 @@ def _check_x(x: float) -> float:
     return x
 
 
-def _digamma_asymptotic(y: float) -> tuple[float, float, float]:
-    """psi(y) for y >= 10: ln y - 1/(2y) - sum_j B_2j / (2j y^2j).
+#: Row n holds the series coefficients for j = 1 .. _MAX_ASYMPTOTIC_TERMS + 1:
+#: -B_2j/(2j) for n = 0 (digamma's minus sign folded in) and
+#: B_2j (2j+n-1)!/(2j)! for n >= 1 (the terms of |psi_n|).
+_COEFFICIENTS = tuple(
+    tuple(
+        -(_BERNOULLI[2 * j] / (2 * j)) if n == 0
+        else _BERNOULLI[2 * j] * float(math.perm(2 * j + n - 1, n - 1))
+        for j in range(1, _MAX_ASYMPTOTIC_TERMS + 2)
+    )
+    for n in range(MAX_ORDER + 1)
+)
+
+
+def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
+    """psi(y) for n = 0, |psi_n(y)| for n >= 1, at y >= shift_threshold(n):
+
+    psi(y)     = ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
+    |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
+                 + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
 
     Returns (value, truncation bound, magnitude budget).  The truncation
     bound is the first omitted term, taken either when the terms start
     growing again or after the 20-term cap.
     """
-    value = math.log(y) - 0.5 / y
-    budget = abs(value) + 1.0 / y
+    coefficients = _COEFFICIENTS[n]
     inv2 = 1.0 / (y * y)
-    power = inv2
-    prev = math.inf
-    trunc = 0.0
-    for j in range(1, _MAX_ASYMPTOTIC_TERMS + 1):
-        term = TABLE.bernoulli_cache[2 * j] / (2 * j) * power
-        if abs(term) >= prev:
-            trunc = abs(term)
-            break
-        value -= term
-        budget += abs(term)
-        prev = abs(term)
-        power *= inv2
+    # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
+    if n == 0:
+        value = math.log(y) - 0.5 / y
+        budget = abs(value) + 1.0 / y
+        power = inv2
     else:
-        j = _MAX_ASYMPTOTIC_TERMS + 1
-        trunc = abs(TABLE.bernoulli_cache[2 * j] / (2 * j) * power)
-    return value, trunc, budget
-
-
-def _polygamma_magnitude_asymptotic(n: int, y: float) -> tuple[float, float, float]:
-    """|psi_n(y)| for n >= 1 and y >= shift_threshold(n).
-
-    |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
-                 + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
-
-    Returns (value, truncation bound, magnitude budget).
-    """
-    fact_nm1 = float(math.factorial(n - 1))
-    lead = fact_nm1 * y ** float(-n)
-    half = fact_nm1 * n / (2.0 * y ** float(n + 1))
-    value = lead + half
-    budget = lead + half
-    inv2 = 1.0 / (y * y)
-    power = y ** float(-(n + 2))
+        fact_nm1 = float(math.factorial(n - 1))
+        lead = fact_nm1 * y ** float(-n)
+        half = fact_nm1 * n / (2.0 * y ** float(n + 1))
+        value = lead + half
+        budget = lead + half
+        power = y ** float(-(n + 2))
     prev = math.inf
-    trunc = 0.0
-    for j in range(1, _MAX_ASYMPTOTIC_TERMS + 1):
-        ratio = 1
-        for i in range(2 * j + 1, 2 * j + n):
-            ratio *= i
-        term = TABLE.bernoulli_cache[2 * j] * float(ratio) * power
+    for c in coefficients[:_MAX_ASYMPTOTIC_TERMS]:
+        term = c * power
         if abs(term) >= prev:
-            trunc = abs(term)
-            break
+            return value, abs(term), budget
         value += term
         budget += abs(term)
         prev = abs(term)
         power *= inv2
-    else:
-        j = _MAX_ASYMPTOTIC_TERMS + 1
-        ratio = 1
-        for i in range(2 * j + 1, 2 * j + n):
-            ratio *= i
-        trunc = abs(TABLE.bernoulli_cache[2 * j] * float(ratio) * power)
-    return value, trunc, budget
+    return value, abs(coefficients[_MAX_ASYMPTOTIC_TERMS] * power), budget
 
 
 def polygamma(n: int, x: float) -> EvalResult:
@@ -147,21 +131,20 @@ def polygamma(n: int, x: float) -> EvalResult:
     x = _check_x(x)
     shift_count = max(0, math.ceil(shift_threshold(n) - x))
     y = x + shift_count
+    series, trunc, budget = _asymptotic(n, y)
     if n == 0:
-        value, trunc, budget = _digamma_asymptotic(y)
         shift = 0.0
         for j in range(shift_count):
             shift += 1.0 / (x + j)
-        value -= shift
+        value = series - shift
         budget += shift
         err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
         return EvalResult(value, err)
-    mag, trunc, budget = _polygamma_magnitude_asymptotic(n, y)
     fact = float(math.factorial(n))
     acc = 0.0
     for j in range(shift_count):
         acc += (x + j) ** float(-(n + 1))
-    mag_total = mag + fact * acc
+    mag_total = series + fact * acc
     budget += fact * acc
     sign = 1.0 if n % 2 == 1 else -1.0
     err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)

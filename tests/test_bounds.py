@@ -7,6 +7,7 @@ import math
 import pytest
 
 import polycm.bounds
+import polycm.cm
 from polycm import (
     GridSpec,
     LN2,
@@ -121,7 +122,8 @@ class TestBoundTable:
 
     def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
         # two engine calls per row for the middle difference, plus two for
-        # C(a, k), which does not depend on x
+        # C(a, k), which does not depend on x; C is the gap at x = 1, so its
+        # calls go through cm's copy of the engine
         calls = []
         engine = polycm.bounds.polygamma
 
@@ -130,6 +132,7 @@ class TestBoundTable:
             return engine(n, x)
 
         monkeypatch.setattr(polycm.bounds, "polygamma", counted)
+        monkeypatch.setattr(polycm.cm, "polygamma", counted)
         grid = GridSpec(lo=1.5, hi=500.0, points=25)
         bound_table(ShiftParams(a=0.3, k=1), grid)
         assert len(calls) == 2 * grid.points + 2

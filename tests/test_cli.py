@@ -48,6 +48,14 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    def test_overflow_is_a_numerical_error(self, capsys):
+        with pytest.raises(OverflowError):
+            polygamma(40, 1e-8)
+        code, out, err = run(["eval", "--n", "40", "--x", "1e-8"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "polycm: numerical error: a result left the binary64 range\n"
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--n", "1"])

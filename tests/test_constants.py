@@ -1,15 +1,14 @@
-"""Constant table: zeta values, Bernoulli numbers, immutability."""
+"""Constants: zeta values, Bernoulli numbers, scalar constants."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polycm import GAMMA_EULER, LN2, PI, TABLE, bernoulli_even, zeta_int
+from polycm import GAMMA_EULER, LN2, PI, bernoulli_even, zeta_int
 
 
 def test_zeta_closed_forms():
@@ -94,17 +93,3 @@ def test_scalar_constants():
     assert GAMMA_EULER == 0.5772156649015329
     assert LN2 == math.log(2.0)
     assert PI == math.pi
-
-
-def test_table_is_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        TABLE.zeta_cache = {}
-    with pytest.raises(TypeError):
-        TABLE.zeta_cache[2] = 0.0
-    with pytest.raises(TypeError):
-        TABLE.bernoulli_cache[2] = 0.0
-
-
-def test_caches_cover_documented_ranges():
-    assert set(TABLE.zeta_cache) == set(range(2, 65))
-    assert set(TABLE.bernoulli_cache) == {2 * m for m in range(1, 31)}

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cm import GridSpec, ShiftParams, shift_gap_derivative
+from .oracle import gap_integral_even, gap_integral_odd
 from .polygamma import _EPS, EvalResult, factorial_over_power, polygamma
 
 
@@ -75,6 +76,16 @@ def _endpoint_shift_form(p: ShiftParams) -> tuple[float, float]:
     return value, err
 
 
+def _endpoint_quadrature_form(p: ShiftParams) -> tuple[float, float]:
+    """C(a, k) as the gap's integral representation at x = 1 (negated for
+    odd k), with its error estimate; no polygamma value is involved."""
+    if p.k % 2 == 0:
+        r = gap_integral_even(p.a, p.k, 1.0)
+        return r.value, r.abs_error_estimate
+    r = gap_integral_odd(p.a, p.k, 1.0)
+    return -r.value, r.abs_error_estimate
+
+
 def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
     """The chain at x > 1 given C(a, k) = endpoint: C joins the upper side for
     even k and the lower side for odd k; the other side is the bare base term."""
@@ -127,20 +138,24 @@ def endpoint_constant_forms(p: ShiftParams) -> tuple[float, float]:
 
 
 def endpoint_constants(p: ShiftParams) -> float:
-    """The gap's value C(a, k) at x = 1, cross-checked through both routes.
+    """The gap's value C(a, k) at x = 1, cross-checked by a second route.
 
-    Raises ArithmeticError if the two routes disagree beyond what their
-    combined rounding budgets can explain, which would mean the evaluator
-    itself is broken; the check costs four polygamma calls and buys a free
-    invariant on every use.
+    The second route is the recurrence route of endpoint_constant_forms
+    while its error bar stays below |C|.  For small a and large k that bar
+    outgrows C itself, and the quadrature of the gap's integral
+    representation at x = 1 takes its place.  Raises ArithmeticError if the
+    two routes disagree beyond what their combined error bars can explain,
+    which would mean the evaluator itself is broken.
     """
     gap = shift_gap_derivative(p, 0, 1.0)
     direct, direct_err = gap.value, gap.abs_error_estimate
-    shifted, shifted_err = _endpoint_shift_form(p)
-    allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + shifted_err))
-    if abs(direct - shifted) > allowance:
+    other, other_err = _endpoint_shift_form(p)
+    if not other_err < abs(direct):
+        other, other_err = _endpoint_quadrature_form(p)
+    allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + other_err))
+    if abs(direct - other) > allowance:
         raise ArithmeticError(
-            f"endpoint constant routes disagree: {direct!r} vs {shifted!r} for {p}"
+            f"endpoint constant routes disagree: {direct!r} vs {other!r} for {p}"
         )
     return direct
 

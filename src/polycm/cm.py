@@ -29,6 +29,7 @@ from .polygamma import (
     EvalResult,
     _check_order,
     _check_x,
+    _polygamma_array,
     factorial_over_power,
     polygamma,
 )
@@ -38,6 +39,10 @@ from .polygamma import (
 #: guard are counted as indeterminate rather than failed, since the gap
 #: legitimately flattens toward zero at large x.
 SIGN_GUARD = 1e3
+
+#: Samples per array-kernel call in cm_scan; bounds the scan's working
+#: memory whatever the number of grid points.
+_SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,27 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     return EvalResult(value, err)
 
 
+def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """shift_gap_derivative(p, n[i], x[i]) for every i, as (values, error bars).
+
+    The two polygamma values of every sample come from one array-kernel
+    call, interleaved as x[i] + a, x[i] in sample order, so the kernel
+    raises what shift_gap_derivative would raise first.  The three terms and
+    the bar are shift_gap_derivative's.  Finite polygamma bars keep |hi|,
+    |lo| and |last| (which |lo| or its 1/x shift term exceeds) under an
+    eighth of the binary64 range, so the gap's bar is finite too and raises
+    nowhere that shift_gap_derivative's would.
+    """
+    m = p.k + n
+    values, bars = _polygamma_array(np.repeat(m, 2), np.column_stack((x + p.a, x)).ravel())
+    hi, lo = values[0::2], values[1::2]
+    fop = np.array([factorial_over_power(mi, xi) for mi, xi in zip(m.tolist(), x.tolist())])
+    last = np.where(n % 2 == 0, p.a, -p.a) * fop
+    value = np.array([math.fsum(t) for t in zip(hi.tolist(), (-lo).tolist(), (-last).tolist())])
+    err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
+    return value, err
+
+
 def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
     """Scan (-1)^n g^(n)(x) (negated gap for odd k) over orders 0..max_order.
 
@@ -197,28 +223,35 @@ def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
     excluded from the minimum.  The scan passes when the smallest determinate
     signed value is positive and exceeds its own error bar; ties for the
     minimum resolve to the lexicographically first (n, x).
+
+    The samples are taken order-major, _SCAN_BLOCK at a time, each block
+    through one array-kernel call.
     """
     max_order = operator.index(max_order)
     if max_order < 0 or p.k + max_order > MAX_ORDER:
         raise ValueError(f"max_order must satisfy 0 <= k + max_order <= {MAX_ORDER}")
     orders = list(range(max_order + 1))
+    xs = grid.generate()
+    samples = len(orders) * grid.points
     min_signed = math.inf
     witness: tuple[int, float] | None = None
     witness_err = math.inf
     indeterminate = 0
-    for n in orders:
+    for start in range(0, samples, _SCAN_BLOCK):
+        n, i = np.divmod(np.arange(start, min(start + _SCAN_BLOCK, samples)), grid.points)
+        x = xs[i]
+        value, err = _gap_block(p, n, x)
         # (-1)^n for the derivative order, times -1 again for odd k
-        sign = 1.0 if (p.k + n) % 2 == 0 else -1.0
-        for x in grid.generate():
-            d = shift_gap_derivative(p, n, float(x))
-            signed = sign * d.value
-            if abs(signed) < SIGN_GUARD * d.abs_error_estimate:
-                indeterminate += 1
-                continue
-            if signed < min_signed:
-                min_signed = signed
-                witness = (n, float(x))
-                witness_err = d.abs_error_estimate
+        signed = np.where((p.k + n) % 2 == 0, value, -value)
+        determinate = np.flatnonzero(np.abs(signed) >= SIGN_GUARD * err)
+        indeterminate += len(n) - len(determinate)
+        if len(determinate) == 0:
+            continue
+        best = determinate[np.argmin(signed[determinate])]
+        if signed[best] < min_signed:
+            min_signed = float(signed[best])
+            witness = (int(n[best]), float(x[best]))
+            witness_err = float(err[best])
     passed = witness is not None and min_signed > witness_err
     return CMScanReport(
         params=p,

@@ -14,6 +14,10 @@ logarithm dominates and the relative error stays at a few ulp.
 Every result carries a conservative absolute-error estimate: the magnitude
 of the first omitted asymptotic term plus an ulp-level rounding budget over
 everything that was added.
+
+polygamma is the scalar reference.  _polygamma_array runs the same steps and
+the same error-bar formula over whole arrays of orders and arguments at once;
+cm_scan evaluates its grids through it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import operator
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import _BERNOULLI
 
-#: Hard cap on the derivative order.  Keeps n! comfortably inside binary64
-#: and is far above anything the monotonicity scans request (k + n <~ 20).
+#: Hard cap on the derivative order.  Keeps n! comfortably inside binary64;
+#: the scans and the CLI reach k + n = 40 itself.
 MAX_ORDER = 40
 
 _EPS = sys.float_info.epsilon
@@ -149,6 +155,109 @@ def polygamma(n: int, x: float) -> EvalResult:
     sign = 1.0 if n % 2 == 1 else -1.0
     err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
     return EvalResult(sign * mag_total, err)
+
+
+# The array kernel's copies of the scalar engine's tables.
+_COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(MAX_ORDER + 1)])
+_THRESHOLDS = np.array([shift_threshold(n) for n in range(MAX_ORDER + 1)])
+
+#: CPython's ** raises OverflowError where libm reports a range error: an
+#: infinite or a subnormal result.  numpy's power never raises, so a power
+#: outside [_TINY, _HUGE] sends its element back to the scalar engine.  The
+#: factor of two keeps an ulp of difference between numpy's power and libm's
+#: pow from putting the two on different sides of the edge.
+_TINY = 2.0 * sys.float_info.min
+_HUGE = 0.5 * sys.float_info.max
+
+
+def _in_range(p: np.ndarray) -> np.ndarray:
+    return (p >= _TINY) & (p <= _HUGE)
+
+
+def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """polygamma(n[i], x[i]) for every i, as (values, error bars).
+
+    Orders and arguments must already be valid.  Each element goes through
+    polygamma's steps: its own shift count, the same head, the same 20-term
+    series with its own stop, and the same error bar.  Values can differ
+    from the scalar ones by the last-ulp differences between numpy's
+    power and log and libm's.  An element for which the scalar engine would
+    raise, or could, is evaluated by polygamma itself, in index order; so
+    the first one that raises raises what [polygamma(*e) for e in zip(n, x)]
+    would raise.
+    """
+    n = np.asarray(n, dtype=np.intp)
+    x = np.asarray(x, dtype=float)
+    zero = n == 0
+    order = n.astype(float)
+    count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
+    with np.errstate(over="ignore", under="ignore"):
+        # shift pass: sum of 1/(x+j) for n = 0, of (x+j)^-(n+1) for n >= 1,
+        # over the elements below their threshold; sorted by shift count,
+        # step j works on the prefix of those still shifting
+        below = np.flatnonzero(count)
+        below = below[np.argsort(-count[below], kind="stable")]
+        xb, eb, zb = x[below], -(order[below] + 1.0), zero[below]
+        shifting = np.searchsorted(-count[below], -np.arange(count.max(initial=0.0)))
+        accb = np.zeros_like(xb)
+        ok = np.ones(x.shape, dtype=bool)
+        for j, m in enumerate(shifting.tolist()):
+            xj = xb[:m] + j
+            term = np.power(xj, eb[:m])
+            if j == 0:
+                ok[below] = zb | _in_range(term)
+            if zb.any():
+                term = np.where(zb[:m], 1.0 / xj, term)
+            accb[:m] += term
+        acc = np.zeros_like(x)
+        acc[below] = accb
+
+        # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1
+        y = x + count
+        inv2 = 1.0 / (y * y)
+        fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
+        lead_power = np.power(y, -order)
+        half_power = np.power(y, order + 1.0)
+        next_power = np.power(y, -(order + 2.0))
+        ok &= zero | (_in_range(lead_power) & _in_range(half_power) & _in_range(next_power))
+        head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
+        log_head = np.log(y) - 0.5 / y
+        value = np.where(zero, log_head, head)
+        budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
+        power = np.where(zero, inv2, next_power)
+
+        # series: an element whose terms start growing again keeps that
+        # term as its truncation bound, and its power drops to zero so that
+        # nothing more is added to it
+        coefficients = _COEFFICIENT_ARRAY[n]
+        trunc = np.zeros_like(x)
+        prev = np.full_like(x, math.inf)
+        running = np.ones(x.shape, dtype=bool)
+        for j in range(_MAX_ASYMPTOTIC_TERMS):
+            term = coefficients[:, j] * power
+            size = np.abs(term)
+            stop = running & (size >= prev)
+            if stop.any():
+                trunc[stop] = size[stop]
+                running &= ~stop
+                term[stop] = size[stop] = power[stop] = 0.0
+            value += term
+            budget += size
+            prev = size
+            power *= inv2
+        last = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
+        trunc = np.where(running, last, trunc)
+
+        shift = np.where(zero, acc, _FACTORIALS[n] * acc)
+        total = np.where(zero, value - shift, value + shift)
+        budget += shift
+        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
+    values = np.where(zero | (n % 2 == 1), total, -total)
+    for i in np.flatnonzero(~(ok & np.isfinite(bars))):
+        r = polygamma(int(n[i]), float(x[i]))
+        values[i], bars[i] = r.value, r.abs_error_estimate
+    return values, bars
 
 
 def digamma(x: float) -> EvalResult:

@@ -9,6 +9,7 @@ import pytest
 import polycm.bounds
 import polycm.cm
 from polycm import (
+    EvalResult,
     GridSpec,
     LN2,
     PI,
@@ -20,6 +21,7 @@ from polycm import (
     endpoint_constant_forms,
     endpoint_constants,
     factorial_over_power,
+    shift_gap_derivative,
     zeta_int,
 )
 
@@ -87,6 +89,22 @@ class TestEndpointConstants:
         big = factorial_over_power(k, a)
         tol = 1e-11 * max(1.0, abs(direct)) + 64.0 * 2.220446049250313e-16 * big
         assert abs(direct - shifted) <= tol
+
+    def test_cross_check_catches_a_wrong_constant_for_small_a(self, monkeypatch):
+        # at a = 0.01, k = 30 the recurrence route's bar (~7e79) dwarfs
+        # C ~ 6.8e31, so the check must fall back on the quadrature route
+        # to notice a direct route that is off by one part in a million
+        p = ShiftParams(a=0.01, k=30)
+        assert endpoint_constants(p) == shift_gap_derivative(p, 0, 1.0).value
+        direct = polycm.bounds.shift_gap_derivative
+
+        def skewed(p, n, x):
+            r = direct(p, n, x)
+            return EvalResult(r.value * (1.0 + 1e-6), r.abs_error_estimate)
+
+        monkeypatch.setattr(polycm.bounds, "shift_gap_derivative", skewed)
+        with pytest.raises(ArithmeticError):
+            endpoint_constants(p)
 
     def test_sign_by_parity(self):
         for a in (0.2, 0.5, 0.8):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import polycm.cm
 from polycm import (
     GridSpec,
     LN2,
@@ -222,3 +223,67 @@ class TestCMScan:
         rep = cm_scan(ShiftParams(a=0.5, k=4), 2, GridSpec(lo=1.0, hi=1e13, points=12))
         assert rep.passed
         assert rep.indeterminate_count > 0
+
+
+def scalar_scan(p, max_order, grid):
+    """cm_scan's verdict fields from one shift_gap_derivative call per point."""
+    best, witness, witness_err, indeterminate = math.inf, None, math.inf, 0
+    for n in range(max_order + 1):
+        sign = 1.0 if (p.k + n) % 2 == 0 else -1.0
+        for x in grid.generate().tolist():
+            d = shift_gap_derivative(p, n, x)
+            signed = sign * d.value
+            if abs(signed) < 1e3 * d.abs_error_estimate:
+                indeterminate += 1
+            elif signed < best:
+                best, witness, witness_err = signed, (n, x), d.abs_error_estimate
+    return best, witness, witness_err, indeterminate, witness is not None and best > witness_err
+
+
+# the README's verify-cm example and two inputs of the verify benchmark; the
+# second crosses the range edge of the powers without raising
+SCANS = [
+    (0.5, 2, 6, GridSpec(lo=0.1, hi=100.0, points=40)),
+    (0.5, 2, 8, GridSpec(lo=0.1, hi=100.0, points=60)),
+    (0.1205486384174355, 21, 8, GridSpec(0.012903826342736593, 9634438981.757809, 60)),
+    (0.5, 4, 2, GridSpec(lo=1.0, hi=1e13, points=12)),
+]
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("a,k,max_order,grid", SCANS)
+    def test_matches_per_point_reference(self, monkeypatch, a, k, max_order, grid, block):
+        # block = 7 splits the grid across many kernel calls, so ties and
+        # the minimum are carried from block to block
+        if block is not None:
+            monkeypatch.setattr(polycm.cm, "_SCAN_BLOCK", block)
+        p = ShiftParams(a=a, k=k)
+        rep = cm_scan(p, max_order, grid)
+        best, witness, witness_err, indeterminate, passed = scalar_scan(p, max_order, grid)
+        assert rep.passed is passed
+        assert rep.witness_point == witness
+        assert rep.indeterminate_count == indeterminate
+        assert abs(rep.min_signed_value - best) <= rep.witness_error
+        assert rep.witness_error == pytest.approx(witness_err, rel=1e-6)
+
+    def test_raises_where_the_scalar_scan_raises(self):
+        # k + n = 32 at x ~ 4.4e10 leaves the binary64 range in the engine
+        p = ShiftParams(a=0.1682812440157647, k=24)
+        grid = GridSpec(0.015672469339977946, 44487609651.509514, 60)
+        with pytest.raises(OverflowError):
+            scalar_scan(p, 8, grid)
+        with pytest.raises(OverflowError):
+            cm_scan(p, 8, grid)
+
+    def test_ties_resolve_to_the_first_point(self, monkeypatch):
+        # a signed value that is the same everywhere: the witness is the
+        # first (n, x), also when it sits in an earlier block than a tie
+        def flat(p, n, x):
+            return np.where((p.k + n) % 2 == 0, 1.0, -1.0), np.full(len(n), 1e-6)
+
+        monkeypatch.setattr(polycm.cm, "_gap_block", flat)
+        monkeypatch.setattr(polycm.cm, "_SCAN_BLOCK", 5)
+        rep = cm_scan(ShiftParams(a=0.5, k=2), 3, GridSpec(lo=1.0, hi=2.0, points=4))
+        assert rep.witness_point == (0, 1.0)
+        assert rep.indeterminate_count == 0

@@ -19,6 +19,7 @@ from polycm import (
     shift_threshold,
     zeta_int,
 )
+from polycm.polygamma import _polygamma_array
 
 # classical closed forms: psi and its derivatives at 1, 1/2 and 2
 KNOWN_VALUES = [
@@ -90,14 +91,20 @@ def test_error_estimate_contract():
 
 def test_error_estimate_covers_mpmath_referee():
     # the bar must over-bound the actual error over the whole documented
-    # domain, n <= 40 and x in [1e-3, 1e6], judged by a 40-digit referee
+    # domain, n <= 40 and x in [1e-3, 1e6], judged by a 40-digit referee;
+    # the array kernel is held to the same referee on the same grid
     mpmath = pytest.importorskip("mpmath")
+    orders = np.repeat(np.arange(MAX_ORDER + 1), 40)
+    xs = np.tile(np.geomspace(1e-3, 1e6, 40), MAX_ORDER + 1)
+    values, bars = _polygamma_array(orders, xs)
     with mpmath.workdps(40):
-        for n in range(MAX_ORDER + 1):
-            for x in map(float, np.geomspace(1e-3, 1e6, 40)):
-                r = polygamma(n, x)
-                err = abs(mpmath.mpf(r.value) - mpmath.polygamma(n, mpmath.mpf(x)))
-                assert err <= r.abs_error_estimate, (n, x, float(err))
+        for n, x, v, b in zip(orders.tolist(), xs.tolist(), values.tolist(), bars.tolist()):
+            truth = mpmath.polygamma(n, mpmath.mpf(x))
+            r = polygamma(n, x)
+            err = abs(mpmath.mpf(r.value) - truth)
+            assert err <= r.abs_error_estimate, (n, x, float(err))
+            err = abs(mpmath.mpf(v) - truth)
+            assert err <= b, (n, x, float(err))
 
 
 def test_error_estimate_covers_known_truth():
@@ -164,3 +171,34 @@ def test_factorial_over_power_extremes():
         factorial_over_power(2, 0.0)
     with pytest.raises(ValueError):
         factorial_over_power(-1, 1.0)
+
+
+def test_array_kernel_matches_scalar_engine():
+    # every element within the two bars of the scalar value, over every
+    # input of n = 0..40 x 60 log points in [1e-3, 1e14] plus x = 1e300
+    # on which the scalar engine does not raise, range edges included
+    pairs = []
+    for n in range(MAX_ORDER + 1):
+        for x in [*np.geomspace(1e-3, 1e14, 60).tolist(), 1e300]:
+            try:
+                pairs.append((n, x, polygamma(n, x)))
+            except (OverflowError, ValueError):
+                pass
+    values, bars = _polygamma_array(np.array([n for n, _, _ in pairs]),
+                                    np.array([x for _, x, _ in pairs]))
+    for (n, x, r), v, b in zip(pairs, values.tolist(), bars.tolist()):
+        assert abs(v - r.value) <= b + r.abs_error_estimate, (n, x)
+        assert b == pytest.approx(r.abs_error_estimate, rel=1e-6), (n, x)
+
+
+def test_array_kernel_raises_where_the_engine_raises():
+    # a subnormal head power (28, 1.2e11), an overflowing shift term
+    # (40, 1e-8) and an infinite bar (40, 1e-7): the scalar engine raises
+    # OverflowError, OverflowError and ValueError, and the kernel raises
+    # the first of them in index order
+    for n, x, error in ((28, 122322200237.42154, OverflowError),
+                        (40, 1e-8, OverflowError), (40, 1e-7, ValueError)):
+        with pytest.raises(error):
+            polygamma(n, x)
+        with pytest.raises(error):
+            _polygamma_array(np.array([3, n, 40]), np.array([2.5, x, 1e-7]))

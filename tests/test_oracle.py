@@ -8,6 +8,7 @@ import pytest
 from polycm import (
     GAMMA_EULER,
     LN2,
+    MAX_ORDER,
     PI,
     QuadratureError,
     QuadratureSpec,
@@ -30,8 +31,8 @@ BIG = SeriesSpec(max_terms=4_000_000)
 
 class TestSeries:
     def test_digamma_half(self):
-        # psi(1/2) = -gamma - 2 ln 2; 4e6 terms puts the midpoint tail
-        # error near x/(2K^2) ~ 1.6e-14
+        # psi(1/2) = -gamma - 2 ln 2; at 4e6 terms the Euler-Maclaurin
+        # remainder (~7e-56) is far below the 32 eps rounding part of the bar
         r = digamma_series(0.5, BIG)
         assert abs(r.value - (-GAMMA_EULER - 2.0 * LN2)) <= 1e-13
         assert abs(r.value - (-GAMMA_EULER - 2.0 * LN2)) <= r.abs_error_estimate
@@ -64,10 +65,18 @@ class TestSeries:
                 e = polygamma(n, x)
                 assert abs(s.value - e.value) <= s.abs_error_estimate + e.abs_error_estimate
 
-    def test_more_terms_tighten_the_bar(self):
-        small = polygamma_series(1, 1.0, SeriesSpec(max_terms=10_000))
-        large = polygamma_series(1, 1.0, SeriesSpec(max_terms=1_000_000))
-        assert large.abs_error_estimate < small.abs_error_estimate
+    def test_more_terms_do_not_widen_the_bar(self):
+        # from 100 terms on the Euler-Maclaurin remainder sits below the
+        # 32 eps rounding floor, so more terms cannot visibly narrow the bar
+        runs = [
+            polygamma_series(1, 1.0, SeriesSpec(max_terms=k))
+            for k in (100, 1000, 10_000, 1_000_000)
+        ]
+        for i, r in enumerate(runs):
+            for s in runs[i + 1:]:
+                assert abs(r.value - s.value) <= r.abs_error_estimate + s.abs_error_estimate
+                assert s.abs_error_estimate <= r.abs_error_estimate
+        assert max(r.abs_error_estimate for r in runs) <= 1e-13
 
     def test_series_spec_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +87,26 @@ class TestSeries:
             polygamma_series(1, -1.0)
         with pytest.raises(ValueError):
             digamma_series(0.0)
+
+    def test_series_spec_rejects_fractional_terms(self):
+        # the tail sits at K + x, so a fractional K would misplace it
+        with pytest.raises(TypeError):
+            SeriesSpec(max_terms=150.5)
+
+    def test_series_bar_covers_mpmath_referee(self):
+        # both series routes over the documented domain, n <= 40 and x in
+        # [1e-3, 1e6], at the default and the shortest sum, judged by a
+        # 40-digit referee
+        mpmath = pytest.importorskip("mpmath")
+        specs = (SeriesSpec(), SeriesSpec(max_terms=100))
+        with mpmath.workdps(40):
+            for n in range(MAX_ORDER + 1):
+                for x in np.geomspace(1e-3, 1e6, 40).tolist():
+                    truth = mpmath.polygamma(n, mpmath.mpf(x))
+                    for spec in specs:
+                        r = digamma_series(x, spec) if n == 0 else polygamma_series(n, x, spec)
+                        err = abs(mpmath.mpf(r.value) - truth)
+                        assert err <= r.abs_error_estimate, (spec.max_terms, n, x, float(err))
 
 
 class TestQuadrature:

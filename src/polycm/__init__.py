@@ -17,7 +17,6 @@ from .bounds import (
     BoundCheck,
     bound_check,
     bound_table,
-    endpoint_constant_forms,
     endpoint_constants,
 )
 from .cm import (
@@ -82,7 +81,6 @@ __all__ = [
     "cm_weight",
     "digamma",
     "digamma_series",
-    "endpoint_constant_forms",
     "endpoint_constants",
     "exp_diff_ratio",
     "expm1_ratio",

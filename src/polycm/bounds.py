@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cm import GridSpec, ShiftParams, shift_gap_derivative
+from .cm import GridSpec, ShiftParams, _gap, shift_gap_derivative
 from .oracle import gap_integral_even, gap_integral_odd
-from .polygamma import _EPS, EvalResult, factorial_over_power, polygamma
+from .polygamma import _EPS, EvalResult
+# unused here, but bench/tracing.py wraps both names in this module
+from .polygamma import factorial_over_power, polygamma  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,67 +51,34 @@ def _check_x_gt_one(x: float) -> float:
     return x
 
 
-def _difference(p: ShiftParams, x: float) -> tuple[float, float]:
-    hi = polygamma(p.k, x + p.a)
-    lo = polygamma(p.k, x)
-    err = (
-        hi.abs_error_estimate
-        + lo.abs_error_estimate
-        + _EPS * (abs(hi.value) + abs(lo.value))
-    )
-    return hi.value - lo.value, err
-
-
-def _endpoint_shift_form(p: ShiftParams) -> tuple[float, float]:
-    """C(a, k) via psi_k(a) and the recurrence, with its error estimate."""
-    at_a = polygamma(p.k, p.a)
-    at_one = polygamma(p.k, 1.0)
-    fact = float(math.factorial(p.k))
-    sign = 1.0 if p.k % 2 == 0 else -1.0
-    pieces = (at_a.value, -at_one.value, sign * factorial_over_power(p.k, p.a), -p.a * fact)
-    value = math.fsum(pieces)
-    err = (
-        at_a.abs_error_estimate
-        + at_one.abs_error_estimate
-        + _EPS * sum(abs(t) for t in pieces)
-    )
-    return value, err
-
-
-def _endpoint_quadrature_form(p: ShiftParams) -> tuple[float, float]:
-    """C(a, k) as the gap's integral representation at x = 1 (negated for
-    odd k), with its error estimate; no polygamma value is involved."""
-    if p.k % 2 == 0:
-        r = gap_integral_even(p.a, p.k, 1.0)
-        return r.value, r.abs_error_estimate
-    r = gap_integral_odd(p.a, p.k, 1.0)
-    return -r.value, r.abs_error_estimate
-
-
 def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
-    """The chain at x > 1 given C(a, k) = endpoint: C joins the upper side for
-    even k and the lower side for odd k; the other side is the bare base term."""
+    """The chain at x > 1 given C(a, k) = endpoint, built on the gap g(x).
+
+    The base term a k!/x^(k+1) is the gap's own power term and the middle is
+    base + g.  The margins are the gap itself: (g, C - g) for even k, where
+    C joins the upper side, and (g - C, -g) for odd k, where it joins the
+    lower one.  Each margin's bar is g's, plus C's on the side that has C,
+    plus the rounding of the margin itself.
+    """
     c, c_err = endpoint.value, endpoint.abs_error_estimate
-    base = p.a * factorial_over_power(p.k, x)
-    middle, mid_err = _difference(p, x)
-    even = p.k % 2 == 0
-    lower = base if even else base + c
-    upper = base + c if even else base
-    lower_margin = middle - lower
-    upper_margin = upper - middle
-    base_err = _EPS * 4.0 * abs(base)
-    lo_c_err, up_c_err = (0.0, c_err) if even else (c_err, 0.0)
-    lo_err = mid_err + lo_c_err + base_err + _EPS * abs(lower_margin)
-    up_err = mid_err + up_c_err + base_err + _EPS * abs(upper_margin)
+    g, g_err, base = _gap(p, 0, x)
+    if p.k % 2 == 0:
+        lower, upper = base, base + c
+        lower_margin, upper_margin = g, c - g
+        lo_c_err, up_c_err = 0.0, c_err
+    else:
+        lower, upper = base + c, base
+        lower_margin, upper_margin = g - c, -g
+        lo_c_err, up_c_err = c_err, 0.0
     return BoundCheck(
         x=x,
         lower=lower,
-        middle=middle,
+        middle=base + g,
         upper=upper,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
-        lower_margin_error=lo_err,
-        upper_margin_error=up_err,
+        lower_margin_error=g_err + lo_c_err + _EPS * abs(lower_margin),
+        upper_margin_error=g_err + up_c_err + _EPS * abs(upper_margin),
         passed=lower_margin > 0.0 and upper_margin > 0.0,
     )
 
@@ -119,40 +88,24 @@ def bound_check(p: ShiftParams, x: float) -> BoundCheck:
     return _bound_row(p, _check_x_gt_one(x), shift_gap_derivative(p, 0, 1.0))
 
 
-def endpoint_constant_forms(p: ShiftParams) -> tuple[float, float]:
-    """C(a, k) computed two independent ways.
-
-    Route one evaluates the gap at x = 1 directly:
-        psi_k(1+a) - psi_k(1) - a k!
-    Route two rewrites psi_k(1+a) through the recurrence at a:
-        psi_k(a) - psi_k(1) + (-1)^k k!/a^(k+1) - a k!
-
-    The trailing term is -a k! in both routes and for both parities; only
-    the recurrence contribution (-1)^k k!/a^(k+1) carries the parity sign.
-    Route two cancels against that k!/a^(k+1) term, so for small a and
-    large k it keeps only absolute, not relative, accuracy.
-    """
-    direct = shift_gap_derivative(p, 0, 1.0).value
-    shifted, _ = _endpoint_shift_form(p)
-    return direct, shifted
-
-
 def endpoint_constants(p: ShiftParams) -> float:
-    """The gap's value C(a, k) at x = 1, cross-checked by a second route.
+    """The gap's value C(a, k) at x = 1, cross-checked by quadrature.
 
-    The second route is the recurrence route of endpoint_constant_forms
-    while its error bar stays below |C|.  For small a and large k that bar
-    outgrows C itself, and the quadrature of the gap's integral
-    representation at x = 1 takes its place.  Raises ArithmeticError if the
-    two routes disagree beyond what their combined error bars can explain,
-    which would mean the evaluator itself is broken.
+    C is taken directly, as shift_gap_derivative(p, 0, 1.0).  The check is
+    the quadrature of the gap's integral representation at x = 1 (negated
+    for odd k), which uses no polygamma value.  Raises ArithmeticError if the
+    two disagree beyond what their combined error bars can explain, which
+    would mean the evaluator itself is broken.
     """
     gap = shift_gap_derivative(p, 0, 1.0)
     direct, direct_err = gap.value, gap.abs_error_estimate
-    other, other_err = _endpoint_shift_form(p)
-    if not other_err < abs(direct):
-        other, other_err = _endpoint_quadrature_form(p)
-    allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + other_err))
+    if p.k % 2 == 0:
+        quad = gap_integral_even(p.a, p.k, 1.0)
+        other = quad.value
+    else:
+        quad = gap_integral_odd(p.a, p.k, 1.0)
+        other = -quad.value
+    allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + quad.abs_error_estimate))
     if abs(direct - other) > allowance:
         raise ArithmeticError(
             f"endpoint constant routes disagree: {direct!r} vs {other!r} for {p}"
@@ -164,8 +117,8 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """Evaluate the parity-appropriate two-sided bound at every grid point.
 
     The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
-    so it is evaluated once for the whole table, by the direct route (the gap
-    at x = 1); the recurrence route only cross-checks it in endpoint_constants.
+    so it is evaluated once for the whole table, as the gap at x = 1;
+    endpoint_constants cross-checks that same value by quadrature.
     """
     if grid.lo <= 1.0:
         raise ValueError(f"bound_table needs a grid with lo > 1, got lo={grid.lo}")

@@ -27,7 +27,7 @@ from .polygamma import polygamma
 
 _CSV_COLUMNS = ("x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed")
 
-#: (k, human-readable closed form, callable producing it) for a = 1/2.
+#: (k, human-readable closed form, callable producing it, tolerance) for a = 1/2.
 _REFERENCE_CONSTANTS = (
     (0, "3/2 - 2 ln 2", lambda: 1.5 - 2.0 * LN2, 1e-12),
     (1, "pi^2/3 - 9/2", lambda: PI * PI / 3.0 - 4.5, 1e-11),
@@ -82,6 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tol(tol: float, nonnegative: bool = False) -> float:
+    """--tol as given; nan, or a negative tol where none makes sense, is a
+    usage error (ValueError)."""
+    if math.isnan(tol):
+        raise ValueError("--tol must be a number, got nan")
+    if nonnegative and tol < 0.0:
+        raise ValueError(f"--tol must be >= 0, got {tol!r}")
+    return tol
+
+
 def _g(v: float) -> str:
     return f"{v:.17g}"
 
@@ -129,11 +139,12 @@ def _cmd_eval(args) -> int:
 def _cmd_verify_cm(args) -> int:
     params = ShiftParams(a=args.a, k=args.k)
     grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+    tol = _check_tol(args.tol)
     report = cm_scan(params, args.max_order, grid)
-    ok = report.passed and (report.witness_point is None or report.min_signed_value > args.tol)
+    ok = report.passed and (report.witness_point is None or report.min_signed_value > tol)
     if args.format == "json":
         d = _report_dict(report)
-        d["tol"] = args.tol
+        d["tol"] = tol
         d["ok"] = ok
         print(json.dumps(d))
     else:
@@ -157,14 +168,15 @@ def _cmd_verify_cm(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     params = ShiftParams(a=args.a, k=args.k)
     grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+    tol = _check_tol(args.tol)
     rows = bound_table(params, grid)
     worst = min(min(r.lower_margin, r.upper_margin) for r in rows)
-    ok = all(r.passed for r in rows) and worst > args.tol
+    ok = all(r.passed for r in rows) and worst > tol
     if args.format == "csv":
         _emit_rows_csv(rows, sys.stdout)
     elif args.format == "json":
         print(json.dumps({"a": params.a, "k": params.k, "rows": [asdict(r) for r in rows],
-                          "worst_margin": worst, "tol": args.tol, "ok": ok}))
+                          "worst_margin": worst, "tol": tol, "ok": ok}))
     else:
         print(
             f"bounds a={_g(params.a)} k={params.k} on {grid.points} points "
@@ -186,11 +198,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    override = None if args.tol is None else _check_tol(args.tol, nonnegative=True)
     ok = True
     entries = []
     for k, label, closed, tol in _REFERENCE_CONSTANTS:
-        if args.tol is not None:
-            tol = args.tol
+        if override is not None:
+            tol = override
         engine = endpoint_constants(ShiftParams(a=0.5, k=k))
         target = closed()
         good = abs(engine - target) <= tol

@@ -164,22 +164,10 @@ def expm1_ratio(a: float, t: float) -> float:
     return math.expm1(-a * t) / math.expm1(-t)
 
 
-def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
-    """Exact n-th derivative of the gap, the gap itself at n = 0:
-
-    g^(n)(x) = psi_(k+n)(x+a) - psi_(k+n)(x) - (-1)^n a (k+n)!/x^(k+n+1)
-
-    No finite differencing is involved; differentiating the gap just bumps
-    the polygamma order and alternates the sign of the power term.  The
-    three terms are added with one final rounding (math.fsum), so at n = 0,
-    x = 1 this is the direct route to the endpoint constant C(a, k) in
-    polycm.bounds.
-    """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    m = _check_order(p.k + n)
-    x = _check_x(x)
+def _gap(p: ShiftParams, n: int, x: float) -> tuple[float, float, float]:
+    """shift_gap_derivative's (value, error bar) for an order and x already
+    checked, plus its power term (-1)^n a (k+n)!/x^(k+n+1)."""
+    m = p.k + n
     hi = polygamma(m, x + p.a)
     lo = polygamma(m, x)
     sign = 1.0 if n % 2 == 0 else -1.0
@@ -190,6 +178,25 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
         + lo.abs_error_estimate
         + _EPS * (abs(hi.value) + abs(lo.value) + 2.0 * abs(last))
     )
+    return value, err, last
+
+
+def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
+    """Exact n-th derivative of the gap, the gap itself at n = 0:
+
+    g^(n)(x) = psi_(k+n)(x+a) - psi_(k+n)(x) - (-1)^n a (k+n)!/x^(k+n+1)
+
+    No finite differencing is involved; differentiating the gap just bumps
+    the polygamma order and alternates the sign of the power term.  The
+    three terms are added with one final rounding (math.fsum), so at n = 0,
+    x = 1 this is the direct route to the endpoint constant C(a, k) in
+    polycm.bounds, whose bound rows are built on the same gap.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    _check_order(p.k + n)
+    value, err, _ = _gap(p, n, _check_x(x))
     return EvalResult(value, err)
 
 

@@ -8,8 +8,8 @@ per panel and a 7-point companion rule for the panel error estimate; the
 truncated upper tail is covered by an exact closed-form bound, so the
 reported error is sound, not heuristic.
 
-Nothing here shares evaluation code with the engine; only the constant
-table, the argument checks and the machine epsilon are common.  Simple and
+Nothing here shares evaluation code with the engine; only Euler's
+constant, the argument checks and the machine epsilon are common.  Simple and
 transparent on purpose.
 """
 

@@ -128,10 +128,13 @@ def polygamma(n: int, x: float) -> EvalResult:
     """psi_n(x) for integer order 0 <= n <= 40 and x > 0.
 
     Relative accuracy is ~1e-14 across x in [1e-3, 1e6]; the returned error
-    estimate is an over-bound on the actual absolute error.  Orders near the
-    cap combined with x below ~1e-3 can push the recurrence terms past
-    binary64 range, in which case OverflowError propagates rather than a
-    silently degraded value.
+    estimate is an over-bound on the actual absolute error.  OverflowError
+    propagates, rather than a silently degraded value, wherever an
+    intermediate power leaves binary64 range: at small x, where orders near
+    the cap push the recurrence terms past it, and at large x, where
+    y^(n+1) in the asymptotic head overflows although the result need not
+    (polygamma(28, 1.2e11) raises; its value, about -6.6e-283, is
+    representable).
     """
     n = _check_order(n)
     x = _check_x(x)

@@ -18,9 +18,9 @@ from polycm import (
     bound_check,
     bound_table,
     digamma_series,
-    endpoint_constant_forms,
     endpoint_constants,
-    factorial_over_power,
+    gap_integral_even,
+    gap_integral_odd,
     shift_gap_derivative,
     zeta_int,
 )
@@ -83,18 +83,19 @@ class TestEndpointConstants:
     @pytest.mark.parametrize("k", range(0, 9))
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_two_routes_agree(self, a, k):
-        # the recurrence route cancels against k!/a^(k+1), so its rounding
-        # scales with that intermediate; the allowance must track it
-        direct, shifted = endpoint_constant_forms(ShiftParams(a=a, k=k))
-        big = factorial_over_power(k, a)
-        tol = 1e-11 * max(1.0, abs(direct)) + 64.0 * 2.220446049250313e-16 * big
-        assert abs(direct - shifted) <= tol
+        # the direct route against the quadrature of the gap's integral form
+        # at x = 1, negated for odd k, which uses no polygamma value
+        p = ShiftParams(a=a, k=k)
+        direct = shift_gap_derivative(p, 0, 1.0).value
+        quad = gap_integral_even(a, k, 1.0).value if k % 2 == 0 else -gap_integral_odd(a, k, 1.0).value
+        assert abs(direct - quad) <= 1e-11 * max(1.0, abs(direct))
 
-    def test_cross_check_catches_a_wrong_constant_for_small_a(self, monkeypatch):
-        # at a = 0.01, k = 30 the recurrence route's bar (~7e79) dwarfs
-        # C ~ 6.8e31, so the check must fall back on the quadrature route
-        # to notice a direct route that is off by one part in a million
-        p = ShiftParams(a=0.01, k=30)
+    @pytest.mark.parametrize("a,k", [(0.01, 30), (0.5, 2)])
+    def test_cross_check_catches_a_wrong_constant_for_small_a(self, monkeypatch, a, k):
+        # a direct route off by one part in a million must be caught where C
+        # is huge (C ~ 6.8e31 at a = 0.01, k = 30) and on the constants
+        # verb's path (a = 0.5, k = 2)
+        p = ShiftParams(a=a, k=k)
         assert endpoint_constants(p) == shift_gap_derivative(p, 0, 1.0).value
         direct = polycm.bounds.shift_gap_derivative
 
@@ -139,9 +140,9 @@ class TestBoundTable:
             bound_table(ShiftParams(a=0.5, k=2), GridSpec(lo=0.9, hi=10.0, points=5))
 
     def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
-        # two engine calls per row for the middle difference, plus two for
-        # C(a, k), which does not depend on x; C is the gap at x = 1, so its
-        # calls go through cm's copy of the engine
+        # two engine calls per row for the gap, plus two for C(a, k), which
+        # does not depend on x; rows and C alike go through cm's gap, so
+        # through cm's copy of the engine
         calls = []
         engine = polycm.bounds.polygamma
 
@@ -154,6 +155,17 @@ class TestBoundTable:
         grid = GridSpec(lo=1.5, hi=500.0, points=25)
         bound_table(ShiftParams(a=0.3, k=1), grid)
         assert len(calls) == 2 * grid.points + 2
+
+    @pytest.mark.parametrize("a,k", [(0.3, 3), (0.3, 2), (0.5, 0), (0.9, 1), (0.05, 12)])
+    def test_margins_are_the_gap(self, a, k):
+        # the margins are g and C - g for even k, g - C and -g for odd k,
+        # with g and C taken from the gap function itself
+        p = ShiftParams(a=a, k=k)
+        c = shift_gap_derivative(p, 0, 1.0).value
+        for r in bound_table(p, GridSpec(lo=1.001, hi=1000.0, points=50)):
+            g = shift_gap_derivative(p, 0, r.x).value
+            expected = (g, c - g) if k % 2 == 0 else (g - c, -g)
+            assert (r.lower_margin, r.upper_margin) == expected
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_bound_check_matches_table_row(self, k):

@@ -195,6 +195,21 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-cm", "--a", "0.5", "--k", "2", "--tol", "nan"],
+            ["verify-bounds", "--a", "0.5", "--k", "2", "--tol", "nan"],
+            ["constants", "--tol", "nan"],
+            ["constants", "--tol", "-1"],
+        ],
+    )
+    def test_bad_tol_is_usage_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("polycm: error: --tol")
+
     def test_console_script_installed(self):
         script = shutil.which("polycm")
         cmd = [script] if script else [sys.executable, "-m", "polycm.cli"]

@@ -9,6 +9,25 @@ import numpy as np
 import pytest
 
 from polycm import GAMMA_EULER, LN2, PI, bernoulli_even, zeta_int
+from polycm.constants import _BERNOULLI, MAX_BERNOULLI_M
+
+
+def _bernoulli_exact(count: int) -> list[Fraction]:
+    """B_0 .. B_count from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals.
+
+    B_m = 0 for odd m >= 3, so those indices are neither solved for nor summed.
+    """
+    values = [Fraction(1)]
+    for m in range(1, count + 1):
+        if m > 1 and m % 2 == 1:
+            values.append(Fraction(0))
+            continue
+        acc = Fraction(0)
+        for j in range(m):
+            if j < 2 or j % 2 == 0:
+                acc += math.comb(m + 1, j) * values[j]
+        values.append(-acc / (m + 1))
+    return values
 
 
 def test_zeta_closed_forms():
@@ -65,6 +84,14 @@ def test_bernoulli_exact_values():
     assert bernoulli_even(5) == float(Fraction(5, 66))
     assert bernoulli_even(6) == float(Fraction(-691, 2730))
     assert bernoulli_even(15) == float(Fraction(8615841276005, 14322))
+
+
+def test_bernoulli_literals_are_the_exact_values_rounded_once():
+    # float(Fraction) rounds the exact quotient once, to nearest
+    exact = _bernoulli_exact(2 * MAX_BERNOULLI_M)
+    assert len(_BERNOULLI) == len(exact) == 61
+    for m, (stored, b) in enumerate(zip(_BERNOULLI, exact)):
+        assert stored.hex() == float(b).hex(), m
 
 
 def test_bernoulli_rejects_out_of_range():

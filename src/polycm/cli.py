@@ -8,7 +8,9 @@ Verbs:
   constants      the four reference endpoint constants against closed forms
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error (a result left the binary64 range).
+error: a result left the binary64 range, the endpoint constant's two routes
+disagreed (ArithmeticError), or a quadrature ran out of subdivisions
+(QuadratureError).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import asdict
 from .bounds import bound_table, endpoint_constants
 from .cm import CMScanReport, GridSpec, ShiftParams, cm_scan
 from .constants import LN2, PI, zeta_int
+from .oracle import QuadratureError
 from .polygamma import polygamma
 
 _CSV_COLUMNS = ("x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed")
@@ -245,6 +248,12 @@ def main(cli_args=None) -> int:
         return 2
     except OverflowError:
         print("polycm: numerical error: a result left the binary64 range", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"polycm: numerical error: {exc}", file=sys.stderr)
+        return 3
+    except QuadratureError as exc:
+        print(f"polycm: numerical error: quadrature failed: {exc}", file=sys.stderr)
         return 3
 
 

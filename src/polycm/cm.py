@@ -25,6 +25,7 @@ import numpy as np
 
 from .polygamma import (
     _EPS,
+    _FACTORIALS,
     MAX_ORDER,
     EvalResult,
     _check_order,
@@ -43,6 +44,17 @@ SIGN_GUARD = 1e3
 #: Samples per array-kernel call in cm_scan; bounds the scan's working
 #: memory whatever the number of grid points.
 _SCAN_BLOCK = 4096
+
+#: ln m! for every order, to screen factorial_over_power's branches.
+_LOG_FACTORIALS = np.array([math.lgamma(m + 1.0) for m in range(MAX_ORDER + 1)])
+
+#: Where ln x^(m+1) and ln(m!/x^(m+1)) both stay within this bound,
+#: factorial_over_power takes its plain branch m!/x**(m+1).  Its own
+#: thresholds are 709 and -745 on the log of the result, and a normal power
+#: needs its log in (-708.39, 709.78); the margin dwarfs any ulp of
+#: difference between numpy's log and libm's.  As ln m! >= 0, the bound on
+#: |ln x^(m+1)| also bounds ln(m!/x^(m+1)) from below.
+_PLAIN_LOG_BOUND = 700.0
 
 
 @dataclass(frozen=True)
@@ -100,10 +112,21 @@ class GridSpec:
             raise ValueError(f"spacing must be linear or logarithmic, got {self.spacing!r}")
 
     def generate(self) -> np.ndarray:
-        """Strictly increasing points spanning [lo, hi] exactly."""
+        """Strictly increasing points spanning [lo, hi] exactly.
+
+        Raises ValueError when [lo, hi] holds too few doubles for that many
+        distinct points.
+        """
         if self.spacing == "linear":
-            return np.linspace(self.lo, self.hi, self.points)
-        return np.geomspace(self.lo, self.hi, self.points)
+            xs = np.linspace(self.lo, self.hi, self.points)
+        else:
+            xs = np.geomspace(self.lo, self.hi, self.points)
+        if not np.all(xs[1:] > xs[:-1]):
+            raise ValueError(
+                f"[{self.lo!r}, {self.hi!r}] is too narrow for {self.points} distinct "
+                f"{self.spacing} points"
+            )
+        return xs
 
 
 @dataclass(frozen=True)
@@ -200,23 +223,77 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     return EvalResult(value, err)
 
 
+def _factorial_over_power_array(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """factorial_over_power(m[i], x[i]) for every i, bit for bit.
+
+    Orders and arguments must already be valid.  numpy's log only screens
+    which elements take factorial_over_power's plain branch m!/x**(m+1)
+    (see _PLAIN_LOG_BOUND).  Their powers come from CPython's float pow, the
+    ** of factorial_over_power and libm's pow underneath, because numpy's
+    power can differ from it by an ulp; the division is IEEE in numpy as in
+    Python.  Every other element is evaluated by factorial_over_power
+    itself.
+    """
+    exponent = m + 1.0
+    log_power = exponent * np.log(x)
+    plain = (np.abs(log_power) <= _PLAIN_LOG_BOUND) & (
+        _LOG_FACTORIALS[m] - log_power <= _PLAIN_LOG_BOUND
+    )
+    out = np.empty_like(x)
+    powers = np.array(list(map(pow, x[plain].tolist(), exponent[plain].tolist())))
+    out[plain] = _FACTORIALS[m[plain]] / powers
+    for i in np.flatnonzero(~plain).tolist():
+        out[i] = factorial_over_power(int(m[i]), float(x[i]))
+    return out
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b rounded, its exact rounding error), elementwise (Knuth)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """math.fsum((a[i], b[i], c[i])) for every i, bit for bit, for finite
+    terms whose sums stay finite.
+
+    The correctly rounded three-term sum of Boldo and Melquiond ("Emulation
+    of FMA and correctly rounded sums: proved algorithms using rounding to
+    odd", IEEE Trans. Computers 57(4), 2008): two TwoSums, the two low parts
+    added with rounding to odd, then one rounded add.  math.fsum rounds
+    correctly too, so the two agree.  A TwoSum's error term is never -0.0,
+    so neither is v, and an exact zero comes out +0.0, as from math.fsum.
+    """
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, v_err = _two_sum(tl, ul)
+    # rounding to odd: an inexact v with an even last bit moves one ulp
+    # toward the exact sum, onto its odd neighbour
+    even = (v.view(np.int64) & 1) == 0
+    v = np.where((v_err != 0.0) & even, np.nextafter(v, np.copysign(np.inf, v_err)), v)
+    return th + v
+
+
 def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """shift_gap_derivative(p, n[i], x[i]) for every i, as (values, error bars).
 
     The two polygamma values of every sample come from one array-kernel
     call, interleaved as x[i] + a, x[i] in sample order, so the kernel
-    raises what shift_gap_derivative would raise first.  The three terms and
-    the bar are shift_gap_derivative's.  Finite polygamma bars keep |hi|,
-    |lo| and |last| (which |lo| or its 1/x shift term exceeds) under an
-    eighth of the binary64 range, so the gap's bar is finite too and raises
+    raises what shift_gap_derivative would raise first.  The power term
+    (_factorial_over_power_array) and the three-term sum (_fsum3) run as
+    array code with no per-sample Python loop, and both give
+    shift_gap_derivative's bits given the kernel's hi and lo; so does the
+    bar, which is its formula.  Finite polygamma bars keep |hi|, |lo| and
+    |last| (which |lo| or its 1/x shift term exceeds) under an eighth of
+    the binary64 range, so the sum and the bar are finite too and raise
     nowhere that shift_gap_derivative's would.
     """
     m = p.k + n
     values, bars = _polygamma_array(np.repeat(m, 2), np.column_stack((x + p.a, x)).ravel())
     hi, lo = values[0::2], values[1::2]
-    fop = np.array([factorial_over_power(mi, xi) for mi, xi in zip(m.tolist(), x.tolist())])
-    last = np.where(n % 2 == 0, p.a, -p.a) * fop
-    value = np.array([math.fsum(t) for t in zip(hi.tolist(), (-lo).tolist(), (-last).tolist())])
+    last = np.where(n % 2 == 0, p.a, -p.a) * _factorial_over_power_array(m, x)
+    value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
     return value, err
 

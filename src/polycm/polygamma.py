@@ -85,6 +85,8 @@ _COEFFICIENTS = tuple(
     )
     for n in range(MAX_ORDER + 1)
 )
+#: The first _MAX_ASYMPTOTIC_TERMS entries of each row, the terms the loop adds.
+_SERIES_ROWS = tuple(row[:_MAX_ASYMPTOTIC_TERMS] for row in _COEFFICIENTS)
 
 
 def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
@@ -98,7 +100,6 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
     bound is the first omitted term, taken either when the terms start
     growing again or after the 20-term cap.
     """
-    coefficients = _COEFFICIENTS[n]
     inv2 = 1.0 / (y * y)
     # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
     if n == 0:
@@ -113,15 +114,16 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
         budget = lead + half
         power = y ** float(-(n + 2))
     prev = math.inf
-    for c in coefficients[:_MAX_ASYMPTOTIC_TERMS]:
+    for c in _SERIES_ROWS[n]:
         term = c * power
-        if abs(term) >= prev:
-            return value, abs(term), budget
+        size = abs(term)
+        if size >= prev:
+            return value, size, budget
         value += term
-        budget += abs(term)
-        prev = abs(term)
+        budget += size
+        prev = size
         power *= inv2
-    return value, abs(coefficients[_MAX_ASYMPTOTIC_TERMS] * power), budget
+    return value, abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power), budget
 
 
 def polygamma(n: int, x: float) -> EvalResult:

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from polycm import GridSpec, ShiftParams, bound_table, polygamma
+import polycm.bounds
+from polycm import EvalResult, GridSpec, QuadratureError, ShiftParams, bound_table, polygamma
 from polycm.cli import main
 
 CSV_COLUMNS = ["x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed"]
@@ -184,6 +185,29 @@ class TestConstants:
         assert "FAIL" in out
 
 
+class TestNumericalErrors:
+    def test_disagreeing_endpoint_routes(self, capsys, monkeypatch):
+        # a direct route far from the quadrature's value: endpoint_constants
+        # raises ArithmeticError, which is no verification FAIL (exit 1)
+        monkeypatch.setattr(polycm.bounds, "shift_gap_derivative",
+                            lambda p, n, x: EvalResult(1.0, 1e-16))
+        code, out, err = run(["constants"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("polycm: numerical error: endpoint constant routes disagree: 1.0 vs ")
+
+    def test_quadrature_failure(self, capsys, monkeypatch):
+        def exhausted(a, k, x):
+            raise QuadratureError("needed more than 200 subdivisions for rel_tol=1e-13")
+
+        monkeypatch.setattr(polycm.bounds, "gap_integral_even", exhausted)
+        code, out, err = run(["constants"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("polycm: numerical error: quadrature failed: "
+                       "needed more than 200 subdivisions for rel_tol=1e-13\n")
+
+
 class TestUsage:
     def test_unknown_verb(self):
         with pytest.raises(SystemExit) as exc:
@@ -209,6 +233,21 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("polycm: error: --tol")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-cm", "--a", "0.5", "--k", "2", "--lo", "1", "--hi", "1.0000000000000004",
+             "--points", "10"],
+            ["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5", "--hi", "1.5000000000000004",
+             "--points", "10"],
+        ],
+    )
+    def test_repeated_grid_points_are_usage_errors(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("polycm: error: [") and "too narrow for 10 distinct" in err
 
     def test_console_script_installed(self):
         script = shutil.which("polycm")

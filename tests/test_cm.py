@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import polycm.cm
 from polycm import (
+    MAX_ORDER,
     GridSpec,
     LN2,
     PI,
@@ -18,10 +20,13 @@ from polycm import (
     cm_weight,
     exp_diff_ratio,
     expm1_ratio,
+    factorial_over_power,
     increasing_condition,
     shift_gap_derivative,
     zeta_int,
 )
+from polycm.cm import _factorial_over_power_array, _fsum3, _gap_block
+from polycm.polygamma import _EPS, _polygamma_array
 
 
 class TestExpDiffRatio:
@@ -143,6 +148,17 @@ class TestGridSpec:
             GridSpec(lo=1.0, hi=2.0, points=1)
         with pytest.raises(ValueError):
             GridSpec(lo=1.0, hi=2.0, points=5, spacing="cubic")
+
+    @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+    def test_repeated_points_are_rejected(self, spacing):
+        # [1, 1 + 2 ulp] holds three doubles, so ten points must repeat some
+        grid = GridSpec(lo=1.0, hi=1.0000000000000004, points=10, spacing=spacing)
+        with pytest.raises(ValueError, match="too narrow"):
+            grid.generate()
+        with pytest.raises(ValueError, match="too narrow"):
+            cm_scan(ShiftParams(a=0.5, k=2), 1, grid)
+        three = GridSpec(lo=1.0, hi=1.0000000000000004, points=3, spacing=spacing).generate()
+        assert np.all(np.diff(three) > 0.0)
 
 
 class TestShiftGaps:
@@ -287,3 +303,133 @@ class TestBatchedScan:
         rep = cm_scan(ShiftParams(a=0.5, k=2), 3, GridSpec(lo=1.0, hi=2.0, points=4))
         assert rep.witness_point == (0, 1.0)
         assert rep.indeterminate_count == 0
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def adversarial_triples():
+    """Triples on which a naive or half-compensated sum rounds wrongly."""
+    rng = np.random.default_rng(20080401)
+    ulp1 = 2.0**-52
+    fixed = [
+        # half-ulp ties of 1 and 1 + ulp, each broken or kept by a third term
+        (1.0, ulp1 / 2, 0.0), (1.0, ulp1 / 2, 2.0**-110), (1.0, ulp1 / 2, -(2.0**-110)),
+        (1.0 + ulp1, ulp1 / 2, 0.0), (1.0 + ulp1, -ulp1 / 2, 2.0**-200),
+        (1.0, ulp1 / 4, ulp1 / 4), (1.0, ulp1 / 4, ulp1 / 4 + 2.0**-120),
+        (-1.0, -ulp1 / 2, -(2.0**-1074)), (2.0, -ulp1 / 2, 2.0**-160),
+        # exact cancellation, with and without a small remainder
+        (1e300, -1e300, 1e-300), (0.1, -0.1, 0.0), (0.1, 0.2, -0.30000000000000004),
+        (1.0, -1.0, -0.0), (-(2.0**-1074), 2.0**-1074, -0.0),
+        # subnormals and the normal edge
+        (2.0**-1074, 2.0**-1074, 2.0**-1074), (2.0**-1022, -(2.0**-1074), 2.0**-1075 * 3),
+        (2.0**-1022, -(2.0**-1023), -(2.0**-1024)),
+        # wide exponent spread
+        (1e300, 1.0, 1e-300), (2.0**1000, -(2.0**1000), 2.0**-1074),
+        (2.0**1000, 2.0**947, 2.0**946 + 2.0**890), (-(2.0**1000), 2.0**946, -(2.0**893)),
+    ]
+    zeros = list(itertools.product((0.0, -0.0), repeat=3))
+    triples = [t for base in fixed + zeros for t in itertools.permutations(base)]
+
+    def spread(size, lo, hi):
+        signs = rng.choice([-1.0, 1.0], size)
+        return signs * np.ldexp(rng.random(size) + 0.5, rng.integers(lo, hi, size))
+
+    size = 20000
+    a = spread(size, -1000, 1000)
+    ulp = np.spacing(np.abs(a))
+    batches = [
+        # ties: a plus half its ulp, tipped by a much smaller term or not
+        (a, ulp / 2 * rng.choice([-3.0, -1.0, 1.0, 3.0], size),
+         np.where(rng.random(size) < 0.3, 0.0, ulp * spread(size, -60, -1))),
+        (a, ulp / 4 * rng.choice([-1.0, 1.0], size), ulp / 4 * rng.choice([-1.0, 1.0], size)),
+        # cancellation, as in psi(x + a) - psi(x) against the power term
+        (a, -a * (1.0 + rng.random(size) * 1e-8), a * rng.random(size) * 1e-8),
+        # subnormal terms and wide spread
+        tuple(rng.choice([-1.0, 1.0], size) * rng.integers(0, 2**52, size) * 2.0**-1074
+              for _ in range(3)),
+        (spread(size, 500, 1000), spread(size, -300, 0), spread(size, -1074, -900)),
+        (spread(size, -1074, 1000), spread(size, -1074, 1000), spread(size, -1074, 1000)),
+    ]
+    for batch in batches:
+        triples.extend(zip(*(np.asarray(v, dtype=float).tolist() for v in batch)))
+    return triples
+
+
+#: Samples whose power term leaves _factorial_over_power_array's plain
+#: branch but whose polygamma values do not overflow: m!/x^(m+1) ~ e^703
+#: at k + n = 40, and x^1 ~ e^702 at k = n = 0.
+FALLBACK_SCANS = [
+    (0.5, 32, 8, GridSpec(lo=5.3e-7, hi=1e-6, points=4)),
+    (0.5, 0, 0, GridSpec(lo=1e304, hi=1e305, points=4)),
+]
+
+
+class TestGapBlockBits:
+    """The array gap block gives the scalar three-term combination's bits."""
+
+    def test_three_term_sum_matches_fsum(self):
+        triples = adversarial_triples()
+        a, b, c = (np.array(v) for v in zip(*triples))
+        assert hexes(_fsum3(a, b, c)) == hexes(math.fsum(t) for t in triples)
+
+    def test_power_term_matches_factorial_over_power(self, monkeypatch):
+        # x on both sides of every edge factorial_over_power has: x^(n+1)
+        # overflowing, leaving the normal range and underflowing to zero;
+        # its log value crossing 709 and -745; and the plain-branch screen
+        m, x = [], []
+        for n in range(MAX_ORDER + 1):
+            e, lg = n + 1, math.lgamma(n + 1)
+            for log_x in (1024 * math.log(2.0) / e, -1022 * math.log(2.0) / e,
+                          -1075 * math.log(2.0) / e, (lg - 709.0) / e, (lg + 745.0) / e,
+                          700.0 / e, -700.0 / e, (lg - 700.0) / e):
+                centre = math.exp(min(log_x, math.log(1.7e308)))
+                near = [centre * (1.0 + s) for s in (-1e-3, -1e-9, 1e-9, 1e-3)]
+                up = down = centre
+                for _ in range(4):
+                    up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                    near += [up, down]
+                for xi in [centre, *near]:
+                    if 0.0 < xi < math.inf:
+                        m.append(n)
+                        x.append(xi)
+            for xi in np.geomspace(1e-300, 1e300, 200).tolist():
+                m.append(n)
+                x.append(xi)
+        expected = [factorial_over_power(mi, xi) for mi, xi in zip(m, x)]
+        assert math.inf in expected and 0.0 in expected
+        calls = []
+
+        def counted(mi, xi):
+            calls.append(mi)
+            return factorial_over_power(mi, xi)
+
+        monkeypatch.setattr(polycm.cm, "factorial_over_power", counted)
+        got = _factorial_over_power_array(np.array(m), np.array(x))
+        assert hexes(got) == hexes(expected)
+        # both branches ran, and the fallback went through the module attribute
+        assert 0 < len(calls) < len(m)
+
+    @pytest.mark.parametrize("a,k,max_order,grid", SCANS + FALLBACK_SCANS)
+    def test_gap_block_matches_scalar_combination(self, monkeypatch, a, k, max_order, grid):
+        p = ShiftParams(a=a, k=k)
+        n, i = np.divmod(np.arange((max_order + 1) * grid.points), grid.points)
+        x = grid.generate()[i]
+        m = p.k + n
+        values, bars = _polygamma_array(np.repeat(m, 2), np.column_stack((x + p.a, x)).ravel())
+        ref_value, ref_err = [], []
+        for mi, ni, xi, hi, lo, hi_bar, lo_bar in zip(
+            m.tolist(), n.tolist(), x.tolist(), values[0::2].tolist(), values[1::2].tolist(),
+            bars[0::2].tolist(), bars[1::2].tolist(),
+        ):
+            last = (1.0 if ni % 2 == 0 else -1.0) * p.a * factorial_over_power(mi, xi)
+            ref_value.append(math.fsum((hi, -lo, -last)))
+            ref_err.append(hi_bar + lo_bar + _EPS * (abs(hi) + abs(lo) + 2.0 * abs(last)))
+        calls = []
+        monkeypatch.setattr(polycm.cm, "factorial_over_power",
+                            lambda mi, xi: calls.append(mi) or factorial_over_power(mi, xi))
+        value, err = _gap_block(p, n, x)
+        assert hexes(value) == hexes(ref_value)
+        assert hexes(err) == hexes(ref_err)
+        assert (len(calls) > 0) is ((a, k, max_order, grid) in FALLBACK_SCANS)

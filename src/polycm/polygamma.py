@@ -37,6 +37,8 @@ MAX_ORDER = 40
 
 _EPS = sys.float_info.epsilon
 _MAX_ASYMPTOTIC_TERMS = 20
+#: n! for every order as Python floats, so scalar results stay plain floats.
+_FACTORIAL_FLOATS = tuple(float(math.factorial(n)) for n in range(MAX_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
         budget = abs(value) + 1.0 / y
         power = inv2
     else:
-        fact_nm1 = float(math.factorial(n - 1))
+        fact_nm1 = _FACTORIAL_FLOATS[n - 1]
         lead = fact_nm1 * y ** float(-n)
         half = fact_nm1 * n / (2.0 * y ** float(n + 1))
         value = lead + half
@@ -151,7 +153,7 @@ def polygamma(n: int, x: float) -> EvalResult:
         budget += shift
         err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
         return EvalResult(value, err)
-    fact = float(math.factorial(n))
+    fact = _FACTORIAL_FLOATS[n]
     acc = 0.0
     for j in range(shift_count):
         acc += (x + j) ** float(-(n + 1))
@@ -164,7 +166,7 @@ def polygamma(n: int, x: float) -> EvalResult:
 
 # The array kernel's copies of the scalar engine's tables.
 _COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
-_FACTORIALS = np.array([float(math.factorial(n)) for n in range(MAX_ORDER + 1)])
+_FACTORIALS = np.array(_FACTORIAL_FLOATS)
 _THRESHOLDS = np.array([shift_threshold(n) for n in range(MAX_ORDER + 1)])
 
 #: CPython's ** raises OverflowError where libm reports a range error: an
@@ -288,4 +290,4 @@ def factorial_over_power(n: int, x: float) -> float:
         return math.exp(log_value)
     if p == 0.0 or not math.isfinite(p):
         return math.exp(log_value)
-    return float(math.factorial(n)) / p
+    return _FACTORIAL_FLOATS[n] / p

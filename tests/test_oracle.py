@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 
+import polycm.oracle as oracle
 from polycm import (
     GAMMA_EULER,
     LN2,
@@ -258,3 +261,136 @@ class TestGapIntegrals:
             gap_integral_even(0.5, -1, 1.0)
         with pytest.raises(ValueError):
             gap_integral_odd(0.5, 1, 0.0)
+        # the power is capped like every derivative order: past it t^power
+        # overflows inside the integrand and the tail bound leaves its range
+        for gap in (gap_integral_even, gap_integral_odd):
+            for power in (MAX_ORDER + 1, 1000):
+                with pytest.raises(ValueError, match=r"must be in \[0, 40\]"):
+                    gap(0.5, power, 1.0)
+
+
+def _reference_panel(f, lo, hi):
+    """One panel as evaluated before batching: one integrand call per rule."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    hi_est = h * float(np.dot(oracle._WEIGHTS_HI, f(c + h * oracle._NODES_HI)))
+    lo_est = h * float(np.dot(oracle._WEIGHTS_LO, f(c + h * oracle._NODES_LO)))
+    return hi_est, abs(hi_est - lo_est)
+
+
+def _reference_integrate(rounds):
+    """The sequential panel-by-panel bisection that _integrate batches.
+
+    Appends (initial panels, splits) to rounds whether it returns or raises.
+    """
+
+    def integrate(f, upper, rel_tol, max_subdivisions):
+        edges = [0.0]
+        step = min(1.0, upper)
+        while step < upper:
+            edges.append(step)
+            step *= 2.0
+        edges.append(upper)
+        total_v = 0.0
+        total_e = 0.0
+        heap = []
+        seq = 0
+        for lo, hi in zip(edges, edges[1:]):
+            v, e = _reference_panel(f, lo, hi)
+            total_v += v
+            total_e += e
+            heapq.heappush(heap, (-e, seq, lo, hi, v, e))
+            seq += 1
+        splits = 0
+        try:
+            while total_e > rel_tol * abs(total_v):
+                if splits >= max_subdivisions:
+                    raise QuadratureError(
+                        f"needed more than {max_subdivisions} subdivisions for rel_tol={rel_tol}"
+                    )
+                _, _, lo, hi, v, e = heapq.heappop(heap)
+                mid = 0.5 * (lo + hi)
+                v1, e1 = _reference_panel(f, lo, mid)
+                v2, e2 = _reference_panel(f, mid, hi)
+                total_v += v1 + v2 - v
+                total_e += e1 + e2 - e
+                heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+                seq += 1
+                heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
+                seq += 1
+                splits += 1
+        finally:
+            rounds.append((len(edges) - 1, splits))
+        return total_v, total_e
+
+    return integrate
+
+
+def _outcome(fn, *args):
+    """hex of value and bar, or the exception's type and message."""
+    try:
+        r = fn(*args)
+    except QuadratureError as exc:
+        return ("raised", str(exc))
+    assert type(r.value) is float and type(r.abs_error_estimate) is float
+    return (r.value.hex(), r.abs_error_estimate.hex())
+
+
+class TestBatchedPanels:
+    """_integrate's one integrand call per round of panels, pinned bit for bit
+    against the panel-by-panel reference above."""
+
+    SHORT = QuadratureSpec(upper_cutoff=5.0)
+    TIGHT = QuadratureSpec(rel_tol=1e-14, max_subdivisions=10)
+
+    @staticmethod
+    def _cases():
+        for n in range(MAX_ORDER + 1):
+            for x in np.geomspace(1e-3, 1e6, 8).tolist():
+                yield polygamma_integral, (n, x)
+        for a in (0.01, 0.3, 0.5, 0.99):
+            for k in range(0, MAX_ORDER + 1, 4):
+                yield gap_integral_even, (a, k, 1.0)
+                yield gap_integral_odd, (a, k, 1.0)
+        for n in (0, 1, 7, 40):
+            for x in (1e-3, 0.5, 30.0):
+                yield power_integral, (n, x)
+        for n in (0, 2, 40):
+            for x in (0.05, 1.0, 30.0):
+                yield polygamma_integral, (n, x, TestBatchedPanels.SHORT)
+                yield gap_integral_even, (0.3, n, x, TestBatchedPanels.SHORT)
+                yield gap_integral_odd, (0.7, n, x, TestBatchedPanels.SHORT)
+        yield polygamma_integral, (40, 0.02, TestBatchedPanels.TIGHT)
+
+    def test_matches_panel_by_panel_reference(self, monkeypatch):
+        for fn, args in self._cases():
+            batched = _outcome(fn, *args)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_integrate", _reference_integrate([]))
+                assert _outcome(fn, *args) == batched, (fn.__name__, args)
+
+    def test_one_integrand_call_per_round(self, monkeypatch):
+        # cutoff probes (one node each), one call on every initial panel,
+        # then one call on the two halves of each split
+        run_integral = oracle._run_integral
+        for fn, args in self._cases():
+            sizes = []
+
+            def counting(f, x_rate, spec):
+                def g(t):
+                    sizes.append(np.size(t))
+                    return f(t)
+
+                return run_integral(g, x_rate, spec)
+
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_run_integral", counting)
+                _outcome(fn, *args)
+            rounds = []
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_integrate", _reference_integrate(rounds))
+                _outcome(fn, *args)
+            [(panels, splits)] = rounds
+            probes = len(sizes) - 1 - splits
+            assert (probes == 0) == (args[-1] is self.SHORT), (fn.__name__, args)
+            assert sizes == [1] * probes + [22 * panels] + [44] * splits, (fn.__name__, args)

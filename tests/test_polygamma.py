@@ -81,10 +81,12 @@ def test_digamma_increasing():
 
 
 def test_error_estimate_contract():
-    # estimate stays under 1e-12 * max(1, |value|) across the working box
+    # estimate stays under 1e-12 * max(1, |value|) across the working box,
+    # and both are plain floats (a numpy table would leak np.float64)
     for n in range(0, 13):
         for x in np.geomspace(1e-3, 1e6, 28):
             r = polygamma(n, float(x))
+            assert type(r.value) is float and type(r.abs_error_estimate) is float
             assert r.abs_error_estimate > 0.0
             assert r.abs_error_estimate <= 1e-12 * max(1.0, abs(r.value)), (n, x)
 
@@ -155,6 +157,7 @@ def test_factorial_over_power_basic():
     assert factorial_over_power(0, 4.0) == 0.25
     assert factorial_over_power(3, 2.0) == 6.0 / 16.0
     assert factorial_over_power(5, 1.0) == 120.0
+    assert type(factorial_over_power(5, 1.0)) is float
 
 
 def test_factorial_over_power_extremes():

@@ -30,13 +30,7 @@ from .cm import (
     increasing_condition,
     shift_gap_derivative,
 )
-from .constants import (
-    GAMMA_EULER,
-    LN2,
-    PI,
-    bernoulli_even,
-    zeta_int,
-)
+from .constants import zeta_int
 from .oracle import (
     QuadratureError,
     QuadratureSpec,
@@ -52,10 +46,8 @@ from .oracle import (
 from .polygamma import (
     MAX_ORDER,
     EvalResult,
-    digamma,
     factorial_over_power,
     polygamma,
-    shift_threshold,
 )
 
 __version__ = "0.1.0"
@@ -64,22 +56,17 @@ __all__ = [
     "BoundCheck",
     "CMScanReport",
     "EvalResult",
-    "GAMMA_EULER",
     "GridSpec",
-    "LN2",
     "MAX_ORDER",
-    "PI",
     "QuadratureError",
     "QuadratureSpec",
     "RatioParams",
     "SeriesSpec",
     "ShiftParams",
-    "bernoulli_even",
     "bound_check",
     "bound_table",
     "cm_scan",
     "cm_weight",
-    "digamma",
     "digamma_series",
     "endpoint_constants",
     "exp_diff_ratio",
@@ -93,6 +80,5 @@ __all__ = [
     "polygamma_series",
     "power_integral",
     "shift_gap_derivative",
-    "shift_threshold",
     "zeta_int",
 ]

@@ -120,7 +120,6 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     so it is evaluated once for the whole table, as the gap at x = 1;
     endpoint_constants cross-checks that same value by quadrature.
     """
-    if grid.lo <= 1.0:
-        raise ValueError(f"bound_table needs a grid with lo > 1, got lo={grid.lo}")
+    _check_x_gt_one(grid.lo)
     endpoint = shift_gap_derivative(p, 0, 1.0)
     return [_bound_row(p, float(x), endpoint) for x in grid.generate()]

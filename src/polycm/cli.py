@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from .bounds import bound_table, endpoint_constants
 from .cm import CMScanReport, GridSpec, ShiftParams, cm_scan
-from .constants import LN2, PI, zeta_int
+from .constants import zeta_int
 from .oracle import QuadratureError
 from .polygamma import polygamma
 
@@ -32,10 +32,10 @@ _CSV_COLUMNS = ("x", "lower", "middle", "upper", "lower_margin", "upper_margin",
 
 #: (k, human-readable closed form, callable producing it, tolerance) for a = 1/2.
 _REFERENCE_CONSTANTS = (
-    (0, "3/2 - 2 ln 2", lambda: 1.5 - 2.0 * LN2, 1e-12),
-    (1, "pi^2/3 - 9/2", lambda: PI * PI / 3.0 - 4.5, 1e-11),
+    (0, "3/2 - 2 ln 2", lambda: 1.5 - 2.0 * math.log(2.0), 1e-12),
+    (1, "pi^2/3 - 9/2", lambda: math.pi * math.pi / 3.0 - 4.5, 1e-11),
     (2, "15 - 12 zeta(3)", lambda: 15.0 - 12.0 * zeta_int(3), 1e-11),
-    (3, "14 pi^4/15 - 99", lambda: 14.0 * PI**4 / 15.0 - 99.0, 1e-10),
+    (3, "14 pi^4/15 - 99", lambda: 14.0 * math.pi**4 / 15.0 - 99.0, 1e-10),
 )
 
 

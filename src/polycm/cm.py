@@ -28,9 +28,12 @@ from .polygamma import (
     _FACTORIALS,
     MAX_ORDER,
     EvalResult,
+    _check_derivative,
     _check_order,
+    _check_shift,
     _check_x,
     _polygamma_array,
+    _result,
     factorial_over_power,
     polygamma,
 )
@@ -81,12 +84,8 @@ class ShiftParams:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "k", operator.index(self.k))
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"a must lie strictly in (0, 1), got {self.a!r}")
-        if self.k < 0 or self.k > MAX_ORDER:
-            raise ValueError(f"k must be in [0, {MAX_ORDER}], got {self.k}")
+        object.__setattr__(self, "a", _check_shift(self.a))
+        object.__setattr__(self, "k", _check_order(self.k))
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,7 @@ def increasing_condition(p: RatioParams) -> bool:
 
 def expm1_ratio(a: float, t: float) -> float:
     """(1 - e^-at)/(1 - e^-t) for t > 0, strictly inside (a, 1) for 0 < a < 1."""
-    a = float(a)
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must lie in (0, 1), got {a!r}")
+    a = _check_shift(a)
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and positive, got {t!r}")
@@ -215,12 +212,9 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     x = 1 this is the direct route to the endpoint constant C(a, k) in
     polycm.bounds, whose bound rows are built on the same gap.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _check_order(p.k + n)
+    n = _check_derivative(p.k, n)
     value, err, _ = _gap(p, n, _check_x(x))
-    return EvalResult(value, err)
+    return _result(value, err)
 
 
 def _factorial_over_power_array(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -311,9 +305,7 @@ def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
     The samples are taken order-major, _SCAN_BLOCK at a time, each block
     through one array-kernel call.
     """
-    max_order = operator.index(max_order)
-    if max_order < 0 or p.k + max_order > MAX_ORDER:
-        raise ValueError(f"max_order must satisfy 0 <= k + max_order <= {MAX_ORDER}")
+    max_order = _check_derivative(p.k, max_order)
     orders = list(range(max_order + 1))
     xs = grid.generate()
     samples = len(orders) * grid.points

@@ -15,12 +15,6 @@ import math
 import operator
 
 GAMMA_EULER = 0.5772156649015328606065120900824024
-PI = math.pi
-LN2 = math.log(2.0)
-
-#: Largest m accepted by bernoulli_even.  |B_62| > 3e34 and keeps growing;
-#: indices past 30 never survive division by the matching power in binary64.
-MAX_BERNOULLI_M = 30
 
 _EM_BASE = 20            # terms summed directly before the Euler-Maclaurin tail
 _EM_MAX_CORRECTIONS = 14
@@ -97,15 +91,8 @@ def zeta_int(s: int) -> float:
     if s < 2:
         raise ValueError(f"zeta_int requires s >= 2, got {s}")
     if s == 2:
-        return PI * PI / 6.0
+        return math.pi * math.pi / 6.0
     if s == 4:
-        return PI**4 / 90.0
+        return math.pi**4 / 90.0
     return _zeta_euler_maclaurin(s)
 
-
-def bernoulli_even(m: int) -> float:
-    """B_2m as a float, for 1 <= m <= 30."""
-    m = operator.index(m)
-    if m < 1 or m > MAX_BERNOULLI_M:
-        raise ValueError(f"bernoulli_even requires 1 <= m <= {MAX_BERNOULLI_M}, got {m}")
-    return _BERNOULLI[2 * m]

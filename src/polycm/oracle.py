@@ -11,8 +11,8 @@ round of panels (the initial partition, then both halves of each split) on
 the nodes of both rules together.
 
 Nothing here shares evaluation code with the engine; only Euler's
-constant, the argument checks and the machine epsilon are common.  Simple and
-transparent on purpose.
+constant, the argument checks, the overflow check on results and the
+machine epsilon are common.  Simple and transparent on purpose.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import GAMMA_EULER
-from .polygamma import _EPS, EvalResult, _check_order, _check_x
+from .polygamma import _EPS, EvalResult, _check_order, _check_shift, _check_x, _result
 
 _TINY_INTEGRAND = 1e-18
 _SMALL_T = 1e-3        # switch to the Taylor form of t/(1-e^-t)
@@ -80,6 +80,7 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_subdivisions", operator.index(self.max_subdivisions))
         if self.upper_cutoff is not None and not (
             math.isfinite(self.upper_cutoff) and self.upper_cutoff > 0.0
         ):
@@ -92,13 +93,6 @@ class QuadratureSpec:
 
 _DEFAULT_SERIES = SeriesSpec()
 _DEFAULT_QUAD = QuadratureSpec()
-
-
-def _check_shift(a: float) -> float:
-    a = float(a)
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"shift a must lie in (0, 1), got {a!r}")
-    return a
 
 
 def _em_terms(n: int, y: float) -> tuple[list[float], float]:
@@ -130,13 +124,15 @@ def _fsum_series(
     """math.fsum of term(k) for k = first..count-1 and of tail, one exact rounding.
 
     The terms are formed _SERIES_CHUNK at a time, so a long sum never holds
-    more than one chunk of them.
+    more than one chunk of them.  A term that overflows does so silently, as
+    in _run_integral.
     """
     chunks = (
         term(np.arange(lo, min(lo + _SERIES_CHUNK, count), dtype=float)).tolist()
         for lo in range(first, count, _SERIES_CHUNK)
     )
-    return math.fsum(itertools.chain(itertools.chain.from_iterable(chunks), tail))
+    with np.errstate(over="ignore"):
+        return math.fsum(itertools.chain(itertools.chain.from_iterable(chunks), tail))
 
 
 def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
@@ -161,7 +157,7 @@ def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> Ev
     fact = float(math.factorial(n))
     mag = fact * total
     sign = 1.0 if n % 2 == 1 else -1.0
-    return EvalResult(sign * mag, fact * rem + 32.0 * _EPS * mag)
+    return _result(sign * mag, fact * rem + 32.0 * _EPS * mag)
 
 
 def digamma_series(x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
@@ -182,7 +178,7 @@ def digamma_series(x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
     series = _fsum_series(lambda k: x / (k * (k + x)), 1, spec.max_terms, tail)
     value = math.fsum((-GAMMA_EULER, series, -1.0 / x))
     budget = GAMMA_EULER + series + 1.0 / x
-    return EvalResult(value, rem + 32.0 * _EPS * budget)
+    return _result(value, rem + 32.0 * _EPS * budget)
 
 
 def _t_over_one_minus_exp(t: np.ndarray) -> np.ndarray:
@@ -222,6 +218,17 @@ def _ratio_difference(a: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weight(a: float, t: np.ndarray) -> np.ndarray:
+    """cm_weight for a checked a and an array t >= 0."""
+    return a * _ratio_difference(a, t) / _t_over_one_minus_exp(a * t)
+
+
+def _power_exp(m: int, x: float, t: np.ndarray) -> np.ndarray:
+    """t^m e^(-xt) on t > 0, formed as exp(m ln t - xt) so no inf * 0 can appear."""
+    z = -x * t if m == 0 else m * np.log(t) - x * t
+    return np.exp(z)
+
+
 def cm_weight(a: float, t):
     """(1 - e^-at)/(1 - e^-t) - a, the positivity weight of the even-order gap.
 
@@ -233,7 +240,7 @@ def cm_weight(a: float, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("t must be >= 0")
-    w = a * _ratio_difference(a, arr) / _t_over_one_minus_exp(a * arr)
+    w = _weight(a, arr)
     if np.ndim(t) == 0:
         return float(w)
     return w
@@ -346,9 +353,14 @@ def _run_integral(
     x_rate: float,
     spec: QuadratureSpec,
 ) -> tuple[float, float, float]:
-    """Returns (value, quadrature error, cutoff T)."""
-    upper = spec.upper_cutoff if spec.upper_cutoff is not None else _auto_cutoff(f, x_rate)
-    v, e = _integrate(f, upper, spec.rel_tol, spec.max_subdivisions)
+    """Returns (value, quadrature error, cutoff T).
+
+    An integrand that overflows does so silently and leaves the value or
+    error non-finite, which the caller's _result turns into OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        upper = spec.upper_cutoff if spec.upper_cutoff is not None else _auto_cutoff(f, x_rate)
+        v, e = _integrate(f, upper, spec.rel_tol, spec.max_subdivisions)
     return v, e, upper
 
 
@@ -367,24 +379,21 @@ def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -
     if n == 0:
 
         def f(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
             num = np.expm1(-t) - np.expm1(-x * t)
             return num / t * _t_over_one_minus_exp(t)
 
         rate = min(1.0, x)
         v, e, upper = _run_integral(f, x, spec)
         tail = _exp_poly_tail(0, rate, upper) / (-math.expm1(-upper))
-        return EvalResult(-GAMMA_EULER + v, e + tail)
+        return _result(-GAMMA_EULER + v, e + tail)
 
     def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        z = -x * t if n == 1 else (n - 1) * np.log(t) - x * t
-        return np.exp(z) * _t_over_one_minus_exp(t)
+        return _power_exp(n - 1, x, t) * _t_over_one_minus_exp(t)
 
     v, e, upper = _run_integral(f, x, spec)
     tail = _exp_poly_tail(n, x, upper) / (-math.expm1(-upper))
     sign = 1.0 if n % 2 == 1 else -1.0
-    return EvalResult(sign * v, e + tail)
+    return _result(sign * v, e + tail)
 
 
 def power_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> EvalResult:
@@ -392,23 +401,15 @@ def power_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> Ev
     n = _check_order(n)
     x = _check_x(x)
 
-    def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        z = -x * t if n == 0 else n * np.log(t) - x * t
-        return np.exp(z)
-
-    v, e, upper = _run_integral(f, x, spec)
-    return EvalResult(v, e + _exp_poly_tail(n, x, upper))
+    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, spec)
+    return _result(v, e + _exp_poly_tail(n, x, upper))
 
 
 def _gap_integral(
     a: float, power: int, x: float, offset: float, spec: QuadratureSpec
 ) -> tuple[float, float, float]:
     def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        w = a * _ratio_difference(a, t) / _t_over_one_minus_exp(a * t) + offset
-        z = -x * t if power == 0 else power * np.log(t) - x * t
-        return w * np.exp(z)
+        return (_weight(a, t) + offset) * _power_exp(power, x, t)
 
     return _run_integral(f, x, spec)
 
@@ -428,7 +429,7 @@ def gap_integral_even(
     x = _check_x(x)
     v, e, upper = _gap_integral(a, power, x, 0.0, spec)
     tail = (1.0 - a) * _exp_poly_tail(power, x, upper)
-    return EvalResult(v, e + tail)
+    return _result(v, e + tail)
 
 
 def gap_integral_odd(
@@ -444,4 +445,4 @@ def gap_integral_odd(
     x = _check_x(x)
     v, e, upper = _gap_integral(a, power, x, 2.0 * a, spec)
     tail = (1.0 + a) * _exp_poly_tail(power, x, upper)
-    return EvalResult(v, e + tail)
+    return _result(v, e + tail)

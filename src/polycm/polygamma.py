@@ -55,6 +55,14 @@ class EvalResult:
             )
 
 
+def _result(value: float, bar: float) -> EvalResult:
+    """EvalResult for a computed value and bar; OverflowError, not the
+    ValueError of a bad bar passed in, when either has left binary64."""
+    if not (math.isfinite(value) and math.isfinite(bar)):
+        raise OverflowError(f"result left the binary64 range: {value!r} with error bar {bar!r}")
+    return EvalResult(value, bar)
+
+
 def shift_threshold(n: int) -> float:
     """Smallest argument at which the asymptotic series is trusted for order n."""
     return float(max(10, n + 8))
@@ -65,6 +73,23 @@ def _check_order(n: int) -> int:
     if n < 0 or n > MAX_ORDER:
         raise ValueError(f"derivative order must be in [0, {MAX_ORDER}], got {n}")
     return n
+
+
+def _check_derivative(k: int, n: int) -> int:
+    """n as a derivative order taken on top of order k: 0 <= n and k + n <= MAX_ORDER."""
+    n = operator.index(n)
+    if n < 0 or k + n > MAX_ORDER:
+        raise ValueError(
+            f"derivative order must be in [0, {MAX_ORDER - k}] on top of k = {k}, got {n}"
+        )
+    return n
+
+
+def _check_shift(a: float) -> float:
+    a = float(a)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"a must lie strictly in (0, 1), got {a!r}")
+    return a
 
 
 def _check_x(x: float) -> float:
@@ -133,12 +158,12 @@ def polygamma(n: int, x: float) -> EvalResult:
 
     Relative accuracy is ~1e-14 across x in [1e-3, 1e6]; the returned error
     estimate is an over-bound on the actual absolute error.  OverflowError
-    propagates, rather than a silently degraded value, wherever an
-    intermediate power leaves binary64 range: at small x, where orders near
-    the cap push the recurrence terms past it, and at large x, where
-    y^(n+1) in the asymptotic head overflows although the result need not
-    (polygamma(28, 1.2e11) raises; its value, about -6.6e-283, is
-    representable).
+    is raised, rather than a silently degraded value, wherever the value,
+    its bar or an intermediate power leaves binary64 range: at small x,
+    where orders near the cap push the recurrence terms past it, and at
+    large x, where y^(n+1) in the asymptotic head overflows although the
+    result need not (polygamma(28, 1.2e11) raises; its value, about
+    -6.6e-283, is representable).
     """
     n = _check_order(n)
     x = _check_x(x)
@@ -152,7 +177,7 @@ def polygamma(n: int, x: float) -> EvalResult:
         value = series - shift
         budget += shift
         err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
-        return EvalResult(value, err)
+        return _result(value, err)
     fact = _FACTORIAL_FLOATS[n]
     acc = 0.0
     for j in range(shift_count):
@@ -161,7 +186,7 @@ def polygamma(n: int, x: float) -> EvalResult:
     budget += fact * acc
     sign = 1.0 if n % 2 == 1 else -1.0
     err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
-    return EvalResult(sign * mag_total, err)
+    return _result(sign * mag_total, err)
 
 
 # The array kernel's copies of the scalar engine's tables.
@@ -265,11 +290,6 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         r = polygamma(int(n[i]), float(x[i]))
         values[i], bars[i] = r.value, r.abs_error_estimate
     return values, bars
-
-
-def digamma(x: float) -> EvalResult:
-    """psi(x); identical to polygamma(0, x)."""
-    return polygamma(0, x)
 
 
 def factorial_over_power(n: int, x: float) -> float:

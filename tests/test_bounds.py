@@ -11,8 +11,6 @@ import polycm.cm
 from polycm import (
     EvalResult,
     GridSpec,
-    LN2,
-    PI,
     SeriesSpec,
     ShiftParams,
     bound_check,
@@ -34,8 +32,8 @@ class TestEvenBounds:
         # = 5/3 - 2 ln 2, upper adds the endpoint constant 3/2 - 2 ln 2
         r = bound_check(ShiftParams(a=0.5, k=0), 2.0)
         assert r.lower == 0.25
-        assert r.middle == pytest.approx(5.0 / 3.0 - 2.0 * LN2, abs=1e-13)
-        assert r.upper == pytest.approx(0.25 + 1.5 - 2.0 * LN2, abs=1e-12)
+        assert r.middle == pytest.approx(5.0 / 3.0 - 2.0 * math.log(2.0), abs=1e-13)
+        assert r.upper == pytest.approx(0.25 + 1.5 - 2.0 * math.log(2.0), abs=1e-12)
         assert r.passed
         assert r.lower_margin > 0.0 and r.upper_margin > 0.0
         assert r.lower_margin == r.middle - r.lower
@@ -61,18 +59,18 @@ class TestOddBounds:
         # the endpoint constant is pi^2/3 - 9/2 and the base is 1/8
         r = bound_check(ShiftParams(a=0.5, k=1), 2.0)
         assert r.upper == 0.125
-        assert r.middle == pytest.approx(PI * PI / 3.0 - 31.0 / 9.0, abs=1e-13)
-        assert r.lower == pytest.approx(0.125 + PI * PI / 3.0 - 4.5, abs=1e-11)
+        assert r.middle == pytest.approx(math.pi * math.pi / 3.0 - 31.0 / 9.0, abs=1e-13)
+        assert r.lower == pytest.approx(0.125 + math.pi * math.pi / 3.0 - 4.5, abs=1e-11)
         assert r.passed
 
 
 class TestEndpointConstants:
     # the four classical closed forms at a = 1/2
     REFERENCES = [
-        (0, 1.5 - 2.0 * LN2, 1e-12),
-        (1, PI * PI / 3.0 - 4.5, 1e-11),
+        (0, 1.5 - 2.0 * math.log(2.0), 1e-12),
+        (1, math.pi * math.pi / 3.0 - 4.5, 1e-11),
         (2, 15.0 - 12.0 * zeta_int(3), 1e-11),
-        (3, 14.0 * PI**4 / 15.0 - 99.0, 1e-10),
+        (3, 14.0 * math.pi**4 / 15.0 - 99.0, 1e-10),
     ]
 
     @pytest.mark.parametrize("k,expected,tol", REFERENCES)

@@ -63,6 +63,24 @@ class TestEval:
         assert exc.value.code == 2
 
 
+class TestNumericalErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "40", "--x", "1e-7"],
+            ["eval", "--n", "0", "--x", "1e-310"],
+            ["verify-cm", "--a", "0.5", "--k", "32", "--lo", "1e-7", "--hi", "1", "--points", "10"],
+        ],
+    )
+    def test_non_finite_result(self, capsys, argv):
+        # the result itself leaves binary64 (psi_40(1e-7) is about 8e334,
+        # psi(1e-310) about -1e310): a numerical error, not a usage error
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "polycm: numerical error: a result left the binary64 range\n"
+
+
 class TestVerifyCM:
     def test_pass(self, capsys):
         code, out, _ = run(
@@ -248,6 +266,22 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("polycm: error: [") and "too narrow for 10 distinct" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify-cm", "--a", "0.5", "--k", "41"],
+             "derivative order must be in [0, 40], got 41"),
+            (["verify-cm", "--a", "0.5", "--k", "38"],
+             "derivative order must be in [0, 2] on top of k = 38, got 8"),
+            (["verify-bounds", "--a", "0.5", "--k", "1", "--lo", "0.5"],
+             "bounds hold on x > 1 only, got x=0.5"),
+            (["table", "--a", "1.5", "--k", "1"],
+             "a must lie strictly in (0, 1), got 1.5"),
+        ],
+    )
+    def test_argument_errors_name_their_rule(self, capsys, argv, message):
+        assert run(argv, capsys) == (2, "", f"polycm: error: {message}\n")
 
     def test_console_script_installed(self):
         script = shutil.which("polycm")

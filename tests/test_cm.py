@@ -12,8 +12,6 @@ import polycm.cm
 from polycm import (
     MAX_ORDER,
     GridSpec,
-    LN2,
-    PI,
     RatioParams,
     ShiftParams,
     cm_scan,
@@ -21,6 +19,7 @@ from polycm import (
     exp_diff_ratio,
     expm1_ratio,
     factorial_over_power,
+    gap_integral_odd,
     increasing_condition,
     shift_gap_derivative,
     zeta_int,
@@ -127,6 +126,15 @@ class TestShiftParams:
         with pytest.raises(ValueError):
             ShiftParams(a=0.5, k=41)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, math.nan])
+    def test_one_shift_rule(self, a):
+        # ShiftParams, expm1_ratio and the oracle's weight and gap integrals
+        # share one check and one message
+        for check in (lambda: ShiftParams(a=a, k=0), lambda: expm1_ratio(a, 1.0),
+                      lambda: cm_weight(a, 1.0), lambda: gap_integral_odd(a, 1, 1.0)):
+            with pytest.raises(ValueError, match=r"^a must lie strictly in \(0, 1\), got "):
+                check()
+
 
 class TestGridSpec:
     def test_generation(self):
@@ -165,12 +173,12 @@ class TestShiftGaps:
     def test_even_gap_at_reference_point(self):
         # gap(1) for a=1/2, k=0 equals 3/2 - 2 ln 2
         r = shift_gap_derivative(ShiftParams(a=0.5, k=0), 0, 1.0)
-        assert abs(r.value - (1.5 - 2.0 * LN2)) <= 1e-12
+        assert abs(r.value - (1.5 - 2.0 * math.log(2.0))) <= 1e-12
 
     def test_odd_gap_at_reference_point(self):
         # gap(1) for a=1/2, k=1 equals pi^2/3 - 9/2
         r = shift_gap_derivative(ShiftParams(a=0.5, k=1), 0, 1.0)
-        assert abs(r.value - (PI * PI / 3.0 - 4.5)) <= 1e-11
+        assert abs(r.value - (math.pi * math.pi / 3.0 - 4.5)) <= 1e-11
 
     @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
     def test_gap_signs(self, a):
@@ -205,6 +213,23 @@ class TestShiftGaps:
         with pytest.raises(ValueError):
             shift_gap_derivative(ShiftParams(a=0.5, k=0), -1, 1.0)
 
+    def test_one_derivative_rule(self):
+        # shift_gap_derivative's n and cm_scan's max_order share one check
+        p = ShiftParams(a=0.5, k=38)
+        grid = GridSpec(lo=0.1, hi=10.0, points=5)
+        for n in (-1, 3):
+            message = rf"^derivative order must be in \[0, 2\] on top of k = 38, got {n}$"
+            with pytest.raises(ValueError, match=message):
+                shift_gap_derivative(p, n, 1.0)
+            with pytest.raises(ValueError, match=message):
+                cm_scan(p, n, grid)
+        assert shift_gap_derivative(p, 2, 1.0).value > 0.0
+
+    def test_non_finite_gap_raises_overflow(self):
+        # psi_40(1e-7) is about 8e334, so the value and its bar leave binary64
+        with pytest.raises(OverflowError, match="binary64"):
+            shift_gap_derivative(ShiftParams(a=0.5, k=32), 8, 1e-7)
+
 
 class TestCMScan:
     def test_even_scan_passes(self):
@@ -220,6 +245,12 @@ class TestCMScan:
         rep = cm_scan(ShiftParams(a=0.3, k=3), 6, GridSpec(lo=0.1, hi=100.0, points=40))
         assert rep.passed
         assert rep.min_signed_value > 0.0
+
+    def test_non_finite_samples_raise_overflow(self):
+        # the kernel hands the overflowing samples to the scalar engine,
+        # which raises OverflowError for them
+        with pytest.raises(OverflowError, match="binary64"):
+            cm_scan(ShiftParams(a=0.5, k=32), 8, GridSpec(lo=1e-7, hi=1.0, points=10))
 
     def test_scan_rejects_excessive_order(self):
         with pytest.raises(ValueError):

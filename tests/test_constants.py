@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycm import GAMMA_EULER, LN2, PI, bernoulli_even, zeta_int
-from polycm.constants import _BERNOULLI, MAX_BERNOULLI_M
+from polycm import zeta_int
+from polycm.constants import _BERNOULLI, GAMMA_EULER
 
 
 def _bernoulli_exact(count: int) -> list[Fraction]:
@@ -31,8 +31,8 @@ def _bernoulli_exact(count: int) -> list[Fraction]:
 
 
 def test_zeta_closed_forms():
-    assert zeta_int(2) == PI * PI / 6.0
-    assert zeta_int(4) == PI**4 / 90.0
+    assert zeta_int(2) == math.pi * math.pi / 6.0
+    assert zeta_int(4) == math.pi**4 / 90.0
 
 
 def test_zeta_3_against_brute_sum():
@@ -78,29 +78,20 @@ def test_zeta_rejects_bad_arguments():
 
 def test_bernoulli_exact_values():
     # the cache must round the exact rationals, not approximate them
-    assert bernoulli_even(1) == float(Fraction(1, 6))
-    assert bernoulli_even(2) == float(Fraction(-1, 30))
-    assert bernoulli_even(3) == float(Fraction(1, 42))
-    assert bernoulli_even(5) == float(Fraction(5, 66))
-    assert bernoulli_even(6) == float(Fraction(-691, 2730))
-    assert bernoulli_even(15) == float(Fraction(8615841276005, 14322))
+    assert _BERNOULLI[2] == float(Fraction(1, 6))
+    assert _BERNOULLI[4] == float(Fraction(-1, 30))
+    assert _BERNOULLI[6] == float(Fraction(1, 42))
+    assert _BERNOULLI[10] == float(Fraction(5, 66))
+    assert _BERNOULLI[12] == float(Fraction(-691, 2730))
+    assert _BERNOULLI[30] == float(Fraction(8615841276005, 14322))
 
 
 def test_bernoulli_literals_are_the_exact_values_rounded_once():
     # float(Fraction) rounds the exact quotient once, to nearest
-    exact = _bernoulli_exact(2 * MAX_BERNOULLI_M)
+    exact = _bernoulli_exact(60)
     assert len(_BERNOULLI) == len(exact) == 61
     for m, (stored, b) in enumerate(zip(_BERNOULLI, exact)):
         assert stored.hex() == float(b).hex(), m
-
-
-def test_bernoulli_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        bernoulli_even(0)
-    with pytest.raises(ValueError):
-        bernoulli_even(31)
-    with pytest.raises(TypeError):
-        bernoulli_even(1.5)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -109,8 +100,8 @@ def test_zeta_bernoulli_cross_tie(m):
     # together; zeta comes from summation, Bernoulli from the recurrence
     closed = (
         (-1.0) ** (m + 1)
-        * bernoulli_even(m)
-        * (2.0 * PI) ** (2 * m)
+        * _BERNOULLI[2 * m]
+        * (2.0 * math.pi) ** (2 * m)
         / (2.0 * math.factorial(2 * m))
     )
     assert zeta_int(2 * m) == pytest.approx(closed, rel=5e-15)
@@ -118,5 +109,3 @@ def test_zeta_bernoulli_cross_tie(m):
 
 def test_scalar_constants():
     assert GAMMA_EULER == 0.5772156649015329
-    assert LN2 == math.log(2.0)
-    assert PI == math.pi

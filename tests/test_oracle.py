@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 import pytest
 
 import polycm.oracle as oracle
 from polycm import (
-    GAMMA_EULER,
-    LN2,
     MAX_ORDER,
-    PI,
     QuadratureError,
     QuadratureSpec,
     SeriesSpec,
@@ -28,6 +26,7 @@ from polycm import (
     shift_gap_derivative,
     zeta_int,
 )
+from polycm.constants import GAMMA_EULER
 
 BIG = SeriesSpec(max_terms=4_000_000)
 
@@ -37,8 +36,8 @@ class TestSeries:
         # psi(1/2) = -gamma - 2 ln 2; at 4e6 terms the Euler-Maclaurin
         # remainder (~7e-56) is far below the 32 eps rounding part of the bar
         r = digamma_series(0.5, BIG)
-        assert abs(r.value - (-GAMMA_EULER - 2.0 * LN2)) <= 1e-13
-        assert abs(r.value - (-GAMMA_EULER - 2.0 * LN2)) <= r.abs_error_estimate
+        assert abs(r.value - (-GAMMA_EULER - 2.0 * math.log(2.0))) <= 1e-13
+        assert abs(r.value - (-GAMMA_EULER - 2.0 * math.log(2.0))) <= r.abs_error_estimate
 
     def test_digamma_known_points(self):
         for x, expected in [(1.0, -GAMMA_EULER), (2.0, 1.0 - GAMMA_EULER)]:
@@ -51,9 +50,9 @@ class TestSeries:
         # subtraction from 1 would amplify zeta rounding ~650x, so the value
         # is frozen from a 2e6-term direct summation with an integral tail
         cases = [
-            (1, 1.0, PI * PI / 6.0),
+            (1, 1.0, math.pi * math.pi / 6.0),
             (2, 1.0, -2.0 * zeta_int(3)),
-            (3, 0.5, PI**4),
+            (3, 0.5, math.pi**4),
             (4, 2.0, -0.8862661234408782),
         ]
         for n, x, expected in cases:
@@ -120,10 +119,10 @@ class TestQuadrature:
 
     def test_closed_forms(self):
         cases = [
-            (0, 0.5, -GAMMA_EULER - 2.0 * LN2),
-            (1, 1.0, PI * PI / 6.0),
+            (0, 0.5, -GAMMA_EULER - 2.0 * math.log(2.0)),
+            (1, 1.0, math.pi * math.pi / 6.0),
             (2, 1.0, -2.0 * zeta_int(3)),
-            (3, 0.5, PI**4),
+            (3, 0.5, math.pi**4),
         ]
         for n, x, expected in cases:
             r = polygamma_integral(n, x)
@@ -155,7 +154,7 @@ class TestQuadrature:
     def test_rel_tol_is_respected(self):
         coarse = QuadratureSpec(rel_tol=1e-6)
         r = polygamma_integral(1, 1.0, coarse)
-        truth = PI * PI / 6.0
+        truth = math.pi * math.pi / 6.0
         assert abs(r.value - truth) <= 10.0 * 1e-6 * truth
         assert abs(r.value - truth) <= r.abs_error_estimate
 
@@ -175,6 +174,25 @@ class TestQuadrature:
             QuadratureSpec(upper_cutoff=-5.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=3)
+        # a count, as SeriesSpec.max_terms: no fraction, and no inf that
+        # would lift the split budget
+        with pytest.raises(TypeError):
+            QuadratureSpec(max_subdivisions=10.5)
+        with pytest.raises(TypeError):
+            QuadratureSpec(max_subdivisions=math.inf)
+        count = QuadratureSpec(max_subdivisions=np.int64(12)).max_subdivisions
+        assert count == 12 and type(count) is int
+
+    def test_non_finite_result_raises_overflow(self):
+        # psi_40(1e-7) is about -8e334: the integrand overflows without a
+        # RuntimeWarning (an error under this suite's settings) and the
+        # result raises OverflowError, not the ValueError of a bad bar
+        for call in (lambda: polygamma_integral(40, 1e-7), lambda: power_integral(40, 1e-7),
+                     lambda: gap_integral_even(0.5, 40, 1e-7),
+                     lambda: gap_integral_odd(0.5, 40, 1e-7),
+                     lambda: polygamma_series(40, 1e-8), lambda: digamma_series(1e-310)):
+            with pytest.raises(OverflowError, match="binary64"):
+                call()
 
 
 class TestThreeWay:

@@ -6,9 +6,12 @@ bound (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate; the
 truncated upper tail is covered by an exact closed-form bound, so the
-reported error is sound, not heuristic.  The integrand is called once per
-round of panels (the initial partition, then both halves of each split) on
-the nodes of both rules together.
+reported error is sound, not heuristic.  Bisection runs in rounds: each
+round splits every panel whose discrepancy exceeds its equal share of the
+tolerance, and the integrand is called once per round on the nodes of both
+rules of all its panels.  Each panel estimate is a sequential sum in node
+order and the totals are math.fsum over the panels, so no result depends
+on a BLAS kernel, a SIMD summation order or the order of the panels.
 
 Nothing here shares evaluation code with the engine; only Euler's
 constant, the argument checks, the overflow check on results and the
@@ -17,12 +20,11 @@ machine epsilon are common.  Simple and transparent on purpose.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,9 +44,14 @@ _SERIES_CHUNK = 1 << 16  # series terms formed per numpy call
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-#: Both node sets of one panel, evaluated together by _panels.
+#: Both node sets of one panel and their weights, evaluated together by _panels.
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))
+_WEIGHTS = np.concatenate((_WEIGHTS_HI, _WEIGHTS_LO))
 _HI_COUNT = _NODES_HI.size
+#: The cutoff search's candidates 30/x * 2^j for j < 200 (as multipliers of
+#: 30/x), probed _PROBES_PER_CALL per integrand call.
+_DOUBLINGS = 2.0 ** np.arange(200)
+_PROBES_PER_CALL = 8
 
 
 class QuadratureError(RuntimeError):
@@ -144,7 +151,7 @@ def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> Ev
     (n+1)_(2j-1) y^-(n+2j), whose remainder bound (see _em_terms), times
     n!, is the truncation part of the error bar.
     """
-    n = operator.index(n)
+    n = _check_order(n)
     if n < 1:
         raise ValueError(f"polygamma_series requires n >= 1, got {n}")
     x = _check_x(x)
@@ -182,14 +189,18 @@ def digamma_series(x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
 
 
 def _t_over_one_minus_exp(t: np.ndarray) -> np.ndarray:
-    """t / (1 - e^-t) elementwise; Taylor below t = 1e-3 kills the 0/0 form."""
+    """t / (1 - e^-t) elementwise; Taylor below t = 1e-3 kills the 0/0 form.
+
+    The plain quotient is formed wherever t >= 1e-3 and only the few small
+    t are patched.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t < _SMALL_T
-    ts = t[small]
-    out[small] = 1.0 + ts * (0.5 + ts / 12.0) - ts**4 / 720.0
-    tb = t[~small]
-    out[~small] = tb / (-np.expm1(-tb))
+    big = t >= _SMALL_T
+    out = np.divide(t, -np.expm1(-t), out=np.empty_like(t), where=big)
+    small = ~big
+    if small.any():
+        ts = t[small]
+        out[small] = 1.0 + ts * (0.5 + ts / 12.0) - ts**4 / 720.0
     return out
 
 
@@ -247,24 +258,29 @@ def cm_weight(a: float, t):
 
 
 def _panels(
-    f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]
-) -> list[tuple[float, float]]:
-    """(15-point estimate, |15-point - 7-point|) of each panel [edges[i], edges[i+1]].
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(15-point estimates, |15-point - 7-point|) of the panels [lo[i], hi[i]].
 
-    f runs once, on the 22 nodes of every panel side by side; each estimate
-    is still its own dot product over its panel's 15 or 7 values.
+    f runs once, on the 22 nodes of every panel side by side.  Each estimate
+    is h times a sequential sum of weight * value in node order
+    (np.add.accumulate), so its bits depend on no BLAS kernel.
     """
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    values = f((c[:, None] + h[:, None] * _NODES).ravel()).reshape(-1, _NODES.size)
-    out = []
-    for width, row in zip(h.tolist(), values):
-        hi_est = width * float(np.dot(_WEIGHTS_HI, row[:_HI_COUNT]))
-        lo_est = width * float(np.dot(_WEIGHTS_LO, row[_HI_COUNT:]))
-        out.append((hi_est, abs(hi_est - lo_est)))
-    return out
+    terms = f((c[:, None] + h[:, None] * _NODES).ravel()).reshape(-1, _NODES.size) * _WEIGHTS
+    hi_est = h * np.add.accumulate(terms[:, :_HI_COUNT], axis=1)[:, -1]
+    lo_est = h * np.add.accumulate(terms[:, _HI_COUNT:], axis=1)[:, -1]
+    return hi_est, np.abs(hi_est - lo_est)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of an array; nan where finite values sum past binary64, so
+    that _result reports it as any other overflow."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.nan
 
 
 def _integrate(
@@ -273,12 +289,17 @@ def _integrate(
     rel_tol: float,
     max_subdivisions: int,
 ) -> tuple[float, float]:
-    """Adaptive bisection of int_0^upper f, worst panel first.
+    """Adaptive bisection of int_0^upper f in rounds; returns (value, error).
 
     Starts from a geometric partition 0, 1, 2, 4, ... so the initial panels
-    already track the scale of a decaying integrand, then repeatedly splits
-    the panel with the largest 15-vs-7-point discrepancy until the summed
-    discrepancies drop under rel_tol * |integral|.
+    already track the scale of a decaying integrand.  While the summed
+    15-vs-7-point discrepancies exceed rel_tol * |integral|, a round splits
+    every panel whose discrepancy exceeds its equal share of that allowance,
+    rel_tol * |integral| / panels, and the worst panel in any case, so that
+    every round makes progress; all halves of a round go through one
+    integrand call.  Both totals are math.fsum over the panels, correctly
+    rounded and independent of panel order.  max_subdivisions caps the
+    number of panels split, over all rounds.
     """
     edges = [0.0]
     step = min(1.0, upper)
@@ -286,42 +307,65 @@ def _integrate(
         edges.append(step)
         step *= 2.0
     edges.append(upper)
-    total_v = 0.0
-    total_e = 0.0
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    seq = 0
-    for lo, hi, (v, e) in zip(edges, edges[1:], _panels(f, edges)):
-        total_v += v
-        total_e += e
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-        seq += 1
+    lo = np.array(edges[:-1])
+    hi = np.array(edges[1:])
+    v, e = _panels(f, lo, hi)
     splits = 0
-    while total_e > rel_tol * abs(total_v):
-        if splits >= max_subdivisions:
+    while True:
+        total_v = _fsum(v)
+        total_e = _fsum(e)
+        allowance = rel_tol * abs(total_v)
+        if not total_e > allowance:
+            return total_v, total_e
+        split = (e > allowance / e.size) | (e == e.max())
+        splits += int(np.count_nonzero(split))
+        if splits > max_subdivisions:
             raise QuadratureError(
                 f"needed more than {max_subdivisions} subdivisions for rel_tol={rel_tol}"
             )
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        (v1, e1), (v2, e2) = _panels(f, (lo, mid, hi))
-        total_v += v1 + v2 - v
-        total_e += e1 + e2 - e
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
-        splits += 1
-    return total_v, total_e
+        keep = ~split
+        left = lo[split]
+        right = hi[split]
+        mid = 0.5 * (left + right)
+        new_lo = np.concatenate((left, mid))
+        new_hi = np.concatenate((mid, right))
+        new_v, new_e = _panels(f, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        v = np.concatenate((v[keep], new_v))
+        e = np.concatenate((e[keep], new_e))
 
 
-def _auto_cutoff(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
-    """Double T from 30/x until |f(T)| < 1e-18."""
-    t = 30.0 / x
-    for _ in range(200):
-        if abs(float(f(np.array([t]))[0])) < _TINY_INTEGRAND:
-            return t
-        t *= 2.0
-    raise QuadratureError("no finite truncation point found; integrand does not decay")
+def _auto_cutoff(
+    f: Callable[[np.ndarray], np.ndarray], x: float, power: int, lead: float
+) -> float:
+    """The first T = 30/x * 2^j, j < 200, with |f(T)| < 1e-18.
+
+    The candidates are probed eight per integrand call.  Scaling by a power
+    of two is exact, so they are the points repeated doubling of 30/x
+    reaches; those past the binary64 range are never evaluated.  The
+    integral is about lead * power!/x^(power+1) at small x: when 30/x itself
+    is inf, that is inf too (OverflowError) unless power is 0 and lead/x is
+    finite, and then the cutoff is unreachable (QuadratureError).
+    """
+    start = 30.0 / x
+    if start == math.inf:
+        if power > 0 or lead / x == math.inf:
+            raise OverflowError(
+                f"result left the binary64 range: the integral grows like "
+                f"x^-{power + 1} and x = {x!r}"
+            )
+        raise QuadratureError(f"the truncation point 30/x is not finite for x = {x!r}")
+    ladder = start * _DOUBLINGS
+    ladder = ladder[ladder < math.inf]
+    for i in range(0, ladder.size, _PROBES_PER_CALL):
+        probes = ladder[i:i + _PROBES_PER_CALL]
+        below = np.abs(f(probes)) < _TINY_INTEGRAND
+        if below.any():
+            return float(probes[below.argmax()])
+    raise QuadratureError(
+        f"no truncation point up to T = {float(ladder[-1])!r}: the integrand does not decay"
+    )
 
 
 def _exp_poly_tail(m: int, x: float, upper: float) -> float:
@@ -350,16 +394,22 @@ def _exp_poly_tail(m: int, x: float, upper: float) -> float:
 
 def _run_integral(
     f: Callable[[np.ndarray], np.ndarray],
-    x_rate: float,
+    x: float,
     spec: QuadratureSpec,
+    power: int,
+    lead: float = 1.0,
 ) -> tuple[float, float, float]:
-    """Returns (value, quadrature error, cutoff T).
+    """Returns (value, quadrature error, cutoff T) of an integral that is
+    about lead * power!/x^(power+1) at small x (see _auto_cutoff).
 
     An integrand that overflows does so silently and leaves the value or
-    error non-finite, which the caller's _result turns into OverflowError.
+    error non-finite (inf, or nan from inf - inf), which the caller's
+    _result turns into OverflowError.
     """
-    with np.errstate(over="ignore"):
-        upper = spec.upper_cutoff if spec.upper_cutoff is not None else _auto_cutoff(f, x_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = spec.upper_cutoff
+        if upper is None:
+            upper = _auto_cutoff(f, x, power, lead)
         v, e = _integrate(f, upper, spec.rel_tol, spec.max_subdivisions)
     return v, e, upper
 
@@ -383,14 +433,14 @@ def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -
             return num / t * _t_over_one_minus_exp(t)
 
         rate = min(1.0, x)
-        v, e, upper = _run_integral(f, x, spec)
+        v, e, upper = _run_integral(f, x, spec, 0)
         tail = _exp_poly_tail(0, rate, upper) / (-math.expm1(-upper))
         return _result(-GAMMA_EULER + v, e + tail)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return _power_exp(n - 1, x, t) * _t_over_one_minus_exp(t)
+        return _power_exp(n, x, t) / -np.expm1(-t)
 
-    v, e, upper = _run_integral(f, x, spec)
+    v, e, upper = _run_integral(f, x, spec, n)
     tail = _exp_poly_tail(n, x, upper) / (-math.expm1(-upper))
     sign = 1.0 if n % 2 == 1 else -1.0
     return _result(sign * v, e + tail)
@@ -401,7 +451,7 @@ def power_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> Ev
     n = _check_order(n)
     x = _check_x(x)
 
-    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, spec)
+    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, spec, n)
     return _result(v, e + _exp_poly_tail(n, x, upper))
 
 
@@ -411,7 +461,8 @@ def _gap_integral(
     def f(t: np.ndarray) -> np.ndarray:
         return (_weight(a, t) + offset) * _power_exp(power, x, t)
 
-    return _run_integral(f, x, spec)
+    # the bracket tends to 1 - a + offset at large t
+    return _run_integral(f, x, spec, power, 1.0 - a + offset)
 
 
 def gap_integral_even(

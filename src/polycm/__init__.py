@@ -11,44 +11,63 @@ The package has three layers:
     bounds it implies for x > 1, over explicit grids.
 
 polycm.cli wires the same passes to the `polycm` console command.
+
+The engine is pure Python, and `import polycm` loads only it and the
+constants: the names of the numpy modules (cm, bounds and oracle) are
+imported on first access (PEP 562), so the scalar path never loads numpy.
 """
 
-from .bounds import (
-    BoundCheck,
-    bound_check,
-    bound_table,
-    endpoint_constants,
-)
-from .cm import (
-    CMScanReport,
-    GridSpec,
-    RatioParams,
-    ShiftParams,
-    cm_scan,
-    exp_diff_ratio,
-    expm1_ratio,
-    increasing_condition,
-    shift_gap_derivative,
-)
 from .constants import zeta_int
-from .oracle import (
-    QuadratureError,
-    QuadratureSpec,
-    SeriesSpec,
-    cm_weight,
-    digamma_series,
-    gap_integral_even,
-    gap_integral_odd,
-    polygamma_integral,
-    polygamma_series,
-    power_integral,
-)
 from .polygamma import (
     MAX_ORDER,
     EvalResult,
     factorial_over_power,
     polygamma,
 )
+
+#: Home module of each public name that needs numpy.
+_LAZY = {
+    "BoundCheck": "bounds",
+    "bound_check": "bounds",
+    "bound_table": "bounds",
+    "endpoint_constants": "bounds",
+    "CMScanReport": "cm",
+    "GridSpec": "cm",
+    "RatioParams": "cm",
+    "ShiftParams": "cm",
+    "cm_scan": "cm",
+    "exp_diff_ratio": "cm",
+    "expm1_ratio": "cm",
+    "increasing_condition": "cm",
+    "shift_gap_derivative": "cm",
+    "QuadratureError": "oracle",
+    "QuadratureSpec": "oracle",
+    "SeriesSpec": "oracle",
+    "cm_weight": "oracle",
+    "digamma_series": "oracle",
+    "gap_integral_even": "oracle",
+    "gap_integral_odd": "oracle",
+    "polygamma_integral": "oracle",
+    "polygamma_series": "oracle",
+    "power_integral": "oracle",
+}
+
+
+def __getattr__(name: str):
+    """Import a numpy module's public name on first access and cache it here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,10 @@ The central object is the gap
 which is strictly completely monotonic on x > 0 for even k, while for odd k
 its negation is.  Equivalently (-1)^n g^(n)(x) keeps one strict sign for
 every derivative order n; cm_scan samples that sign pattern over a grid and
-reports the worst margin found together with where it happened.
+reports the worst margin found together with where it happened.  It takes
+its samples through the engine's numpy array kernel, _polygamma_array,
+which lives here, beside its one caller, so that polycm.polygamma stays
+pure Python.
 
 The module also carries the two elementary ingredients behind those facts:
 the two-parameter exponential ratio (e^-alpha t - e^-beta t)/(1 - e^-t) with
@@ -19,23 +22,26 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polygamma import (
+    _COEFFICIENTS,
     _EPS,
-    _FACTORIALS,
+    _FACTORIAL_FLOATS,
+    _MAX_ASYMPTOTIC_TERMS,
     MAX_ORDER,
     EvalResult,
     _check_derivative,
     _check_order,
     _check_shift,
     _check_x,
-    _polygamma_array,
     _result,
     factorial_over_power,
     polygamma,
+    shift_threshold,
 )
 
 #: A sampled derivative value is treated as having a definite sign only when
@@ -53,10 +59,10 @@ _LOG_FACTORIALS = np.array([math.lgamma(m + 1.0) for m in range(MAX_ORDER + 1)])
 
 #: Where ln x^(m+1) and ln(m!/x^(m+1)) both stay within this bound,
 #: factorial_over_power takes its plain branch m!/x**(m+1).  Its own
-#: thresholds are 709 and -745 on the log of the result, and a normal power
-#: needs its log in (-708.39, 709.78); the margin dwarfs any ulp of
-#: difference between numpy's log and libm's.  As ln m! >= 0, the bound on
-#: |ln x^(m+1)| also bounds ln(m!/x^(m+1)) from below.
+#: thresholds are ln(DBL_MAX) = 709.78 and -745 on the log of the result,
+#: and a normal power needs its log in (-708.39, 709.78); the margin dwarfs
+#: any ulp of difference between numpy's log and libm's.  As ln m! >= 0, the
+#: bound on |ln x^(m+1)| also bounds ln(m!/x^(m+1)) from below.
 _PLAIN_LOG_BOUND = 700.0
 
 
@@ -215,6 +221,109 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     n = _check_derivative(p.k, n)
     value, err, _ = _gap(p, n, _check_x(x))
     return _result(value, err)
+
+
+# The array kernel's copies of polycm.polygamma's tables.
+_COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
+_FACTORIALS = np.array(_FACTORIAL_FLOATS)
+_THRESHOLDS = np.array([shift_threshold(n) for n in range(MAX_ORDER + 1)])
+
+#: CPython's ** raises OverflowError where libm reports a range error: an
+#: infinite or a subnormal result.  numpy's power never raises, so a power
+#: outside [_TINY, _HUGE] sends its element back to the scalar engine.  The
+#: factor of two keeps an ulp of difference between numpy's power and libm's
+#: pow from putting the two on different sides of the edge.
+_TINY = 2.0 * sys.float_info.min
+_HUGE = 0.5 * sys.float_info.max
+
+
+def _in_range(p: np.ndarray) -> np.ndarray:
+    return (p >= _TINY) & (p <= _HUGE)
+
+
+def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """polygamma(n[i], x[i]) for every i, as (values, error bars).
+
+    Orders and arguments must already be valid.  Each element goes through
+    polygamma's steps: its own shift count, the same head, the same 20-term
+    series with its own stop, and the same error bar.  Values can differ
+    from the scalar ones by the last-ulp differences between numpy's
+    power and log and libm's.  An element for which the scalar engine would
+    raise, or could, is evaluated by polygamma itself, looked up in this
+    module as _gap looks it up, in index order; so the first one that raises
+    raises what [polygamma(*e) for e in zip(n, x)] would raise.
+    """
+    n = np.asarray(n, dtype=np.intp)
+    x = np.asarray(x, dtype=float)
+    zero = n == 0
+    order = n.astype(float)
+    count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
+    with np.errstate(over="ignore", under="ignore"):
+        # shift pass: sum of 1/(x+j) for n = 0, of (x+j)^-(n+1) for n >= 1,
+        # over the elements below their threshold; sorted by shift count,
+        # step j works on the prefix of those still shifting
+        below = np.flatnonzero(count)
+        below = below[np.argsort(-count[below], kind="stable")]
+        xb, eb, zb = x[below], -(order[below] + 1.0), zero[below]
+        shifting = np.searchsorted(-count[below], -np.arange(count.max(initial=0.0)))
+        accb = np.zeros_like(xb)
+        ok = np.ones(x.shape, dtype=bool)
+        for j, m in enumerate(shifting.tolist()):
+            xj = xb[:m] + j
+            term = np.power(xj, eb[:m])
+            if j == 0:
+                ok[below] = zb | _in_range(term)
+            if zb.any():
+                term = np.where(zb[:m], 1.0 / xj, term)
+            accb[:m] += term
+        acc = np.zeros_like(x)
+        acc[below] = accb
+
+        # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1
+        y = x + count
+        inv2 = 1.0 / (y * y)
+        fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
+        lead_power = np.power(y, -order)
+        half_power = np.power(y, order + 1.0)
+        next_power = np.power(y, -(order + 2.0))
+        ok &= zero | (_in_range(lead_power) & _in_range(half_power) & _in_range(next_power))
+        head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
+        log_head = np.log(y) - 0.5 / y
+        value = np.where(zero, log_head, head)
+        budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
+        power = np.where(zero, inv2, next_power)
+
+        # series: an element whose terms start growing again keeps that
+        # term as its truncation bound, and its power drops to zero so that
+        # nothing more is added to it
+        coefficients = _COEFFICIENT_ARRAY[n]
+        trunc = np.zeros_like(x)
+        prev = np.full_like(x, math.inf)
+        running = np.ones(x.shape, dtype=bool)
+        for j in range(_MAX_ASYMPTOTIC_TERMS):
+            term = coefficients[:, j] * power
+            size = np.abs(term)
+            stop = running & (size >= prev)
+            if stop.any():
+                trunc[stop] = size[stop]
+                running &= ~stop
+                term[stop] = size[stop] = power[stop] = 0.0
+            value += term
+            budget += size
+            prev = size
+            power *= inv2
+        last = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
+        trunc = np.where(running, last, trunc)
+
+        shift = np.where(zero, acc, _FACTORIALS[n] * acc)
+        total = np.where(zero, value - shift, value + shift)
+        budget += shift
+        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
+    values = np.where(zero | (n % 2 == 1), total, -total)
+    for i in np.flatnonzero(~(ok & np.isfinite(bars))):
+        r = polygamma(int(n[i]), float(x[i]))
+        values[i], bars[i] = r.value, r.abs_error_estimate
+    return values, bars
 
 
 def _factorial_over_power_array(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,16 @@
-"""The public API: polycm.__all__ is pinned name by name."""
+"""The public API: polycm.__all__ is pinned name by name, and the package
+loads numpy only when a name that needs it is first used."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import polycm
 
@@ -38,15 +46,102 @@ PUBLIC = [
 ]
 
 
+#: The module each public name is defined in.
+HOMES = {
+    **dict.fromkeys(["MAX_ORDER", "EvalResult", "factorial_over_power", "polygamma"],
+                    "polycm.polygamma"),
+    "zeta_int": "polycm.constants",
+    **dict.fromkeys(["BoundCheck", "bound_check", "bound_table", "endpoint_constants"],
+                    "polycm.bounds"),
+    **dict.fromkeys(["CMScanReport", "GridSpec", "RatioParams", "ShiftParams", "cm_scan",
+                     "exp_diff_ratio", "expm1_ratio", "increasing_condition",
+                     "shift_gap_derivative"], "polycm.cm"),
+    **dict.fromkeys(["QuadratureError", "QuadratureSpec", "SeriesSpec", "cm_weight",
+                     "digamma_series", "gap_integral_even", "gap_integral_odd",
+                     "polygamma_integral", "polygamma_series", "power_integral"],
+                    "polycm.oracle"),
+}
+
+
 def test_all_is_pinned():
     assert len(PUBLIC) == 28
     assert polycm.__all__ == PUBLIC
 
 
 def test_package_exports_exactly_all():
-    # no name outside __all__ is re-exported, the subpackage modules aside
-    exported = {
-        name for name, value in vars(polycm).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert exported == set(PUBLIC)
+    # once every public name is resolved, no name outside __all__ is
+    # exported, the subpackage modules aside, and dir() lists the same set
+    for name in PUBLIC:
+        getattr(polycm, name)
+
+    def public(names):
+        return {
+            name for name in names
+            if not name.startswith("_") and not isinstance(getattr(polycm, name), types.ModuleType)
+        }
+
+    assert public(vars(polycm)) == set(PUBLIC)
+    assert public(dir(polycm)) == set(PUBLIC)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polycm.no_such_name
+
+
+def fresh(code: str):
+    """Run code in a new interpreter that imports this polycm; the JSON it
+    prints last."""
+    src = str(Path(polycm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scalar_engine_loads_no_numpy():
+    assert fresh(
+        "import json, sys, polycm\n"
+        "polycm.polygamma(3, 0.5), polycm.factorial_over_power(2, 3.0), polycm.zeta_int(3)\n"
+        "print(json.dumps('numpy' in sys.modules))"
+    ) is False
+
+
+@pytest.mark.parametrize("first", [
+    "import polycm.polygamma",
+    "import polycm.cm",
+    "from polycm import cm_scan",
+    "import polycm.cli",
+])
+def test_polygamma_is_the_function_in_any_import_order(first):
+    # the package binds the function polycm.polygamma over the submodule of
+    # the same name, which stays reachable through sys.modules
+    assert fresh(
+        f"{first}\n"
+        "import json, sys, types, polycm\n"
+        "module = sys.modules['polycm.polygamma']\n"
+        "print(json.dumps([isinstance(module, types.ModuleType),\n"
+        "                  polycm.polygamma is module.polygamma,\n"
+        "                  callable(polycm.polygamma)]))"
+    ) == [True, True, True]
+
+
+def test_every_name_is_its_home_modules_object():
+    assert fresh(
+        "import importlib, json, polycm\n"
+        "homes = {}\n"
+        "for name in polycm.__all__:\n"
+        "    value = getattr(polycm, name)\n"
+        "    home = 'polycm.polygamma' if name == 'MAX_ORDER' else value.__module__\n"
+        "    homes[name] = [home, getattr(importlib.import_module(home), name) is value]\n"
+        "print(json.dumps(homes))"
+    ) == {name: [HOMES[name], True] for name in PUBLIC}
+
+
+def test_star_import_binds_exactly_all():
+    assert fresh(
+        "import json\n"
+        "before = set(globals())\n"
+        "from polycm import *\n"
+        "print(json.dumps(sorted(set(globals()) - before - {'before'})))"
+    ) == sorted(PUBLIC)

@@ -24,8 +24,8 @@ from polycm import (
     shift_gap_derivative,
     zeta_int,
 )
-from polycm.cm import _factorial_over_power_array, _fsum3, _gap_block
-from polycm.polygamma import _EPS, _polygamma_array
+from polycm.cm import _factorial_over_power_array, _fsum3, _gap_block, _polygamma_array
+from polycm.polygamma import _EPS
 
 
 class TestExpDiffRatio:

@@ -14,8 +14,9 @@ from polycm import (
     polygamma,
     zeta_int,
 )
+from polycm.cm import _polygamma_array
 from polycm.constants import GAMMA_EULER
-from polycm.polygamma import _polygamma_array, shift_threshold
+from polycm.polygamma import shift_threshold
 
 # classical closed forms: psi and its derivatives at 1, 1/2 and 2
 KNOWN_VALUES = [
@@ -162,6 +163,10 @@ def test_factorial_over_power_extremes():
     )
     mid = factorial_over_power(40, 1e8)
     assert 0.0 < mid < 1e-200
+    # finite right up to ln(DBL_MAX) = 709.78, past the old switch at 709
+    assert factorial_over_power(0, 1e-308) == 1e308
+    assert factorial_over_power(0, 1.2e-308) == pytest.approx(1.0 / 1.2e-308, rel=1e-15)
+    assert factorial_over_power(1, 1e-154) == pytest.approx(1e308, rel=1e-15)
     with pytest.raises(ValueError):
         factorial_over_power(2, 0.0)
     with pytest.raises(ValueError):

@@ -31,8 +31,9 @@ from .polygamma import (
     _COEFFICIENTS,
     _EPS,
     _FACTORIAL_FLOATS,
+    _LOG_FACTORIAL_FLOATS,
     _MAX_ASYMPTOTIC_TERMS,
-    MAX_ORDER,
+    _THRESHOLD_FLOATS,
     EvalResult,
     _check_derivative,
     _check_order,
@@ -41,7 +42,6 @@ from .polygamma import (
     _result,
     factorial_over_power,
     polygamma,
-    shift_threshold,
 )
 
 #: A sampled derivative value is treated as having a definite sign only when
@@ -55,7 +55,7 @@ SIGN_GUARD = 1e3
 _SCAN_BLOCK = 4096
 
 #: ln m! for every order, to screen factorial_over_power's branches.
-_LOG_FACTORIALS = np.array([math.lgamma(m + 1.0) for m in range(MAX_ORDER + 1)])
+_LOG_FACTORIALS = np.array(_LOG_FACTORIAL_FLOATS)
 
 #: Where ln x^(m+1) and ln(m!/x^(m+1)) both stay within this bound,
 #: factorial_over_power takes its plain branch m!/x**(m+1).  Its own
@@ -226,7 +226,7 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
 # The array kernel's copies of polycm.polygamma's tables.
 _COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
 _FACTORIALS = np.array(_FACTORIAL_FLOATS)
-_THRESHOLDS = np.array([shift_threshold(n) for n in range(MAX_ORDER + 1)])
+_THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 
 #: CPython's ** raises OverflowError where libm reports a range error: an
 #: infinite or a subnormal result.  numpy's power never raises, so a power
@@ -245,9 +245,11 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """polygamma(n[i], x[i]) for every i, as (values, error bars).
 
     Orders and arguments must already be valid.  Each element goes through
-    polygamma's steps: its own shift count, the same head, the same 20-term
-    series with its own stop, and the same error bar.  Values can differ
-    from the scalar ones by the last-ulp differences between numpy's
+    polygamma's steps: its own shift count, the same head, the same series
+    with its own stop, and the same error bar.  The kernel runs all 20
+    series terms; the scalar engine stops once a term is negligible, with
+    the bits of the full sum (see polygamma._asymptotic).  Values can
+    differ from the scalar ones by the last-ulp differences between numpy's
     power and log and libm's.  An element for which the scalar engine would
     raise, or could, is evaluated by polygamma itself, looked up in this
     module as _gap looks it up, in index order; so the first one that raises

@@ -207,27 +207,33 @@ def _t_over_one_minus_exp(t: np.ndarray) -> np.ndarray:
 def _ratio_difference(a: float, t: np.ndarray) -> np.ndarray:
     """r(t) - r(at) for r(t) = t/(1-e^-t), safe against cancellation.
 
-    The direct difference is formed everywhere.  Below t = 0.05, where it
-    subtracts two near-one quantities, it is overwritten by its series
+    Below t = 0.05, where the direct difference subtracts two near-one
+    quantities, it is replaced by its series
     (1-a)t/2 + (1-a^2)t^2/12 - (1-a^4)t^4/720 + (1-a^6)t^6/30240, whose
-    next term is below 1e-16 there.
+    next term is below 1e-16 there.  The direct difference is formed on the
+    other t only, and on the whole array, with no mask, when none is small.
     """
     t = np.asarray(t, dtype=float)
-    # in place, so that a 0-d t keeps a 0-d array to overwrite
-    out = _t_over_one_minus_exp(t)
-    out -= _t_over_one_minus_exp(a * t)
     small = t < _SMALL_T_DIFF
-    if small.any():
-        ts = t[small]
-        a2 = a * a
-        a4 = a2 * a2
-        a6 = a4 * a2
-        out[small] = (
-            ts * (1.0 - a) / 2.0
-            + ts**2 * (1.0 - a2) / 12.0
-            - ts**4 * (1.0 - a4) / 720.0
-            + ts**6 * (1.0 - a6) / 30240.0
-        )
+    if not small.any():
+        # in place, so that a 0-d t keeps a 0-d array
+        out = _t_over_one_minus_exp(t)
+        out -= _t_over_one_minus_exp(a * t)
+        return out
+    out = np.empty_like(t)
+    big = ~small
+    tb = t[big]
+    out[big] = _t_over_one_minus_exp(tb) - _t_over_one_minus_exp(a * tb)
+    ts = t[small]
+    a2 = a * a
+    a4 = a2 * a2
+    a6 = a4 * a2
+    out[small] = (
+        ts * (1.0 - a) / 2.0
+        + ts**2 * (1.0 - a2) / 12.0
+        - ts**4 * (1.0 - a4) / 720.0
+        + ts**6 * (1.0 - a6) / 30240.0
+    )
     return out
 
 

@@ -13,7 +13,10 @@ logarithm dominates and the relative error stays at a few ulp.
 
 Every result carries a conservative absolute-error estimate: the magnitude
 of the first omitted asymptotic term plus an ulp-level rounding budget over
-everything that was added.
+everything that was added.  The series stops at the first term below
+2^-106 of the head's magnitude budget: no such term, nor any after it, can
+move a bit of the value, the budget or the bar (see _asymptotic), so the
+results are those of the full 20-term sum, bit for bit.
 
 The module is pure Python and imports no numpy.  polygamma is the scalar
 reference for the array kernel in polycm.cm, which runs the same steps and
@@ -38,6 +41,9 @@ _EPS = sys.float_info.epsilon
 #: ln of the largest finite double: math.exp stays finite up to it.
 _LOG_MAX = math.log(sys.float_info.max)
 _MAX_ASYMPTOTIC_TERMS = 20
+#: The series stops before a term below this fraction of the head's
+#: magnitude budget; see _asymptotic for why no bit moves.
+_NEGLIGIBLE = 2.0**-106
 #: n! for every order as Python floats, so scalar results stay plain floats.
 _FACTORIAL_FLOATS = tuple(float(math.factorial(n)) for n in range(MAX_ORDER + 1))
 
@@ -67,6 +73,22 @@ def _result(value: float, bar: float) -> EvalResult:
 def shift_threshold(n: int) -> float:
     """Smallest argument at which the asymptotic series is trusted for order n."""
     return float(max(10, n + 8))
+
+
+#: shift_threshold(n) and ln n! for every order.
+_THRESHOLD_FLOATS = tuple(shift_threshold(n) for n in range(MAX_ORDER + 1))
+_LOG_FACTORIAL_FLOATS = tuple(math.lgamma(n + 1) for n in range(MAX_ORDER + 1))
+#: Row n holds order n's float constants, formed once here rather than on
+#: every call: the exponents -n, n + 1, -(n + 2) and -(n + 1), then (n-1)!
+#: and (n-1)!*n for the head (0.0 at n = 0, which has no such head).
+_ORDERS = tuple(
+    (
+        float(-n), float(n + 1), float(-(n + 2)), float(-(n + 1)),
+        _FACTORIAL_FLOATS[n - 1] if n else 0.0,
+        _FACTORIAL_FLOATS[n - 1] * n if n else 0.0,
+    )
+    for n in range(MAX_ORDER + 1)
+)
 
 
 def _check_order(n: int) -> int:
@@ -125,9 +147,23 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
                  + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
 
     Returns (value, truncation bound, magnitude budget).  The truncation
-    bound is the first omitted term, taken either when the terms start
-    growing again or after the 20-term cap.
+    bound is the first term not added: the first below _NEGLIGIBLE times
+    the head's budget, the first that grows again, or the one after the
+    20-term cap.
+
+    Stopping at a negligible term gives the bits of the full sum.  A term
+    below 2^-106 of the budget, and every smaller one after it, is under
+    half an ulp of the value and of the budget, so adding it changes
+    neither.  polygamma's bar is trunc + E with E = eps (2 budget'
+    + 8 |total|) >= 2^-51 budget (budget' only grows from this budget), so
+    half an ulp of E exceeds 2^-105 budget, and trunc + E == E both for
+    this truncation bound and for the full sum's, a later and smaller term:
+    at y >= shift_threshold(n) each term is at most 0.4575 times the one
+    before (the largest |c_(j+1)/c_j| / y^2 over n <= 40, j < 20), so the
+    terms never grow again there.  E is a normal number unless y^-(n+2)
+    underflowed to 0, and then every term and both bounds are 0.
     """
+    neg_n, n_plus_1, neg_n_plus_2, _, fact_nm1, fact_nm1_n = _ORDERS[n]
     inv2 = 1.0 / (y * y)
     # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
     if n == 0:
@@ -135,17 +171,16 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
         budget = abs(value) + 1.0 / y
         power = inv2
     else:
-        fact_nm1 = _FACTORIAL_FLOATS[n - 1]
-        lead = fact_nm1 * y ** float(-n)
-        half = fact_nm1 * n / (2.0 * y ** float(n + 1))
-        value = lead + half
-        budget = lead + half
-        power = y ** float(-(n + 2))
+        lead = fact_nm1 * y**neg_n
+        half = fact_nm1_n / (2.0 * y**n_plus_1)
+        value = budget = lead + half
+        power = y**neg_n_plus_2
+    negligible = _NEGLIGIBLE * budget
     prev = math.inf
     for c in _SERIES_ROWS[n]:
         term = c * power
         size = abs(term)
-        if size >= prev:
+        if size < negligible or size >= prev:
             return value, size, budget
         value += term
         budget += size
@@ -168,7 +203,8 @@ def polygamma(n: int, x: float) -> EvalResult:
     """
     n = _check_order(n)
     x = _check_x(x)
-    shift_count = max(0, math.ceil(shift_threshold(n) - x))
+    threshold = _THRESHOLD_FLOATS[n]
+    shift_count = math.ceil(threshold - x) if x < threshold else 0
     y = x + shift_count
     series, trunc, budget = _asymptotic(n, y)
     if n == 0:
@@ -179,12 +215,13 @@ def polygamma(n: int, x: float) -> EvalResult:
         budget += shift
         err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
         return _result(value, err)
-    fact = _FACTORIAL_FLOATS[n]
+    exponent = _ORDERS[n][3]  # -(n + 1)
     acc = 0.0
     for j in range(shift_count):
-        acc += (x + j) ** float(-(n + 1))
-    mag_total = series + fact * acc
-    budget += fact * acc
+        acc += (x + j) ** exponent
+    fact_acc = _FACTORIAL_FLOATS[n] * acc
+    mag_total = series + fact_acc
+    budget += fact_acc
     sign = 1.0 if n % 2 == 1 else -1.0
     err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
     return _result(sign * mag_total, err)
@@ -197,13 +234,14 @@ def factorial_over_power(n: int, x: float) -> float:
     """
     n = _check_order(n)
     x = _check_x(x)
-    log_value = math.lgamma(n + 1) - (n + 1) * math.log(x)
+    exponent = _ORDERS[n][1]  # n + 1
+    log_value = _LOG_FACTORIAL_FLOATS[n] - exponent * math.log(x)
     if log_value > _LOG_MAX:
         return math.inf
     if log_value < -745.0:
         return 0.0
     try:
-        p = x ** float(n + 1)
+        p = x**exponent
     except OverflowError:
         return math.exp(log_value)
     if p == 0.0 or not math.isfinite(p):

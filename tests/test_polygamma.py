@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from polycm import (
 )
 from polycm.cm import _polygamma_array
 from polycm.constants import GAMMA_EULER
-from polycm.polygamma import shift_threshold
+from polycm.polygamma import _COEFFICIENTS, _EPS, _result, shift_threshold
 
 # classical closed forms: psi and its derivatives at 1, 1/2 and 2
 KNOWN_VALUES = [
@@ -203,3 +204,118 @@ def test_array_kernel_raises_where_the_engine_raises():
             polygamma(n, x)
         with pytest.raises(OverflowError, match=match):
             _polygamma_array(np.array([3, n, 40]), np.array([2.5, x, 1e-7]))
+
+
+# The engine as it was before the per-order tables and the negligible-term
+# stop: every call forms its constants with float() and runs the series to
+# its 20-term cap.  The current engine must match it bit for bit.
+def _reference_asymptotic(n, y):
+    inv2 = 1.0 / (y * y)
+    if n == 0:
+        value = math.log(y) - 0.5 / y
+        budget = abs(value) + 1.0 / y
+        power = inv2
+    else:
+        fact_nm1 = float(math.factorial(n - 1))
+        lead = fact_nm1 * y ** float(-n)
+        half = fact_nm1 * n / (2.0 * y ** float(n + 1))
+        value = lead + half
+        budget = lead + half
+        power = y ** float(-(n + 2))
+    prev = math.inf
+    for c in _COEFFICIENTS[n][:20]:
+        term = c * power
+        size = abs(term)
+        if size >= prev:
+            return value, size, budget
+        value += term
+        budget += size
+        prev = size
+        power *= inv2
+    return value, abs(_COEFFICIENTS[n][20] * power), budget
+
+
+def _reference_polygamma(n, x):
+    shift_count = max(0, math.ceil(float(max(10, n + 8)) - x))
+    series, trunc, budget = _reference_asymptotic(n, x + shift_count)
+    if n == 0:
+        shift = 0.0
+        for j in range(shift_count):
+            shift += 1.0 / (x + j)
+        value = series - shift
+        budget += shift
+        err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
+        return _result(value, err)
+    fact = float(math.factorial(n))
+    acc = 0.0
+    for j in range(shift_count):
+        acc += (x + j) ** float(-(n + 1))
+    mag_total = series + fact * acc
+    budget += fact * acc
+    sign = 1.0 if n % 2 == 1 else -1.0
+    err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
+    return _result(sign * mag_total, err)
+
+
+def _reference_factorial_over_power(n, x):
+    log_value = math.lgamma(n + 1) - (n + 1) * math.log(x)
+    if log_value > math.log(sys.float_info.max):
+        return math.inf
+    if log_value < -745.0:
+        return 0.0
+    try:
+        p = x ** float(n + 1)
+    except OverflowError:
+        return math.exp(log_value)
+    if p == 0.0 or not math.isfinite(p):
+        return math.exp(log_value)
+    return float(math.factorial(n)) / p
+
+
+def _outcome(f, n, x):
+    """Hex of the value (and bar), or the exception's type and message."""
+    try:
+        r = f(n, x)
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(r, float):
+        return r.hex()
+    return r.value.hex(), r.abs_error_estimate.hex()
+
+
+def _bit_identity_points(n):
+    """A log grid over [1e-3, 1e300], the shift threshold and its one-ulp
+    neighbours, and the arguments at which a power the engine or
+    factorial_over_power forms, x^e or y^e for e in {n, n + 1, n + 2},
+    crosses the overflow, underflow and subnormal edges of binary64."""
+    xs = np.geomspace(1e-3, 1e300, 400).tolist()
+    t = shift_threshold(n)
+    xs += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), t - 1.0, t + 1.0]
+    edges = (math.log(sys.float_info.max), math.log(sys.float_info.min), -744.44, -745.2)
+    for e in {n, n + 1, n + 2} - {0}:
+        for log_edge in edges:
+            for sign in (1.0, -1.0):
+                if abs(log_edge) / e < 709.0:
+                    centre = math.exp(sign * log_edge / e)
+                    xs += [centre * (1.0 + k * 2e-4) for k in range(-6, 7)]
+    return xs
+
+
+@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+def test_engine_matches_the_full_series_bit_for_bit(n):
+    # the series may stop early only where no later term can move a bit
+    for x in _bit_identity_points(n):
+        assert _outcome(polygamma, n, x) == _outcome(_reference_polygamma, n, x), (n, x)
+        assert _outcome(factorial_over_power, n, x) == _outcome(
+            _reference_factorial_over_power, n, x
+        ), (n, x)
+
+
+def test_series_terms_shrink_from_the_shift_threshold_on():
+    # the premise of the negligible-term stop: at y >= shift_threshold(n)
+    # each term is below the one before (at most 0.4575 of it), so the full
+    # sum's truncation bound is smaller than the first negligible term
+    for n, row in enumerate(_COEFFICIENTS):
+        for j in range(20):
+            ratio = abs(row[j + 1] / row[j]) / shift_threshold(n) ** 2
+            assert ratio < 0.4575, (n, j, ratio)

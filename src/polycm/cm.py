@@ -51,7 +51,8 @@ from .polygamma import (
 SIGN_GUARD = 1e3
 
 #: Samples per array-kernel call in cm_scan; bounds the scan's working
-#: memory whatever the number of grid points.
+#: memory whatever the number of grid points: the kernel's shift pass holds
+#: at most 48 steps of 2 x _SCAN_BLOCK elements.
 _SCAN_BLOCK = 4096
 
 #: ln m! for every order, to screen factorial_over_power's branches.
@@ -228,11 +229,14 @@ _COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
 _FACTORIALS = np.array(_FACTORIAL_FLOATS)
 _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 
-#: CPython's ** raises OverflowError where libm reports a range error: an
-#: infinite or a subnormal result.  numpy's power never raises, so a power
-#: outside [_TINY, _HUGE] sends its element back to the scalar engine.  The
-#: factor of two keeps an ulp of difference between numpy's power and libm's
-#: pow from putting the two on different sides of the edge.
+#: numpy's power never raises, and its SIMD loops can differ from libm's
+#: pow by an ulp (on 5% of random powers on an AVX-512 Xeon, numpy 2.4).
+#: CPython's ** raises OverflowError where the power overflows, and returns
+#: a subnormal power with its precision cut short; so a power outside
+#: [_TINY, _HUGE] sends its element back to the scalar engine, which raises
+#: or evaluates it as polygamma does.  The factor of two keeps an ulp of
+#: difference between the two powers from putting them on different sides
+#: of either edge.
 _TINY = 2.0 * sys.float_info.min
 _HUGE = 0.5 * sys.float_info.max
 
@@ -246,40 +250,40 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Orders and arguments must already be valid.  Each element goes through
     polygamma's steps: its own shift count, the same head, the same series
-    with its own stop, and the same error bar.  The kernel runs all 20
-    series terms; the scalar engine stops once a term is negligible, with
-    the bits of the full sum (see polygamma._asymptotic).  Values can
-    differ from the scalar ones by the last-ulp differences between numpy's
-    power and log and libm's.  An element for which the scalar engine would
-    raise, or could, is evaluated by polygamma itself, looked up in this
-    module as _gap looks it up, in index order; so the first one that raises
-    raises what [polygamma(*e) for e in zip(n, x)] would raise.
+    and the same error bar.  The kernel runs all 20 series terms; the
+    scalar engine stops once a term is negligible, with the bits of the
+    full sum (see polygamma._asymptotic).  Values can differ from the
+    scalar ones by the last-ulp differences between numpy's power and log
+    and libm's.  An element for which the scalar engine would raise, or
+    could, is evaluated by polygamma itself, looked up in this module as
+    _gap looks it up, in index order; so the first one that raises raises
+    what [polygamma(*e) for e in zip(n, x)] would raise.
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
     zero = n == 0
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
+    ok = np.ones(x.shape, dtype=bool)
+    acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        # shift pass: sum of 1/(x+j) for n = 0, of (x+j)^-(n+1) for n >= 1,
-        # over the elements below their threshold; sorted by shift count,
-        # step j works on the prefix of those still shifting
-        below = np.flatnonzero(count)
-        below = below[np.argsort(-count[below], kind="stable")]
-        xb, eb, zb = x[below], -(order[below] + 1.0), zero[below]
-        shifting = np.searchsorted(-count[below], -np.arange(count.max(initial=0.0)))
-        accb = np.zeros_like(xb)
-        ok = np.ones(x.shape, dtype=bool)
-        for j, m in enumerate(shifting.tolist()):
-            xj = xb[:m] + j
-            term = np.power(xj, eb[:m])
-            if j == 0:
-                ok[below] = zb | _in_range(term)
-            if zb.any():
-                term = np.where(zb[:m], 1.0 / xj, term)
-            accb[:m] += term
-        acc = np.zeros_like(x)
-        acc[below] = accb
+        # shift pass: 1/(x+j) for n = 0, (x+j)^-(n+1) for n >= 1, one row
+        # per step j and one column per element below its threshold, the
+        # n = 0 columns first.  Cells past the element's own count are set
+        # to 0.0, so adding each column up in order of j, as accumulate does
+        # (a sum may pair the terms up), is the scalar engine's acc += term
+        # from 0.0.
+        digamma = np.flatnonzero(zero & (count > 0))
+        below = np.concatenate((digamma, np.flatnonzero(~zero & (count > 0))))
+        if below.size:
+            d = digamma.size
+            steps = np.arange(count.max())[:, None]
+            terms = x[below] + steps
+            np.divide(1.0, terms[:, :d], out=terms[:, :d])
+            np.power(terms[:, d:], -(order[below[d:]] + 1.0), out=terms[:, d:])
+            ok[below[d:]] = _in_range(terms[0, d:])
+            terms[steps >= count[below]] = 0.0
+            acc[below] = np.add.accumulate(terms)[-1]
 
         # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1
         y = x + count
@@ -295,27 +299,13 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
         power = np.where(zero, inv2, next_power)
 
-        # series: an element whose terms start growing again keeps that
-        # term as its truncation bound, and its power drops to zero so that
-        # nothing more is added to it
         coefficients = _COEFFICIENT_ARRAY[n]
-        trunc = np.zeros_like(x)
-        prev = np.full_like(x, math.inf)
-        running = np.ones(x.shape, dtype=bool)
         for j in range(_MAX_ASYMPTOTIC_TERMS):
             term = coefficients[:, j] * power
-            size = np.abs(term)
-            stop = running & (size >= prev)
-            if stop.any():
-                trunc[stop] = size[stop]
-                running &= ~stop
-                term[stop] = size[stop] = power[stop] = 0.0
             value += term
-            budget += size
-            prev = size
+            budget += np.abs(term)
             power *= inv2
-        last = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
-        trunc = np.where(running, last, trunc)
+        trunc = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
 
         shift = np.where(zero, acc, _FACTORIALS[n] * acc)
         total = np.where(zero, value - shift, value + shift)

@@ -148,8 +148,10 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
 
     Returns (value, truncation bound, magnitude budget).  The truncation
     bound is the first term not added: the first below _NEGLIGIBLE times
-    the head's budget, the first that grows again, or the one after the
-    20-term cap.
+    the head's budget, or the one after the 20-term cap.  The terms never
+    grow again: at y >= shift_threshold(n) each term is at most 0.4575
+    times the one before (the largest |c_(j+1)/c_j| / y^2 over n <= 40,
+    j < 20).
 
     Stopping at a negligible term gives the bits of the full sum.  A term
     below 2^-106 of the budget, and every smaller one after it, is under
@@ -157,11 +159,9 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
     neither.  polygamma's bar is trunc + E with E = eps (2 budget'
     + 8 |total|) >= 2^-51 budget (budget' only grows from this budget), so
     half an ulp of E exceeds 2^-105 budget, and trunc + E == E both for
-    this truncation bound and for the full sum's, a later and smaller term:
-    at y >= shift_threshold(n) each term is at most 0.4575 times the one
-    before (the largest |c_(j+1)/c_j| / y^2 over n <= 40, j < 20), so the
-    terms never grow again there.  E is a normal number unless y^-(n+2)
-    underflowed to 0, and then every term and both bounds are 0.
+    this truncation bound and for the full sum's, a later and smaller term.
+    E is a normal number unless y^-(n+2) underflowed to 0, and then every
+    term and both bounds are 0.
     """
     neg_n, n_plus_1, neg_n_plus_2, _, fact_nm1, fact_nm1_n = _ORDERS[n]
     inv2 = 1.0 / (y * y)
@@ -176,15 +176,13 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
         value = budget = lead + half
         power = y**neg_n_plus_2
     negligible = _NEGLIGIBLE * budget
-    prev = math.inf
     for c in _SERIES_ROWS[n]:
         term = c * power
         size = abs(term)
-        if size < negligible or size >= prev:
+        if size < negligible:
             return value, size, budget
         value += term
         budget += size
-        prev = size
         power *= inv2
     return value, abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power), budget
 
@@ -243,7 +241,5 @@ def factorial_over_power(n: int, x: float) -> float:
     try:
         p = x**exponent
     except OverflowError:
-        return math.exp(log_value)
-    if p == 0.0 or not math.isfinite(p):
         return math.exp(log_value)
     return _FACTORIAL_FLOATS[n] / p

@@ -15,7 +15,13 @@ from polycm import (
     polygamma,
     zeta_int,
 )
-from polycm.cm import _polygamma_array
+from polycm.cm import (
+    _COEFFICIENT_ARRAY,
+    _FACTORIALS,
+    _THRESHOLDS,
+    _in_range,
+    _polygamma_array,
+)
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import _COEFFICIENTS, _EPS, _result, shift_threshold
 
@@ -319,3 +325,140 @@ def test_series_terms_shrink_from_the_shift_threshold_on():
         for j in range(20):
             ratio = abs(row[j + 1] / row[j]) / shift_threshold(n) ** 2
             assert ratio < 0.4575, (n, j, ratio)
+
+
+# The array kernel as it was before its shift pass became one 2-D pass and
+# its series lost the growth stop: the elements below their threshold,
+# sorted by shift count, step j adding to the prefix still shifting; the
+# series stopping an element whose terms grow again.  The current kernel
+# must match it bit for bit.
+def _reference_polygamma_array(n, x):
+    n = np.asarray(n, dtype=np.intp)
+    x = np.asarray(x, dtype=float)
+    zero = n == 0
+    order = n.astype(float)
+    count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
+    with np.errstate(over="ignore", under="ignore"):
+        below = np.flatnonzero(count)
+        below = below[np.argsort(-count[below], kind="stable")]
+        xb, eb, zb = x[below], -(order[below] + 1.0), zero[below]
+        shifting = np.searchsorted(-count[below], -np.arange(count.max(initial=0.0)))
+        accb = np.zeros_like(xb)
+        ok = np.ones(x.shape, dtype=bool)
+        for j, m in enumerate(shifting.tolist()):
+            xj = xb[:m] + j
+            term = np.power(xj, eb[:m])
+            if j == 0:
+                ok[below] = zb | _in_range(term)
+            if zb.any():
+                term = np.where(zb[:m], 1.0 / xj, term)
+            accb[:m] += term
+        acc = np.zeros_like(x)
+        acc[below] = accb
+        y = x + count
+        inv2 = 1.0 / (y * y)
+        fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
+        lead_power = np.power(y, -order)
+        half_power = np.power(y, order + 1.0)
+        next_power = np.power(y, -(order + 2.0))
+        ok &= zero | (_in_range(lead_power) & _in_range(half_power) & _in_range(next_power))
+        head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
+        log_head = np.log(y) - 0.5 / y
+        value = np.where(zero, log_head, head)
+        budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
+        power = np.where(zero, inv2, next_power)
+        coefficients = _COEFFICIENT_ARRAY[n]
+        trunc = np.zeros_like(x)
+        prev = np.full_like(x, math.inf)
+        running = np.ones(x.shape, dtype=bool)
+        for j in range(20):
+            term = coefficients[:, j] * power
+            size = np.abs(term)
+            stop = running & (size >= prev)
+            if stop.any():
+                trunc[stop] = size[stop]
+                running &= ~stop
+                term[stop] = size[stop] = power[stop] = 0.0
+            value += term
+            budget += size
+            prev = size
+            power *= inv2
+        last = np.abs(coefficients[:, 20] * power)
+        trunc = np.where(running, last, trunc)
+        shift = np.where(zero, acc, _FACTORIALS[n] * acc)
+        total = np.where(zero, value - shift, value + shift)
+        budget += shift
+        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
+    values = np.where(zero | (n % 2 == 1), total, -total)
+    for i in np.flatnonzero(~(ok & np.isfinite(bars))):
+        r = polygamma(int(n[i]), float(x[i]))
+        values[i], bars[i] = r.value, r.abs_error_estimate
+    return values, bars
+
+
+def _kernel_outcome(kernel, n, x):
+    """Hex of every value and bar, or the exception's type and message."""
+    try:
+        values, bars = kernel(np.array(n, dtype=np.intp), np.array(x, dtype=float))
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return [(v.hex(), b.hex()) for v, b in zip(values.tolist(), bars.tolist())]
+
+
+def _assert_kernel_matches_reference(n, x):
+    assert _kernel_outcome(_polygamma_array, n, x) == _kernel_outcome(
+        _reference_polygamma_array, n, x
+    ), (n, x)
+
+
+def _engine_raises(n, x):
+    try:
+        polygamma(n, x)
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+def test_array_kernel_matches_its_previous_form_bit_for_bit(n):
+    # one block of the points the engine evaluates, one of all points, which
+    # raises what the first raising point raises, and each point alone
+    xs = _bit_identity_points(n)
+    fine = [x for x in xs if not _engine_raises(n, x)]
+    _assert_kernel_matches_reference([n] * len(fine), fine)
+    _assert_kernel_matches_reference([n] * len(xs), xs)
+    for x in xs[::7]:
+        _assert_kernel_matches_reference([n], [x])
+
+
+def test_array_kernel_mixed_shift_counts_match_bit_for_bit():
+    # every order with every shift count it can take, 1 .. 48, in one
+    # shuffled block that mixes n = 0 and n >= 1 rows, and in blocks of one
+    pairs = []
+    for n in range(MAX_ORDER + 1):
+        t = shift_threshold(n)
+        for count in range(1, int(t) + 1):
+            pairs += [(n, t - count + u) for u in (1e-3, 0.5, 0.999)]
+    pairs = [(n, x) for n, x in pairs if not _engine_raises(n, x)]
+    order = np.random.default_rng(13).permutation(len(pairs))
+    n, x = zip(*(pairs[i] for i in order))
+    _assert_kernel_matches_reference(n, x)
+    _assert_kernel_matches_reference(n[:97], x[:97])
+    for i in range(0, len(n), 41):
+        _assert_kernel_matches_reference(n[i:i + 1], x[i:i + 1])
+
+
+def test_array_kernel_without_shifts_matches_bit_for_bit():
+    # no element below its threshold: a shift pass with no steps at all
+    n = [m for m in range(MAX_ORDER + 1) for _ in range(3)]
+    x = [shift_threshold(m) * s for m in range(MAX_ORDER + 1) for s in (1.0, 1.5, 3.0)]
+    _assert_kernel_matches_reference(n, x)
+    _assert_kernel_matches_reference([0], [10.0])
+    _assert_kernel_matches_reference([40], [48.0])
+
+
+def test_array_kernel_raises_as_its_previous_form():
+    # the first raising element in index order decides, as it did
+    for n, x in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
+        _assert_kernel_matches_reference([3, 0, n, 40], [2.5, 0.25, x, 1e-7])
+        _assert_kernel_matches_reference([n], [x])

@@ -122,4 +122,4 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """
     _check_x_gt_one(grid.lo)
     endpoint = shift_gap_derivative(p, 0, 1.0)
-    return [_bound_row(p, float(x), endpoint) for x in grid.generate()]
+    return [_bound_row(p, x, endpoint) for x in grid.generate().tolist()]

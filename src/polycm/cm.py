@@ -252,12 +252,12 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     polygamma's steps: its own shift count, the same head, the same series
     and the same error bar.  The kernel runs all 20 series terms; the
     scalar engine stops once a term is negligible, with the bits of the
-    full sum (see polygamma._asymptotic).  Values can differ from the
-    scalar ones by the last-ulp differences between numpy's power and log
-    and libm's.  An element for which the scalar engine would raise, or
-    could, is evaluated by polygamma itself, looked up in this module as
-    _gap looks it up, in index order; so the first one that raises raises
-    what [polygamma(*e) for e in zip(n, x)] would raise.
+    full sum (see the series comment in polygamma).  Values can differ
+    from the scalar ones by the last-ulp differences between numpy's power
+    and log and libm's.  An element for which the scalar engine would
+    raise, or could, is evaluated by polygamma itself, looked up in this
+    module as _gap looks it up, in index order; so the first one that
+    raises raises what [polygamma(*e) for e in zip(n, x)] would raise.
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
@@ -270,9 +270,9 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # shift pass: 1/(x+j) for n = 0, (x+j)^-(n+1) for n >= 1, one row
         # per step j and one column per element below its threshold, the
         # n = 0 columns first.  Cells past the element's own count are set
-        # to 0.0, so adding each column up in order of j, as accumulate does
-        # (a sum may pair the terms up), is the scalar engine's acc += term
-        # from 0.0.
+        # to 0.0, so adding the rows to a running total from 0.0 in order of
+        # j is the scalar engine's acc += term (np.sum may pair the terms
+        # up, and np.add.accumulate runs one slow inner loop per column).
         digamma = np.flatnonzero(zero & (count > 0))
         below = np.concatenate((digamma, np.flatnonzero(~zero & (count > 0))))
         if below.size:
@@ -283,7 +283,10 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.power(terms[:, d:], -(order[below[d:]] + 1.0), out=terms[:, d:])
             ok[below[d:]] = _in_range(terms[0, d:])
             terms[steps >= count[below]] = 0.0
-            acc[below] = np.add.accumulate(terms)[-1]
+            total = np.zeros(below.size)
+            for row in terms:
+                total += row
+            acc[below] = total
 
         # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1
         y = x + count

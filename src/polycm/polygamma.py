@@ -15,13 +15,16 @@ Every result carries a conservative absolute-error estimate: the magnitude
 of the first omitted asymptotic term plus an ulp-level rounding budget over
 everything that was added.  The series stops at the first term below
 2^-106 of the head's magnitude budget: no such term, nor any after it, can
-move a bit of the value, the budget or the bar (see _asymptotic), so the
-results are those of the full 20-term sum, bit for bit.
+move a bit of the value, the budget or the bar (see the comment in
+polygamma), so the results are those of the full 20-term sum, bit for bit.
 
-The module is pure Python and imports no numpy.  polygamma is the scalar
-reference for the array kernel in polycm.cm, which runs the same steps and
-the same error-bar formula over whole arrays of orders and arguments at
-once; cm_scan evaluates its grids through it.
+polygamma runs in one pass: a range test on each argument (the _check_*
+helpers run only to raise their messages), the shift, the series and the
+fold inline, and a result validated once by _result.  The module is pure
+Python and imports no numpy.  polygamma is the scalar reference for the
+array kernel in polycm.cm, which runs the same steps and the same
+error-bar formula over whole arrays of orders and arguments at once;
+cm_scan evaluates its grids through it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _EPS = sys.float_info.epsilon
 _LOG_MAX = math.log(sys.float_info.max)
 _MAX_ASYMPTOTIC_TERMS = 20
 #: The series stops before a term below this fraction of the head's
-#: magnitude budget; see _asymptotic for why no bit moves.
+#: magnitude budget; see polygamma for why no bit moves.
 _NEGLIGIBLE = 2.0**-106
 #: n! for every order as Python floats, so scalar results stay plain floats.
 _FACTORIAL_FLOATS = tuple(float(math.factorial(n)) for n in range(MAX_ORDER + 1))
@@ -64,10 +67,24 @@ class EvalResult:
 
 def _result(value: float, bar: float) -> EvalResult:
     """EvalResult for a computed value and bar; OverflowError, not the
-    ValueError of a bad bar passed in, when either has left binary64."""
+    ValueError of a bad bar passed in, when either has left binary64.
+
+    A finite bar >= 0 passes __post_init__'s check, so the frozen result
+    is built as the constructor builds it, without running that check
+    again.  A negative bar goes through the constructor and raises its
+    ValueError.
+    """
     if not (math.isfinite(value) and math.isfinite(bar)):
         raise OverflowError(f"result left the binary64 range: {value!r} with error bar {bar!r}")
-    return EvalResult(value, bar)
+    if bar < 0.0:
+        return EvalResult(value, bar)
+    # set, not written into result.__dict__ (which is faster): on CPython
+    # 3.11 a materialised __dict__ costs 64 bytes more per result and can
+    # unshare the class's key table, so that constructed results grow too
+    result = object.__new__(EvalResult)
+    object.__setattr__(result, "value", value)
+    object.__setattr__(result, "abs_error_estimate", bar)
+    return result
 
 
 def shift_threshold(n: int) -> float:
@@ -139,31 +156,52 @@ _COEFFICIENTS = tuple(
 _SERIES_ROWS = tuple(row[:_MAX_ASYMPTOTIC_TERMS] for row in _COEFFICIENTS)
 
 
-def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
-    """psi(y) for n = 0, |psi_n(y)| for n >= 1, at y >= shift_threshold(n):
+def polygamma(n: int, x: float) -> EvalResult:
+    """psi_n(x) for integer order 0 <= n <= 40 and x > 0.
 
-    psi(y)     = ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
-    |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
-                 + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
-
-    Returns (value, truncation bound, magnitude budget).  The truncation
-    bound is the first term not added: the first below _NEGLIGIBLE times
-    the head's budget, or the one after the 20-term cap.  The terms never
-    grow again: at y >= shift_threshold(n) each term is at most 0.4575
-    times the one before (the largest |c_(j+1)/c_j| / y^2 over n <= 40,
-    j < 20).
-
-    Stopping at a negligible term gives the bits of the full sum.  A term
-    below 2^-106 of the budget, and every smaller one after it, is under
-    half an ulp of the value and of the budget, so adding it changes
-    neither.  polygamma's bar is trunc + E with E = eps (2 budget'
-    + 8 |total|) >= 2^-51 budget (budget' only grows from this budget), so
-    half an ulp of E exceeds 2^-105 budget, and trunc + E == E both for
-    this truncation bound and for the full sum's, a later and smaller term.
-    E is a normal number unless y^-(n+2) underflowed to 0, and then every
-    term and both bounds are 0.
+    Relative accuracy is ~1e-14 across x in [1e-3, 1e6]; the returned error
+    estimate is an over-bound on the actual absolute error.  OverflowError
+    is raised, rather than a silently degraded value, wherever the value,
+    its bar or an intermediate power leaves binary64 range: at small x,
+    where orders near the cap push the recurrence terms past it, and at
+    large x, where y^(n+1) in the asymptotic head overflows although the
+    result need not (polygamma(28, 1.2e11) raises; its value, about
+    -6.6e-283, is representable).
     """
-    neg_n, n_plus_1, neg_n_plus_2, _, fact_nm1, fact_nm1_n = _ORDERS[n]
+    # one range test each; the checkers run only to raise their own messages
+    n = operator.index(n)
+    if not 0 <= n <= MAX_ORDER:
+        _check_order(n)
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        _check_x(x)
+    threshold = _THRESHOLD_FLOATS[n]
+    shift_count = math.ceil(threshold - x) if x < threshold else 0
+    y = x + shift_count
+
+    # The asymptotic series at y >= shift_threshold(n):
+    #
+    #   psi(y)     = ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
+    #   |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
+    #                + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
+    #
+    # giving value, truncation bound trunc and magnitude budget.  trunc is
+    # the first term not added: the first below _NEGLIGIBLE times the
+    # head's budget, or the one after the 20-term cap.  The terms never
+    # grow again: at y >= shift_threshold(n) each term is at most 0.4575
+    # times the one before (the largest |c_(j+1)/c_j| / y^2 over n <= 40,
+    # j < 20).
+    #
+    # Stopping at a negligible term gives the bits of the full sum.  A term
+    # below 2^-106 of the budget, and every smaller one after it, is under
+    # half an ulp of the value and of the budget, so adding it changes
+    # neither.  The bar is trunc + E with E = eps (2 budget' + 8 |total|)
+    # >= 2^-51 budget (budget' only grows from this budget), so half an ulp
+    # of E exceeds 2^-105 budget, and trunc + E == E both for this
+    # truncation bound and for the full sum's, a later and smaller term.
+    # E is a normal number unless y^-(n+2) underflowed to 0, and then every
+    # term and both bounds are 0.
+    neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n = _ORDERS[n]
     inv2 = 1.0 / (y * y)
     # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
     if n == 0:
@@ -180,49 +218,31 @@ def _asymptotic(n: int, y: float) -> tuple[float, float, float]:
         term = c * power
         size = abs(term)
         if size < negligible:
-            return value, size, budget
+            trunc = size
+            break
         value += term
         budget += size
         power *= inv2
-    return value, abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power), budget
+    else:
+        trunc = abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power)
 
-
-def polygamma(n: int, x: float) -> EvalResult:
-    """psi_n(x) for integer order 0 <= n <= 40 and x > 0.
-
-    Relative accuracy is ~1e-14 across x in [1e-3, 1e6]; the returned error
-    estimate is an over-bound on the actual absolute error.  OverflowError
-    is raised, rather than a silently degraded value, wherever the value,
-    its bar or an intermediate power leaves binary64 range: at small x,
-    where orders near the cap push the recurrence terms past it, and at
-    large x, where y^(n+1) in the asymptotic head overflows although the
-    result need not (polygamma(28, 1.2e11) raises; its value, about
-    -6.6e-283, is representable).
-    """
-    n = _check_order(n)
-    x = _check_x(x)
-    threshold = _THRESHOLD_FLOATS[n]
-    shift_count = math.ceil(threshold - x) if x < threshold else 0
-    y = x + shift_count
-    series, trunc, budget = _asymptotic(n, y)
     if n == 0:
         shift = 0.0
         for j in range(shift_count):
             shift += 1.0 / (x + j)
-        value = series - shift
+        value -= shift
         budget += shift
         err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
         return _result(value, err)
-    exponent = _ORDERS[n][3]  # -(n + 1)
+    # for n >= 1, value is |psi_n| until the sign (-1)^(n+1) goes on at the end
     acc = 0.0
     for j in range(shift_count):
-        acc += (x + j) ** exponent
+        acc += (x + j) ** neg_n_plus_1
     fact_acc = _FACTORIAL_FLOATS[n] * acc
-    mag_total = series + fact_acc
+    value += fact_acc
     budget += fact_acc
-    sign = 1.0 if n % 2 == 1 else -1.0
-    err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
-    return _result(sign * mag_total, err)
+    err = trunc + _EPS * (2.0 * budget + 8.0 * value)
+    return _result(value if n % 2 == 1 else -value, err)
 
 
 def factorial_over_power(n: int, x: float) -> float:
@@ -230,8 +250,12 @@ def factorial_over_power(n: int, x: float) -> float:
 
     Returns inf (or 0.0) when the true value leaves binary64 range.
     """
-    n = _check_order(n)
-    x = _check_x(x)
+    n = operator.index(n)
+    if not 0 <= n <= MAX_ORDER:
+        _check_order(n)
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        _check_x(x)
     exponent = _ORDERS[n][1]  # n + 1
     log_value = _LOG_FACTORIAL_FLOATS[n] - exponent * math.log(x)
     if log_value > _LOG_MAX:

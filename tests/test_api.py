@@ -145,3 +145,24 @@ def test_star_import_binds_exactly_all():
         "from polycm import *\n"
         "print(json.dumps(sorted(set(globals()) - before - {'before'})))"
     ) == sorted(PUBLIC)
+
+
+def test_engine_results_take_no_more_memory_than_constructed_ones():
+    # the engine builds its results without the constructor.  Filling
+    # result.__dict__ there would be faster, but on CPython 3.11 it
+    # materialises a dict per result, and can unshare the class's key table
+    # so that constructed results grow as well; a fresh interpreter sees both
+    before, engine, after = fresh(
+        "import json, tracemalloc\n"
+        "from polycm.polygamma import EvalResult, _result\n"
+        "values = [float(i) for i in range(2000)]\n"
+        "def bytes_per_result(build):\n"
+        "    tracemalloc.start()\n"
+        "    kept = [build(v, 1.0) for v in values]\n"
+        "    size = tracemalloc.get_traced_memory()[0]\n"
+        "    tracemalloc.stop()\n"
+        "    return size / len(kept)\n"
+        "print(json.dumps([bytes_per_result(EvalResult), bytes_per_result(_result),\n"
+        "                  bytes_per_result(EvalResult)]))"
+    )
+    assert engine <= before + 8.0 and after <= before + 8.0, (before, engine, after)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -23,7 +24,14 @@ from polycm.cm import (
     _polygamma_array,
 )
 from polycm.constants import GAMMA_EULER
-from polycm.polygamma import _COEFFICIENTS, _EPS, _result, shift_threshold
+from polycm.polygamma import (
+    _COEFFICIENTS,
+    _EPS,
+    _check_order,
+    _check_x,
+    _result,
+    shift_threshold,
+)
 
 # classical closed forms: psi and its derivatives at 1, 1/2 and 2
 KNOWN_VALUES = [
@@ -151,6 +159,81 @@ def test_eval_result_validation():
         EvalResult(1.0, -1e-30)
     with pytest.raises(ValueError):
         EvalResult(1.0, math.nan)
+
+
+def _raised(f, *args):
+    """The type and message of what f(*args) raises."""
+    try:
+        f(*args)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        return type(e), str(e)
+    raise AssertionError(f"{f.__name__}{args!r} returned")
+
+
+def test_engine_results_keep_the_public_contract():
+    # _result builds its results without the constructor; they must be
+    # indistinguishable from the ones the constructor builds
+    for r in (polygamma(0, 0.5), polygamma(5, 123.0), _result(-2.5, 0.0), _result(1.0, -0.0)):
+        public = EvalResult(r.value, r.abs_error_estimate)
+        assert type(r) is EvalResult
+        assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
+        assert dataclasses.asdict(r) == dataclasses.asdict(public)
+        assert list(vars(r).items()) == list(vars(public).items())
+        for field in ("value", "abs_error_estimate"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, field, 0.0)
+    assert _raised(_result, 1.0, -1.0) == (
+        ValueError, "abs_error_estimate must be finite and >= 0, got -1.0"
+    )
+    assert _raised(_result, math.nan, 1.0) == (
+        OverflowError, "result left the binary64 range: nan with error bar 1.0"
+    )
+    assert _raised(_result, 1.0, math.inf) == (
+        OverflowError, "result left the binary64 range: 1.0 with error bar inf"
+    )
+
+
+BAD_ARGUMENTS = [
+    (math.nan, "x must be finite, got nan"),
+    (math.inf, "x must be finite, got inf"),
+    (-math.inf, "x must be finite, got -inf"),
+    (0.0, "x must be positive, got 0.0"),
+    (-0.0, "x must be positive, got -0.0"),
+    (-1e-300, "x must be positive, got -1e-300"),
+]
+BAD_ORDERS = [
+    (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    ("3", TypeError, "'str' object cannot be interpreted as an integer"),
+    (-1, ValueError, f"derivative order must be in [0, {MAX_ORDER}], got -1"),
+    (MAX_ORDER + 1, ValueError, f"derivative order must be in [0, {MAX_ORDER}], got 41"),
+]
+
+
+@pytest.mark.parametrize("f", [polygamma, factorial_over_power])
+@pytest.mark.parametrize("x,message", BAD_ARGUMENTS)
+def test_bad_argument_raises_the_checkers_message(f, x, message):
+    assert _raised(f, 3, x) == _raised(_check_x, x) == (ValueError, message)
+
+
+@pytest.mark.parametrize("f", [polygamma, factorial_over_power])
+@pytest.mark.parametrize("n,kind,message", BAD_ORDERS)
+def test_bad_order_raises_the_checkers_message(f, n, kind, message):
+    assert _raised(f, n, 1.0) == _raised(_check_order, n) == (kind, message)
+    # the order is checked before the argument
+    assert _raised(f, n, math.nan) == (kind, message)
+
+
+def test_argument_checks_accept_what_the_checkers_accept():
+    # the smallest subnormal passes the check; only the value overflows
+    assert _raised(polygamma, 3, 5e-324)[0] is OverflowError
+    assert factorial_over_power(3, 5e-324) == math.inf
+    for f in (polygamma, factorial_over_power):
+        assert f(True, 2.0) == f(1, 2.0)
+        assert f(np.int64(3), 2.0) == f(3, 2.0)
+        assert f(3, np.float64(2.0)) == f(3, 2.0)
+    r = polygamma(3, np.float64(2.0))
+    assert type(r.value) is float and type(r.abs_error_estimate) is float
+    assert type(factorial_over_power(3, np.float64(2.0))) is float
 
 
 def test_factorial_over_power_basic():

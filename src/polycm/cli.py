@@ -4,7 +4,7 @@ Verbs:
   eval           engine value and error estimate for psi_n at one point
   verify-cm      grid scan of the complete-monotonicity sign pattern
   verify-bounds  two-sided bound check over a grid above x = 1
-  table          the same bound rows, emitted as csv or json
+  table          verify-bounds at --tol 0, emitted as csv or as json rows
   constants      the four reference endpoint constants against closed forms
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
@@ -39,6 +39,25 @@ _REFERENCE_CONSTANTS = (
 )
 
 
+def _grid_verb(sub, verb, summary, lo, hi, points, formats, *, max_order=False, tol_help=None):
+    """A verb over (a, k) on a grid: --a --k --lo --hi --points --format, with
+    this verb's grid defaults and formats (the first is the default).  --tol
+    is declared only with its tol_help; without one, tol is fixed at 0.0."""
+    p = sub.add_parser(verb, help=summary)
+    p.add_argument("--a", type=float, required=True, help="shift in (0, 1)")
+    p.add_argument("--k", type=int, required=True, help="base derivative order")
+    if max_order:
+        p.add_argument("--max-order", type=int, default=8)
+    p.add_argument("--lo", type=float, default=lo)
+    p.add_argument("--hi", type=float, default=hi)
+    p.add_argument("--points", type=int, default=points)
+    if tol_help is None:
+        p.set_defaults(tol=0.0)
+    else:
+        p.add_argument("--tol", type=float, default=0.0, help=tol_help)
+    p.add_argument("--format", choices=formats, default=formats[0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycm",
@@ -51,32 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True, help="argument, x > 0")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_cm = sub.add_parser("verify-cm", help="scan the sign pattern of the gap derivatives")
-    p_cm.add_argument("--a", type=float, required=True, help="shift in (0, 1)")
-    p_cm.add_argument("--k", type=int, required=True, help="base derivative order")
-    p_cm.add_argument("--max-order", type=int, default=8)
-    p_cm.add_argument("--lo", type=float, default=0.1)
-    p_cm.add_argument("--hi", type=float, default=100.0)
-    p_cm.add_argument("--points", type=int, default=60)
-    p_cm.add_argument("--tol", type=float, default=0.0, help="extra floor the minimum must clear")
-    p_cm.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_vb = sub.add_parser("verify-bounds", help="check the two-sided bounds on a grid")
-    p_vb.add_argument("--a", type=float, required=True)
-    p_vb.add_argument("--k", type=int, required=True)
-    p_vb.add_argument("--lo", type=float, default=1.001)
-    p_vb.add_argument("--hi", type=float, default=1000.0)
-    p_vb.add_argument("--points", type=int, default=50)
-    p_vb.add_argument("--tol", type=float, default=0.0, help="margin floor, absolute")
-    p_vb.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p_tab = sub.add_parser("table", help="emit the bound rows")
-    p_tab.add_argument("--a", type=float, required=True)
-    p_tab.add_argument("--k", type=int, required=True)
-    p_tab.add_argument("--lo", type=float, default=1.001)
-    p_tab.add_argument("--hi", type=float, default=1000.0)
-    p_tab.add_argument("--points", type=int, default=50)
-    p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
+    _grid_verb(sub, "verify-cm", "scan the sign pattern of the gap derivatives",
+               0.1, 100.0, 60, ("text", "json"), max_order=True,
+               tol_help="extra floor the minimum must clear")
+    _grid_verb(sub, "verify-bounds", "check the two-sided bounds on a grid",
+               1.001, 1000.0, 50, ("text", "json", "csv"), tol_help="margin floor, absolute")
+    # the verify-bounds handler at --tol 0; its json is the bare list of rows
+    _grid_verb(sub, "table", "emit the bound rows", 1.001, 1000.0, 50, ("csv", "json"))
 
     p_const = sub.add_parser("constants", help="reference endpoint constants at a = 1/2")
     p_const.add_argument("--tol", type=float, default=None, help="override the per-k tolerances")
@@ -135,9 +135,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _shift_grid(args) -> tuple[ShiftParams, GridSpec]:
+    return (ShiftParams(a=args.a, k=args.k),
+            GridSpec(lo=args.lo, hi=args.hi, points=args.points))
+
+
 def _cmd_verify_cm(args) -> int:
-    params = ShiftParams(a=args.a, k=args.k)
-    grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+    params, grid = _shift_grid(args)
     tol = _check_tol(args.tol)
     report = cm_scan(params, args.max_order, grid)
     ok = report.passed and report.min_signed_value > tol
@@ -165,8 +169,8 @@ def _cmd_verify_cm(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    params = ShiftParams(a=args.a, k=args.k)
-    grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+    """verify-bounds, and table: the same rows and verdict at --tol 0."""
+    params, grid = _shift_grid(args)
     tol = _check_tol(args.tol)
     rows = bound_table(params, grid)
     worst = min(min(r.lower_margin, r.upper_margin) for r in rows)
@@ -174,8 +178,11 @@ def _cmd_verify_bounds(args) -> int:
     if args.format == "csv":
         _emit_rows_csv(rows, sys.stdout)
     elif args.format == "json":
-        print(json.dumps({"a": params.a, "k": params.k, "rows": [asdict(r) for r in rows],
-                          "worst_margin": worst, "tol": tol, "ok": ok}))
+        payload = [asdict(r) for r in rows]
+        if args.verb != "table":
+            payload = {"a": params.a, "k": params.k, "rows": payload,
+                       "worst_margin": worst, "tol": tol, "ok": ok}
+        print(json.dumps(payload))
     else:
         print(
             f"bounds a={_g(params.a)} k={params.k} on {grid.points} points "
@@ -183,17 +190,6 @@ def _cmd_verify_bounds(args) -> int:
         )
         print("PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _cmd_table(args) -> int:
-    params = ShiftParams(a=args.a, k=args.k)
-    grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
-    rows = bound_table(params, grid)
-    if args.format == "json":
-        print(json.dumps([asdict(r) for r in rows]))
-    else:
-        _emit_rows_csv(rows, sys.stdout)
-    return 0 if all(r.passed for r in rows) else 1
 
 
 def _cmd_constants(args) -> int:
@@ -229,7 +225,7 @@ _DISPATCH = {
     "eval": _cmd_eval,
     "verify-cm": _cmd_verify_cm,
     "verify-bounds": _cmd_verify_bounds,
-    "table": _cmd_table,
+    "table": _cmd_verify_bounds,
     "constants": _cmd_constants,
 }
 

@@ -166,7 +166,8 @@ def polygamma(n: int, x: float) -> EvalResult:
     where orders near the cap push the recurrence terms past it, and at
     large x, where y^(n+1) in the asymptotic head overflows although the
     result need not (polygamma(28, 1.2e11) raises; its value, about
-    -6.6e-283, is representable).
+    -6.6e-283, is representable).  Its message names n and x, as in
+    "psi_28(120000000000.0) left the binary64 range".
     """
     # one range test each; the checkers run only to raise their own messages
     n = operator.index(n)
@@ -175,74 +176,80 @@ def polygamma(n: int, x: float) -> EvalResult:
     x = float(x)
     if not 0.0 < x < math.inf:
         _check_x(x)
-    threshold = _THRESHOLD_FLOATS[n]
-    shift_count = math.ceil(threshold - x) if x < threshold else 0
-    y = x + shift_count
+    # ** raises OverflowError where a power overflows, and _result where the
+    # value or its bar did (a division overflows to inf silently): one
+    # message for either
+    try:
+        threshold = _THRESHOLD_FLOATS[n]
+        shift_count = math.ceil(threshold - x) if x < threshold else 0
+        y = x + shift_count
 
-    # The asymptotic series at y >= shift_threshold(n):
-    #
-    #   psi(y)     = ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
-    #   |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
-    #                + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
-    #
-    # giving value, truncation bound trunc and magnitude budget.  trunc is
-    # the first term not added: the first below _NEGLIGIBLE times the
-    # head's budget, or the one after the 20-term cap.  The terms never
-    # grow again: at y >= shift_threshold(n) each term is at most 0.4575
-    # times the one before (the largest |c_(j+1)/c_j| / y^2 over n <= 40,
-    # j < 20).
-    #
-    # Stopping at a negligible term gives the bits of the full sum.  A term
-    # below 2^-106 of the budget, and every smaller one after it, is under
-    # half an ulp of the value and of the budget, so adding it changes
-    # neither.  The bar is trunc + E with E = eps (2 budget' + 8 |total|)
-    # >= 2^-51 budget (budget' only grows from this budget), so half an ulp
-    # of E exceeds 2^-105 budget, and trunc + E == E both for this
-    # truncation bound and for the full sum's, a later and smaller term.
-    # E is a normal number unless y^-(n+2) underflowed to 0, and then every
-    # term and both bounds are 0.
-    neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n = _ORDERS[n]
-    inv2 = 1.0 / (y * y)
-    # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
-    if n == 0:
-        value = math.log(y) - 0.5 / y
-        budget = abs(value) + 1.0 / y
-        power = inv2
-    else:
-        lead = fact_nm1 * y**neg_n
-        half = fact_nm1_n / (2.0 * y**n_plus_1)
-        value = budget = lead + half
-        power = y**neg_n_plus_2
-    negligible = _NEGLIGIBLE * budget
-    for c in _SERIES_ROWS[n]:
-        term = c * power
-        size = abs(term)
-        if size < negligible:
-            trunc = size
-            break
-        value += term
-        budget += size
-        power *= inv2
-    else:
-        trunc = abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power)
+        # The asymptotic series at y >= shift_threshold(n):
+        #
+        #   psi(y)     = ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
+        #   |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
+        #                + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
+        #
+        # giving value, truncation bound trunc and magnitude budget.  trunc is
+        # the first term not added: the first below _NEGLIGIBLE times the
+        # head's budget, or the one after the 20-term cap.  The terms never
+        # grow again: at y >= shift_threshold(n) each term is at most 0.4575
+        # times the one before (the largest |c_(j+1)/c_j| / y^2 over n <= 40,
+        # j < 20).
+        #
+        # Stopping at a negligible term gives the bits of the full sum.  A term
+        # below 2^-106 of the budget, and every smaller one after it, is under
+        # half an ulp of the value and of the budget, so adding it changes
+        # neither.  The bar is trunc + E with E = eps (2 budget' + 8 |total|)
+        # >= 2^-51 budget (budget' only grows from this budget), so half an ulp
+        # of E exceeds 2^-105 budget, and trunc + E == E both for this
+        # truncation bound and for the full sum's, a later and smaller term.
+        # E is a normal number unless y^-(n+2) underflowed to 0, and then every
+        # term and both bounds are 0.
+        neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n = _ORDERS[n]
+        inv2 = 1.0 / (y * y)
+        # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
+        if n == 0:
+            value = math.log(y) - 0.5 / y
+            budget = abs(value) + 1.0 / y
+            power = inv2
+        else:
+            lead = fact_nm1 * y**neg_n
+            half = fact_nm1_n / (2.0 * y**n_plus_1)
+            value = budget = lead + half
+            power = y**neg_n_plus_2
+        negligible = _NEGLIGIBLE * budget
+        for c in _SERIES_ROWS[n]:
+            term = c * power
+            size = abs(term)
+            if size < negligible:
+                trunc = size
+                break
+            value += term
+            budget += size
+            power *= inv2
+        else:
+            trunc = abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power)
 
-    if n == 0:
-        shift = 0.0
+        if n == 0:
+            shift = 0.0
+            for j in range(shift_count):
+                shift += 1.0 / (x + j)
+            value -= shift
+            budget += shift
+            err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
+            return _result(value, err)
+        # for n >= 1, value is |psi_n| until the sign (-1)^(n+1) goes on at the end
+        acc = 0.0
         for j in range(shift_count):
-            shift += 1.0 / (x + j)
-        value -= shift
-        budget += shift
-        err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
-        return _result(value, err)
-    # for n >= 1, value is |psi_n| until the sign (-1)^(n+1) goes on at the end
-    acc = 0.0
-    for j in range(shift_count):
-        acc += (x + j) ** neg_n_plus_1
-    fact_acc = _FACTORIAL_FLOATS[n] * acc
-    value += fact_acc
-    budget += fact_acc
-    err = trunc + _EPS * (2.0 * budget + 8.0 * value)
-    return _result(value if n % 2 == 1 else -value, err)
+            acc += (x + j) ** neg_n_plus_1
+        fact_acc = _FACTORIAL_FLOATS[n] * acc
+        value += fact_acc
+        budget += fact_acc
+        err = trunc + _EPS * (2.0 * budget + 8.0 * value)
+        return _result(value if n % 2 == 1 else -value, err)
+    except OverflowError:
+        raise OverflowError(f"psi_{n}({x!r}) left the binary64 range") from None
 
 
 def factorial_over_power(n: int, x: float) -> float:

@@ -80,6 +80,27 @@ class TestNumericalErrors:
         assert out == ""
         assert err == "polycm: numerical error: a result left the binary64 range\n"
 
+    def test_disagreeing_endpoint_routes(self, capsys, monkeypatch):
+        # a direct route far from the quadrature's value: endpoint_constants
+        # raises ArithmeticError, which is no verification FAIL (exit 1)
+        monkeypatch.setattr(polycm.bounds, "shift_gap_derivative",
+                            lambda p, n, x: EvalResult(1.0, 1e-16))
+        code, out, err = run(["constants"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("polycm: numerical error: endpoint constant routes disagree: 1.0 vs ")
+
+    def test_quadrature_failure(self, capsys, monkeypatch):
+        def exhausted(a, k, x):
+            raise QuadratureError("needed more than 200 subdivisions for rel_tol=1e-13")
+
+        monkeypatch.setattr(polycm.bounds, "gap_integral_even", exhausted)
+        code, out, err = run(["constants"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("polycm: numerical error: quadrature failed: "
+                       "needed more than 200 subdivisions for rel_tol=1e-13\n")
+
 
 class TestVerifyCM:
     def test_pass(self, capsys):
@@ -181,6 +202,25 @@ class TestTable:
         assert set(payload[0]) >= {"x", "lower", "middle", "upper", "passed"}
 
 
+    @pytest.mark.parametrize(
+        "grid,code",
+        [
+            (["--a", "0.7", "--k", "3", "--lo", "1.25", "--hi", "200", "--points", "12"], 0),
+            # rows at the top of this grid fail: both verbs exit 1
+            (["--a", "0.034", "--k", "0", "--hi", "1.11e7"], 1),
+        ],
+    )
+    def test_is_verify_bounds_at_zero_tol(self, capsys, grid, code):
+        table = run(["table"] + grid, capsys)
+        assert table == run(["verify-bounds"] + grid + ["--format", "csv"], capsys)
+        assert table[0] == code
+        assert ("false" in table[1]) == (code == 1)
+        rows = run(["table"] + grid + ["--format", "json"], capsys)
+        report = run(["verify-bounds"] + grid + ["--format", "json"], capsys)
+        assert rows[0] == report[0] == code
+        assert json.loads(rows[1]) == json.loads(report[1])["rows"]
+
+
 class TestConstants:
     def test_text_passes(self, capsys):
         code, out, _ = run(["constants"], capsys)
@@ -201,29 +241,6 @@ class TestConstants:
         code, out, _ = run(["constants", "--tol", "1e-18"], capsys)
         assert code == 1
         assert "FAIL" in out
-
-
-class TestNumericalErrors:
-    def test_disagreeing_endpoint_routes(self, capsys, monkeypatch):
-        # a direct route far from the quadrature's value: endpoint_constants
-        # raises ArithmeticError, which is no verification FAIL (exit 1)
-        monkeypatch.setattr(polycm.bounds, "shift_gap_derivative",
-                            lambda p, n, x: EvalResult(1.0, 1e-16))
-        code, out, err = run(["constants"], capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("polycm: numerical error: endpoint constant routes disagree: 1.0 vs ")
-
-    def test_quadrature_failure(self, capsys, monkeypatch):
-        def exhausted(a, k, x):
-            raise QuadratureError("needed more than 200 subdivisions for rel_tol=1e-13")
-
-        monkeypatch.setattr(polycm.bounds, "gap_integral_even", exhausted)
-        code, out, err = run(["constants"], capsys)
-        assert code == 3
-        assert out == ""
-        assert err == ("polycm: numerical error: quadrature failed: "
-                       "needed more than 200 subdivisions for rel_tol=1e-13\n")
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -139,21 +140,6 @@ def test_large_x_uses_asymptotic_directly():
     assert r.value == pytest.approx(approx, rel=1e-13)
 
 
-def test_rejects_bad_order():
-    with pytest.raises(ValueError):
-        polygamma(-1, 1.0)
-    with pytest.raises(ValueError):
-        polygamma(MAX_ORDER + 1, 1.0)
-    with pytest.raises(TypeError):
-        polygamma(1.5, 1.0)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, math.inf, -math.inf, math.nan])
-def test_rejects_bad_argument(x):
-    with pytest.raises(ValueError):
-        polygamma(1, x)
-
-
 def test_eval_result_validation():
     with pytest.raises(ValueError):
         EvalResult(1.0, -1e-30)
@@ -200,9 +186,11 @@ BAD_ARGUMENTS = [
     (0.0, "x must be positive, got 0.0"),
     (-0.0, "x must be positive, got -0.0"),
     (-1e-300, "x must be positive, got -1e-300"),
+    (-1.0, "x must be positive, got -1.0"),
 ]
 BAD_ORDERS = [
     (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    (1.5, TypeError, "'float' object cannot be interpreted as an integer"),
     ("3", TypeError, "'str' object cannot be interpreted as an integer"),
     (-1, ValueError, f"derivative order must be in [0, {MAX_ORDER}], got -1"),
     (MAX_ORDER + 1, ValueError, f"derivative order must be in [0, {MAX_ORDER}], got 41"),
@@ -285,10 +273,10 @@ def test_array_kernel_raises_where_the_engine_raises():
     # a subnormal head power (28, 1.2e11), an overflowing shift term
     # (40, 1e-8), an infinite value and bar (40, 1e-7) and an infinite
     # digamma shift term (0, 1e-310): the scalar engine raises OverflowError
-    # for each, and the kernel raises the first of them in index order
-    for n, x, match in ((28, 122322200237.42154, "out of range"),
-                        (40, 1e-8, "out of range"), (40, 1e-7, "binary64"),
-                        (0, 1e-310, "binary64")):
+    # for each, naming its own n and x, and the kernel raises the first of
+    # them in index order: its message, not that of the (40, 1e-7) after it
+    for n, x in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
+        match = "^" + re.escape(f"psi_{n}({x!r}) left the binary64 range") + "$"
         with pytest.raises(OverflowError, match=match):
             polygamma(n, x)
         with pytest.raises(OverflowError, match=match):
@@ -392,9 +380,13 @@ def _bit_identity_points(n):
 
 @pytest.mark.parametrize("n", range(MAX_ORDER + 1))
 def test_engine_matches_the_full_series_bit_for_bit(n):
-    # the series may stop early only where no later term can move a bit
+    # the series may stop early only where no later term can move a bit;
+    # where the reference overflows, the engine raises its one message
     for x in _bit_identity_points(n):
-        assert _outcome(polygamma, n, x) == _outcome(_reference_polygamma, n, x), (n, x)
+        expected = _outcome(_reference_polygamma, n, x)
+        if expected[0] == "OverflowError":
+            expected = ("OverflowError", f"psi_{n}({x!r}) left the binary64 range")
+        assert _outcome(polygamma, n, x) == expected, (n, x)
         assert _outcome(factorial_over_power, n, x) == _outcome(
             _reference_factorial_over_power, n, x
         ), (n, x)

@@ -17,7 +17,6 @@ constants: the names of the numpy modules (cm, bounds and oracle) are
 imported on first access (PEP 562), so the scalar path never loads numpy.
 """
 
-from .constants import zeta_int
 from .polygamma import (
     MAX_ORDER,
     EvalResult,
@@ -28,7 +27,6 @@ from .polygamma import (
 #: Home module of each public name that needs numpy.
 _LAZY = {
     "BoundCheck": "bounds",
-    "bound_check": "bounds",
     "bound_table": "bounds",
     "endpoint_constants": "bounds",
     "CMScanReport": "cm",
@@ -49,7 +47,6 @@ _LAZY = {
     "gap_integral_odd": "oracle",
     "polygamma_integral": "oracle",
     "polygamma_series": "oracle",
-    "power_integral": "oracle",
 }
 
 
@@ -82,7 +79,6 @@ __all__ = [
     "RatioParams",
     "SeriesSpec",
     "ShiftParams",
-    "bound_check",
     "bound_table",
     "cm_scan",
     "cm_weight",
@@ -97,7 +93,5 @@ __all__ = [
     "polygamma",
     "polygamma_integral",
     "polygamma_series",
-    "power_integral",
     "shift_gap_derivative",
-    "zeta_int",
 ]

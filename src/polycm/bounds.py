@@ -13,7 +13,6 @@ on the open ray x > 1 and collapse to equalities at x = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cm import GridSpec, ShiftParams, _gap, shift_gap_derivative
@@ -42,13 +41,6 @@ class BoundCheck:
     lower_margin_error: float
     upper_margin_error: float
     passed: bool
-
-
-def _check_x_gt_one(x: float) -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 1.0):
-        raise ValueError(f"bounds hold on x > 1 only, got x={x!r}")
-    return x
 
 
 def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
@@ -83,19 +75,16 @@ def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
     )
 
 
-def bound_check(p: ShiftParams, x: float) -> BoundCheck:
-    """Check the parity-appropriate two-sided bound at one point x > 1."""
-    return _bound_row(p, _check_x_gt_one(x), shift_gap_derivative(p, 0, 1.0))
+def endpoint_constants(p: ShiftParams) -> EvalResult:
+    """The gap's value C(a, k) at x = 1 with its error bar, cross-checked by
+    quadrature.
 
-
-def endpoint_constants(p: ShiftParams) -> float:
-    """The gap's value C(a, k) at x = 1, cross-checked by quadrature.
-
-    C is taken directly, as shift_gap_derivative(p, 0, 1.0).  The check is
-    the quadrature of the gap's integral representation at x = 1 (negated
-    for odd k), which uses no polygamma value.  Raises ArithmeticError if the
-    two disagree beyond what their combined error bars can explain, which
-    would mean the evaluator itself is broken.
+    C is taken directly, as shift_gap_derivative(p, 0, 1.0), and returned
+    as that result.  The check is the quadrature of the gap's integral
+    representation at x = 1 (negated for odd k), which uses no polygamma
+    value.  Raises ArithmeticError if the two disagree beyond what their
+    combined error bars can explain, which would mean the evaluator itself
+    is broken.
     """
     gap = shift_gap_derivative(p, 0, 1.0)
     direct, direct_err = gap.value, gap.abs_error_estimate
@@ -110,7 +99,7 @@ def endpoint_constants(p: ShiftParams) -> float:
         raise ArithmeticError(
             f"endpoint constant routes disagree: {direct!r} vs {other!r} for {p}"
         )
-    return direct
+    return gap
 
 
 def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
@@ -120,6 +109,7 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     so it is evaluated once for the whole table, as the gap at x = 1;
     endpoint_constants cross-checks that same value by quadrature.
     """
-    _check_x_gt_one(grid.lo)
+    if not grid.lo > 1.0:
+        raise ValueError(f"bounds hold on x > 1 only, got x={grid.lo!r}")
     endpoint = shift_gap_derivative(p, 0, 1.0)
     return [_bound_row(p, x, endpoint) for x in grid.generate().tolist()]

@@ -5,7 +5,7 @@ Verbs:
   verify-cm      grid scan of the complete-monotonicity sign pattern
   verify-bounds  two-sided bound check over a grid above x = 1
   table          verify-bounds at --tol 0, emitted as csv or as json rows
-  constants      the four reference endpoint constants against closed forms
+  constants      endpoint constants at a = 1/2 against four closed forms, rounded once
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 error: a result left the binary64 range, the endpoint constant's two routes
@@ -24,18 +24,19 @@ from dataclasses import asdict
 
 from .bounds import bound_table, endpoint_constants
 from .cm import CMScanReport, GridSpec, ShiftParams, cm_scan
-from .constants import zeta_int
 from .oracle import QuadratureError
 from .polygamma import polygamma
 
 _CSV_COLUMNS = ("x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed")
 
-#: (k, human-readable closed form, callable producing it, tolerance) for a = 1/2.
+#: (k, closed form of C(1/2, k), its value rounded once to binary64).  Each
+#: row's tolerance is C's own error bar plus half an ulp of the literal, as
+#: |engine - literal| <= |engine - C| + |C - literal|.
 _REFERENCE_CONSTANTS = (
-    (0, "3/2 - 2 ln 2", lambda: 1.5 - 2.0 * math.log(2.0), 1e-12),
-    (1, "pi^2/3 - 9/2", lambda: math.pi * math.pi / 3.0 - 4.5, 1e-11),
-    (2, "15 - 12 zeta(3)", lambda: 15.0 - 12.0 * zeta_int(3), 1e-11),
-    (3, "14 pi^4/15 - 99", lambda: 14.0 * math.pi**4 / 15.0 - 99.0, 1e-10),
+    (0, "3/2 - 2 ln 2", 0.11370563888010939),
+    (1, "pi^2/3 - 9/2", -1.2101318663035472),
+    (2, "15 - 12 zeta(3)", 0.5753171620848686),
+    (3, "14 pi^4/15 - 99", -8.084848368264392),
 )
 
 
@@ -196,11 +197,10 @@ def _cmd_constants(args) -> int:
     override = None if args.tol is None else _check_tol(args.tol, nonnegative=True)
     ok = True
     entries = []
-    for k, label, closed, tol in _REFERENCE_CONSTANTS:
-        if override is not None:
-            tol = override
-        engine = endpoint_constants(ShiftParams(a=0.5, k=k))
-        target = closed()
+    for k, label, target in _REFERENCE_CONSTANTS:
+        c = endpoint_constants(ShiftParams(a=0.5, k=k))
+        engine = c.value
+        tol = c.abs_error_estimate + 0.5 * math.ulp(target) if override is None else override
         good = abs(engine - target) <= tol
         ok = ok and good
         entries.append(

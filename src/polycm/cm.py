@@ -35,6 +35,7 @@ from .polygamma import (
     _MAX_ASYMPTOTIC_TERMS,
     _THRESHOLD_FLOATS,
     EvalResult,
+    _as_float,
     _check_derivative,
     _check_order,
     _check_shift,
@@ -75,8 +76,8 @@ class RatioParams:
     beta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", _as_float(self.alpha))
+        object.__setattr__(self, "beta", _as_float(self.beta))
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha == self.beta:
@@ -105,8 +106,8 @@ class GridSpec:
     spacing: str = "logarithmic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "lo", _as_float(self.lo))
+        object.__setattr__(self, "hi", _as_float(self.hi))
         object.__setattr__(self, "points", operator.index(self.points))
         if not (math.isfinite(self.lo) and self.lo > 0.0):
             raise ValueError(f"lo must be positive, got {self.lo!r}")

@@ -1,23 +1,13 @@
-"""High-accuracy scalar constants: Euler-Mascheroni, integer zeta values, Bernoulli numbers.
+"""High-accuracy scalar constants: Euler-Mascheroni and Bernoulli numbers.
 
-Zeta at 2 and 4 comes from the closed forms pi^2/6 and pi^4/90; every other
-integer argument uses direct summation plus an Euler-Maclaurin tail, which
-keeps the truncation error certifiably below 1e-14 without special-casing
-slow convergence near s = 2.  Bernoulli numbers B_0 .. B_60 are stored as
-float literals, each the exact rational value rounded once; running their
-defining recurrence in floating point would lose most digits past B_20 to
-cancellation.
+Bernoulli numbers B_0 .. B_60 are stored as float literals, each the exact
+rational value rounded once; running their defining recurrence in floating
+point would lose most digits past B_20 to cancellation.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-
 GAMMA_EULER = 0.5772156649015328606065120900824024
-
-_EM_BASE = 20            # terms summed directly before the Euler-Maclaurin tail
-_EM_MAX_CORRECTIONS = 14
 
 
 #: B_0 .. B_60, each the binary64 value nearest the exact rational; B_m = 0
@@ -56,43 +46,3 @@ _BERNOULLI = (
     2.3865427499683627e+32, 0.0,        # B_58, B_59
     -2.1399949257225335e+34,            # B_60
 )
-
-
-def _zeta_euler_maclaurin(s: int) -> float:
-    """zeta(s) for integer s >= 2 by Euler-Maclaurin off a short direct sum.
-
-    zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
-              + sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1)
-
-    with N = 20 the first correction is already ~1e-28 relative at s = 2, so
-    the loop below terminates almost immediately; the term-size stopping rule
-    is there for form, not speed.
-    """
-    n = _EM_BASE
-    total = 0.0
-    for k in range(1, n):
-        total += float(k) ** (-s)
-    total += float(n) ** (1 - s) / (s - 1) + 0.5 * float(n) ** (-s)
-    for j in range(1, _EM_MAX_CORRECTIONS + 1):
-        term = (
-            _BERNOULLI[2 * j]
-            * math.perm(s + 2 * j - 2, 2 * j - 1)
-            / (math.factorial(2 * j) * float(n) ** (s + 2 * j - 1))
-        )
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            break
-    return total
-
-
-def zeta_int(s: int) -> float:
-    """Riemann zeta at an integer argument s >= 2, absolute error below 1e-14."""
-    s = operator.index(s)
-    if s < 2:
-        raise ValueError(f"zeta_int requires s >= 2, got {s}")
-    if s == 2:
-        return math.pi * math.pi / 6.0
-    if s == 4:
-        return math.pi**4 / 90.0
-    return _zeta_euler_maclaurin(s)
-

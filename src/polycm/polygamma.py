@@ -125,15 +125,24 @@ def _check_derivative(k: int, n: int) -> int:
     return n
 
 
+def _as_float(v: float) -> float:
+    """float(v), with an int beyond binary64 taken as the infinity of its
+    sign, so that a range check rejects it as it rejects that infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _check_shift(a: float) -> float:
-    a = float(a)
+    a = _as_float(a)
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie strictly in (0, 1), got {a!r}")
     return a
 
 
 def _check_x(x: float) -> float:
-    x = float(x)
+    x = _as_float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if x <= 0.0:
@@ -173,7 +182,11 @@ def polygamma(n: int, x: float) -> EvalResult:
     n = operator.index(n)
     if not 0 <= n <= MAX_ORDER:
         _check_order(n)
-    x = float(x)
+    # inline rather than through _as_float: a try costs nothing until it raises
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf if x > 0 else -math.inf
     if not 0.0 < x < math.inf:
         _check_x(x)
     # ** raises OverflowError where a power overflows, and _result where the
@@ -260,7 +273,10 @@ def factorial_over_power(n: int, x: float) -> float:
     n = operator.index(n)
     if not 0 <= n <= MAX_ORDER:
         _check_order(n)
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf if x > 0 else -math.inf
     if not 0.0 < x < math.inf:
         _check_x(x)
     exponent = _ORDERS[n][1]  # n + 1

@@ -25,7 +25,6 @@ PUBLIC = [
     "RatioParams",
     "SeriesSpec",
     "ShiftParams",
-    "bound_check",
     "bound_table",
     "cm_scan",
     "cm_weight",
@@ -40,9 +39,7 @@ PUBLIC = [
     "polygamma",
     "polygamma_integral",
     "polygamma_series",
-    "power_integral",
     "shift_gap_derivative",
-    "zeta_int",
 ]
 
 
@@ -50,21 +47,20 @@ PUBLIC = [
 HOMES = {
     **dict.fromkeys(["MAX_ORDER", "EvalResult", "factorial_over_power", "polygamma"],
                     "polycm.polygamma"),
-    "zeta_int": "polycm.constants",
-    **dict.fromkeys(["BoundCheck", "bound_check", "bound_table", "endpoint_constants"],
+    **dict.fromkeys(["BoundCheck", "bound_table", "endpoint_constants"],
                     "polycm.bounds"),
     **dict.fromkeys(["CMScanReport", "GridSpec", "RatioParams", "ShiftParams", "cm_scan",
                      "exp_diff_ratio", "expm1_ratio", "increasing_condition",
                      "shift_gap_derivative"], "polycm.cm"),
     **dict.fromkeys(["QuadratureError", "QuadratureSpec", "SeriesSpec", "cm_weight",
                      "digamma_series", "gap_integral_even", "gap_integral_odd",
-                     "polygamma_integral", "polygamma_series", "power_integral"],
+                     "polygamma_integral", "polygamma_series"],
                     "polycm.oracle"),
 }
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 28
+    assert len(PUBLIC) == 25
     assert polycm.__all__ == PUBLIC
 
 
@@ -102,7 +98,7 @@ def fresh(code: str):
 def test_scalar_engine_loads_no_numpy():
     assert fresh(
         "import json, sys, polycm\n"
-        "polycm.polygamma(3, 0.5), polycm.factorial_over_power(2, 3.0), polycm.zeta_int(3)\n"
+        "polycm.polygamma(3, 0.5), polycm.factorial_over_power(2, 3.0)\n"
         "print(json.dumps('numpy' in sys.modules))"
     ) is False
 

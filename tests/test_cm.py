@@ -22,7 +22,6 @@ from polycm import (
     gap_integral_odd,
     increasing_condition,
     shift_gap_derivative,
-    zeta_int,
 )
 from polycm.cm import _factorial_over_power_array, _fsum3, _gap_block, _polygamma_array
 from polycm.polygamma import _EPS
@@ -54,6 +53,8 @@ class TestExpDiffRatio:
             RatioParams(alpha=0.5, beta=0.5)
         with pytest.raises(ValueError):
             RatioParams(alpha=math.nan, beta=0.5)
+        with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+            RatioParams(alpha=10**400, beta=0.5)
         p = RatioParams(alpha=0.0, beta=0.5)
         with pytest.raises(ValueError):
             exp_diff_ratio(p, -1.0)
@@ -126,7 +127,7 @@ class TestShiftParams:
         with pytest.raises(ValueError):
             ShiftParams(a=0.5, k=41)
 
-    @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, math.nan])
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, math.nan, pytest.param(10**400, id="10**400")])
     def test_one_shift_rule(self, a):
         # ShiftParams, expm1_ratio and the oracle's weight and gap integrals
         # share one check and one message
@@ -156,6 +157,11 @@ class TestGridSpec:
             GridSpec(lo=1.0, hi=2.0, points=1)
         with pytest.raises(ValueError):
             GridSpec(lo=1.0, hi=2.0, points=5, spacing="cubic")
+        # an int beyond binary64 is rejected as the infinity of its sign
+        with pytest.raises(ValueError, match=r"^hi must exceed lo, got inf$"):
+            GridSpec(lo=1, hi=10**400, points=3)
+        with pytest.raises(ValueError, match=r"^lo must be positive, got -inf$"):
+            GridSpec(lo=-(10**400), hi=1, points=3)
 
     @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
     def test_repeated_points_are_rejected(self, spacing):

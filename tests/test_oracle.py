@@ -25,11 +25,10 @@ from polycm import (
     polygamma,
     polygamma_integral,
     polygamma_series,
-    power_integral,
     shift_gap_derivative,
-    zeta_int,
 )
 from polycm.constants import GAMMA_EULER
+from polycm.oracle import power_integral
 
 BIG = SeriesSpec(max_terms=4_000_000)
 
@@ -49,12 +48,11 @@ class TestSeries:
             assert abs(r.value - expected) <= 5e-12
 
     def test_polygamma_known_points(self):
-        # the last reference is -24 (zeta(5) - 1); written via zeta_int the
-        # subtraction from 1 would amplify zeta rounding ~650x, so the value
-        # is frozen from a 2e6-term direct summation with an integral tail
+        # -2 zeta(3) and the last reference, -24 (zeta(5) - 1), are 40-digit
+        # mpmath values rounded once
         cases = [
             (1, 1.0, math.pi * math.pi / 6.0),
-            (2, 1.0, -2.0 * zeta_int(3)),
+            (2, 1.0, -2.4041138063191885),
             (3, 0.5, math.pi**4),
             (4, 2.0, -0.8862661234408782),
         ]
@@ -131,7 +129,7 @@ class TestQuadrature:
         cases = [
             (0, 0.5, -GAMMA_EULER - 2.0 * math.log(2.0)),
             (1, 1.0, math.pi * math.pi / 6.0),
-            (2, 1.0, -2.0 * zeta_int(3)),
+            (2, 1.0, -2.4041138063191885),  # -2 zeta(3), 40-digit mpmath rounded once
             (3, 0.5, math.pi**4),
         ]
         for n, x, expected in cases:

@@ -240,32 +240,34 @@ class TestConstants:
         for e in payload["entries"]:
             assert abs(e["engine_value"] - e["closed_value"]) <= e["tol"]
 
-    def test_references_are_correctly_rounded_and_tol_is_the_bar_plus_half_an_ulp(self, capsys):
+    @pytest.mark.parametrize("row", range(4))
+    def test_references_are_correctly_rounded_and_tol_is_the_bar_plus_half_an_ulp(
+            self, row, capsys):
         # each literal is its closed form at 40 digits rounded once, bit for
         # bit; each row's tol is C's bar plus half an ulp of the literal, and
         # covers |engine - literal| because the bar covers |engine - C|
         mpmath = pytest.importorskip("mpmath")
+        assert [(k, label) for k, label, _ in polycm.cli._REFERENCE_CONSTANTS] == [
+            (0, "3/2 - 2 ln 2"), (1, "pi^2/3 - 9/2"),
+            (2, "15 - 12 zeta(3)"), (3, "14 pi^4/15 - 99"),
+        ]
+        k, _, literal = polycm.cli._REFERENCE_CONSTANTS[row]
         with mpmath.workdps(40):
-            exact = {
-                0: mpmath.mpf(3) / 2 - 2 * mpmath.log(2),
-                1: mpmath.pi**2 / 3 - mpmath.mpf(9) / 2,
-                2: 15 - 12 * mpmath.zeta(3),
-                3: 14 * mpmath.pi**4 / 15 - 99,
-            }
-            assert [(k, label) for k, label, _ in polycm.cli._REFERENCE_CONSTANTS] == [
-                (0, "3/2 - 2 ln 2"), (1, "pi^2/3 - 9/2"),
-                (2, "15 - 12 zeta(3)"), (3, "14 pi^4/15 - 99"),
-            ]
-            code, out, _ = run(["constants", "--format", "json"], capsys)
-            assert code == 0
-            entries = json.loads(out)["entries"]
-            for (k, _, literal), e in zip(polycm.cli._REFERENCE_CONSTANTS, entries):
-                assert literal.hex() == float(exact[k]).hex(), k
-                c = endpoint_constants(ShiftParams(a=0.5, k=k))
-                assert abs(mpmath.mpf(c.value) - exact[k]) <= c.abs_error_estimate, k
-                assert e["closed_value"] == literal and e["engine_value"] == c.value
-                assert e["tol"] == c.abs_error_estimate + 0.5 * math.ulp(literal), k
-                assert e["abs_diff"] <= e["tol"] and e["ok"], k
+            exact = [
+                mpmath.mpf(3) / 2 - 2 * mpmath.log(2),
+                mpmath.pi**2 / 3 - mpmath.mpf(9) / 2,
+                15 - 12 * mpmath.zeta(3),
+                14 * mpmath.pi**4 / 15 - 99,
+            ][k]
+            assert literal.hex() == float(exact).hex()
+            c = endpoint_constants(ShiftParams(a=0.5, k=k))
+            assert abs(mpmath.mpf(c.value) - exact) <= c.abs_error_estimate
+        code, out, _ = run(["constants", "--format", "json"], capsys)
+        assert code == 0
+        e = json.loads(out)["entries"][row]
+        assert e["closed_value"] == literal and e["engine_value"] == c.value
+        assert e["tol"] == c.abs_error_estimate + 0.5 * math.ulp(literal)
+        assert e["abs_diff"] <= e["tol"] and e["ok"]
 
     def test_impossible_tol_fails(self, capsys):
         code, out, _ = run(["constants", "--tol", "1e-18"], capsys)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
+from polycm import polygamma
 from polycm.constants import _BERNOULLI, GAMMA_EULER
 
 
@@ -42,6 +45,17 @@ def test_bernoulli_literals_are_the_exact_values_rounded_once():
     assert len(_BERNOULLI) == len(exact) == 61
     for m, (stored, b) in enumerate(zip(_BERNOULLI, exact)):
         assert stored.hex() == float(b).hex(), m
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_zeta_bernoulli_cross_tie(m):
+    # psi_{2m-1}(1) = (2m-1)! zeta(2m) = (-1)^(m+1) B_2m (2 pi)^(2m) / (4m)
+    # ties the Bernoulli cache to the engine's even zeta values; the engine
+    # shifts x = 1 up to its threshold before the asymptotic series applies
+    closed = (-1.0) ** (m + 1) * _BERNOULLI[2 * m] * (2.0 * math.pi) ** (2 * m) / (4.0 * m)
+    r = polygamma(2 * m - 1, 1.0)
+    assert r.value == pytest.approx(closed, rel=5e-15)
+    assert abs(r.value - closed) <= r.abs_error_estimate
 
 
 def test_scalar_constants():

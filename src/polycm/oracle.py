@@ -1,8 +1,9 @@
 """Deliberately simple evaluators used to cross-check the fast engine.
 
 Series forms sum their first max_terms terms with one exactly rounded
-math.fsum and close the rest with an Euler-Maclaurin tail whose remainder
-bound (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
+math.fsum, which reads each numpy chunk of terms through a memoryview, and
+close the rest with an Euler-Maclaurin tail whose remainder bound
+(DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate; the
 truncated upper tail is covered by an exact closed-form bound, so the
@@ -11,7 +12,9 @@ round splits every panel whose discrepancy exceeds its equal share of the
 tolerance, and the integrand is called once per round on the nodes of both
 rules of all its panels.  Each panel estimate is a sequential sum in node
 order and the totals are math.fsum over the panels, so no result depends
-on a BLAS kernel, a SIMD summation order or the order of the panels.
+on a BLAS kernel, a SIMD summation order or the order of the panels.  The
+rounds therefore keep their panels in Python lists, in whatever order
+splitting in place leaves them; only the integrand calls use arrays.
 
 Nothing here shares evaluation code with the engine; only Euler's
 constant, the argument checks, the overflow check on results and the
@@ -44,9 +47,10 @@ _SERIES_CHUNK = 1 << 16  # series terms formed per numpy call
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-#: Both node sets of one panel and their weights, evaluated together by _panels.
-_NODES = np.concatenate((_NODES_HI, _NODES_LO))
-_WEIGHTS = np.concatenate((_WEIGHTS_HI, _WEIGHTS_LO))
+#: Both node sets of one panel and their weights as columns, one row per
+#: node, evaluated together by _panels.
+_NODES = np.concatenate((_NODES_HI, _NODES_LO))[:, None]
+_WEIGHTS = np.concatenate((_WEIGHTS_HI, _WEIGHTS_LO))[:, None]
 _HI_COUNT = _NODES_HI.size
 #: The cutoff search's candidates 30/x * 2^j for j < 200 (as multipliers of
 #: 30/x), probed _PROBES_PER_CALL per integrand call.
@@ -131,15 +135,17 @@ def _fsum_series(
     """math.fsum of term(k) for k = first..count-1 and of tail, one exact rounding.
 
     The terms are formed _SERIES_CHUNK at a time, so a long sum never holds
-    more than one chunk of them.  A term that overflows does so silently, as
-    in _run_integral.
+    more than one chunk of them, and math.fsum reads each chunk's buffer
+    through a memoryview, with no list of Python floats in between; the tail
+    follows as one more part of the same flat chain.  A term that overflows
+    does so silently, as in _run_integral.
     """
     chunks = (
-        term(np.arange(lo, min(lo + _SERIES_CHUNK, count), dtype=float)).tolist()
+        memoryview(term(np.arange(lo, min(lo + _SERIES_CHUNK, count), dtype=float)))
         for lo in range(first, count, _SERIES_CHUNK)
     )
     with np.errstate(over="ignore"):
-        return math.fsum(itertools.chain(itertools.chain.from_iterable(chunks), tail))
+        return math.fsum(itertools.chain.from_iterable(itertools.chain(chunks, [tail])))
 
 
 def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
@@ -254,11 +260,13 @@ def cm_weight(a: float, t):
     Written as a * (r(t) - r(at)) / r(at) with r(t) = t/(1-e^-t) so that the
     value stays fully accurate as t -> 0, where the plain difference of two
     quotients loses every digit.  Accepts scalars or arrays; maps t = 0 to 0.
+    Every t must be finite and >= 0: nan and inf raise ValueError.
     """
     a = _check_shift(a)
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("t must be >= 0")
+    # nan fails both comparisons, so it is rejected along with -inf and inf
+    if not np.all((arr >= 0.0) & (arr < math.inf)):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     w = _weight(a, arr)
     if np.ndim(t) == 0:
         return float(w)
@@ -266,27 +274,31 @@ def cm_weight(a: float, t):
 
 
 def _panels(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    f: Callable[[np.ndarray], np.ndarray], lo: list[float], hi: list[float]
+) -> tuple[list[float], list[float]]:
     """(15-point estimates, |15-point - 7-point|) of the panels [lo[i], hi[i]].
 
-    f runs once, on the 22 nodes of every panel side by side.  Each estimate
-    is h times a sequential sum of weight * value in node order
-    (np.add.accumulate), so its bits depend on no BLAS kernel.
+    f runs once, on the 22 nodes of every panel: row j of its argument holds
+    node j of each panel.  Each estimate is h times a sequential sum of
+    weight * value in node order (np.add.accumulate down the rows), so its
+    bits depend on no BLAS kernel.
     """
+    lo = np.array(lo)
+    hi = np.array(hi)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    terms = f((c[:, None] + h[:, None] * _NODES).ravel()).reshape(-1, _NODES.size) * _WEIGHTS
-    hi_est = h * np.add.accumulate(terms[:, :_HI_COUNT], axis=1)[:, -1]
-    lo_est = h * np.add.accumulate(terms[:, _HI_COUNT:], axis=1)[:, -1]
-    return hi_est, np.abs(hi_est - lo_est)
+    terms = f((_NODES * h + c).ravel()).reshape(_NODES.size, -1) * _WEIGHTS
+    hi_est = h * np.add.accumulate(terms[:_HI_COUNT])[-1]
+    lo_est = h * np.add.accumulate(terms[_HI_COUNT:])[-1]
+    return hi_est.tolist(), np.abs(hi_est - lo_est).tolist()
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of an array; nan where finite values sum past binary64, so
-    that _result reports it as any other overflow."""
+def _fsum(values: list[float]) -> float:
+    """math.fsum of the panels' floats, whatever their order; nan where
+    finite values sum past binary64, so that _result reports it as any other
+    overflow."""
     try:
-        return math.fsum(values.tolist())
+        return math.fsum(values)
     except OverflowError:
         return math.nan
 
@@ -308,15 +320,19 @@ def _integrate(
     integrand call.  Both totals are math.fsum over the panels, correctly
     rounded and independent of panel order.  max_subdivisions caps the
     number of panels split, over all rounds.
+
+    The panels live in four Python lists (lo, hi, estimate, discrepancy)
+    across rounds, a few dozen floats that lists handle faster than arrays:
+    a split panel's left half takes its place and its right half is
+    appended.  That reorders the panels, which neither the totals nor the
+    split rule, a function of the set of panels only, can see.
     """
-    edges = [0.0]
+    lo = [0.0]
     step = min(1.0, upper)
     while step < upper:
-        edges.append(step)
+        lo.append(step)
         step *= 2.0
-    edges.append(upper)
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
+    hi = lo[1:] + [upper]
     v, e = _panels(f, lo, hi)
     splits = 0
     while True:
@@ -325,23 +341,27 @@ def _integrate(
         allowance = rel_tol * abs(total_v)
         if not total_e > allowance:
             return total_v, total_e
-        split = (e > allowance / e.size) | (e == e.max())
-        splits += int(np.count_nonzero(split))
+        # no discrepancy is nan here, since one would have made total_e nan
+        share = allowance / len(e)
+        worst = max(e)
+        split = [i for i, d in enumerate(e) if d > share or d == worst]
+        splits += len(split)
         if splits > max_subdivisions:
             raise QuadratureError(
                 f"needed more than {max_subdivisions} subdivisions for rel_tol={rel_tol}"
             )
-        keep = ~split
-        left = lo[split]
-        right = hi[split]
-        mid = 0.5 * (left + right)
-        new_lo = np.concatenate((left, mid))
-        new_hi = np.concatenate((mid, right))
-        new_v, new_e = _panels(f, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        v = np.concatenate((v[keep], new_v))
-        e = np.concatenate((e[keep], new_e))
+        left = [lo[i] for i in split]
+        right = [hi[i] for i in split]
+        mid = [0.5 * (a + b) for a, b in zip(left, right)]
+        new_v, new_e = _panels(f, left + mid, mid + right)
+        for i, m, value, error in zip(split, mid, new_v, new_e):
+            hi[i] = m
+            v[i] = value
+            e[i] = error
+        lo += mid
+        hi += right
+        v += new_v[len(split):]
+        e += new_e[len(split):]
 
 
 def _auto_cutoff(
@@ -364,15 +384,18 @@ def _auto_cutoff(
                 f"x^-{power + 1} and x = {x!r}"
             )
         raise QuadratureError(f"the truncation point 30/x is not finite for x = {x!r}")
-    ladder = start * _DOUBLINGS
-    ladder = ladder[ladder < math.inf]
-    for i in range(0, ladder.size, _PROBES_PER_CALL):
-        probes = ladder[i:i + _PROBES_PER_CALL]
+    for i in range(0, _DOUBLINGS.size, _PROBES_PER_CALL):
+        probes = start * _DOUBLINGS[i:i + _PROBES_PER_CALL]
+        probes = probes[probes < math.inf]
+        if not probes.size:
+            break
         below = np.abs(f(probes)) < _TINY_INTEGRAND
         if below.any():
             return float(probes[below.argmax()])
+        # start is finite, so the first group sets this
+        last = float(probes[-1])
     raise QuadratureError(
-        f"no truncation point up to T = {float(ladder[-1])!r}: the integrand does not decay"
+        f"no truncation point up to T = {last!r}: the integrand does not decay"
     )
 
 

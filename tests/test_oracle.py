@@ -118,6 +118,27 @@ class TestSeries:
                         err = abs(mpmath.mpf(r.value) - truth)
                         assert err <= r.abs_error_estimate, (spec.max_terms, n, x, float(err))
 
+    def test_chunked_sum_matches_one_list(self, monkeypatch):
+        # past two chunk edges, the sum read chunk by chunk keeps the bits of
+        # one math.fsum over every term and the tail in one Python list
+        def one_list(term, first, count, tail):
+            terms = []
+            for lo in range(first, count, oracle._SERIES_CHUNK):
+                hi = min(lo + oracle._SERIES_CHUNK, count)
+                terms.extend(term(np.arange(lo, hi, dtype=float)).tolist())
+            return math.fsum(terms + tail)
+
+        spec = SeriesSpec(max_terms=2 * oracle._SERIES_CHUNK + 7)
+        calls = [(digamma_series, (x, spec)) for x in (1e-3, 0.5, 30.0)]
+        calls += [(polygamma_series, (n, x, spec)) for n, x in ((1, 0.5), (5, 1.3), (40, 2.0))]
+        for fn, args in calls:
+            chunked = fn(*args)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_fsum_series", one_list)
+                reference = fn(*args)
+            assert chunked.value.hex() == reference.value.hex(), (fn.__name__, args)
+            assert chunked.abs_error_estimate.hex() == reference.abs_error_estimate.hex()
+
 
 class TestQuadrature:
     def test_digamma_at_one_is_minus_gamma(self):
@@ -233,6 +254,35 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match=r"up to T = 1\.5000000000000002e\+308"):
             polygamma_integral(0, 2e-307)
 
+    def test_cutoff_probes_where_nothing_decays(self):
+        # the search probes 30/x * 2^j, eight per integrand call, for j < 200
+        # while the candidate is finite, and names the last one it probed
+        def probe(x):
+            sizes = []
+
+            def never_small(t):
+                sizes.append(t.size)
+                return np.ones_like(t)
+
+            with np.errstate(over="ignore"), pytest.raises(QuadratureError) as info:
+                oracle._auto_cutoff(never_small, x, 0, 1.0)
+            return sizes, str(info.value)
+
+        # from 30/x = 30, all 200 candidates are finite; the last is 30 * 2^199
+        sizes, message = probe(1.0)
+        assert sizes == [8] * 25
+        assert "up to T = 2.4104070663884854e+61:" in message
+        # from 30/x = 2^1005 the candidates 2^1005..2^1023 are finite: two
+        # full calls, then one of three, and the message names 2^1023
+        sizes, message = probe(30.0 / 2.0**1005)
+        assert sizes == [8, 8, 3]
+        assert f"up to T = {2.0**1023!r}:" in message
+        # from 2^1000 the finite candidates fill three calls exactly, and no
+        # call is made on the empty group after them
+        sizes, message = probe(30.0 / 2.0**1000)
+        assert sizes == [8, 8, 8]
+        assert f"up to T = {2.0**1023!r}:" in message
+
     def test_panel_sum_past_binary64_is_an_overflow(self):
         # psi_1(7e-155) ~ 2e308: every panel is finite, their sum is not
         with pytest.raises(OverflowError, match="binary64"):
@@ -307,6 +357,11 @@ class TestGapIntegrals:
             cm_weight(1.0, 1.0)
         with pytest.raises(ValueError):
             cm_weight(0.3, -1.0)
+        # exp_diff_ratio's rule: nan and inf, alone or in an array, are
+        # rejected as a negative t is, not mapped to nan
+        for t in (math.inf, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="t must be finite and >= 0"):
+                cm_weight(0.5, t)
 
     def test_even_matches_derivative(self):
         # int w(t) t^(k+n) e^-xt dt equals (-1)^n g^(n)(x) for even k

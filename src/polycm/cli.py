@@ -16,7 +16,6 @@ disagreed (ArithmeticError), or a quadrature ran out of subdivisions
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -101,6 +100,9 @@ def _g(v: float) -> str:
 
 
 def _emit_rows_csv(rows, out) -> None:
+    # imported here, the one place that writes csv, so no other verb loads it
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for r in rows:

@@ -109,9 +109,14 @@ class GridSpec:
         object.__setattr__(self, "lo", _as_float(self.lo))
         object.__setattr__(self, "hi", _as_float(self.hi))
         object.__setattr__(self, "points", operator.index(self.points))
-        if not (math.isfinite(self.lo) and self.lo > 0.0):
+        # nan and inf break finiteness, not the order rules; -inf breaks those
+        if not self.lo < math.inf:
+            raise ValueError(f"lo must be finite, got {self.lo!r}")
+        if not self.lo > 0.0:
             raise ValueError(f"lo must be positive, got {self.lo!r}")
-        if not (math.isfinite(self.hi) and self.hi > self.lo):
+        if not self.hi < math.inf:
+            raise ValueError(f"hi must be finite, got {self.hi!r}")
+        if not self.hi > self.lo:
             raise ValueError(f"hi must exceed lo, got {self.hi!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")

@@ -5,7 +5,8 @@ math.fsum, which reads each numpy chunk of terms through a memoryview, and
 close the rest with an Euler-Maclaurin tail whose remainder bound
 (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
-per panel and a 7-point companion rule for the panel error estimate; the
+per panel and a 7-point companion rule for the panel error estimate, both
+held as literal tables (no numpy.polynomial, no LAPACK call); the
 truncated upper tail is covered by an exact closed-form bound, so the
 reported error is sound, not heuristic.  Bisection runs in rounds: each
 round splits every panel whose discrepancy exceeds its equal share of the
@@ -45,8 +46,34 @@ _EM_COEFFICIENTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 _EM_REMAINDER = 8.4e-7
 _SERIES_CHUNK = 1 << 16  # series terms formed per numpy call
 
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
+#: The 15- and 7-point Gauss-Legendre rules on [-1, 1], written out: bit for
+#: bit what numpy 2.4.6's leggauss(15) and leggauss(7) return, so no process
+#: loads numpy.polynomial or calls LAPACK for them and the oracle's bits
+#: depend on no LAPACK build.  They are not correctly rounded: the 15-point
+#: weights are up to 37.7 ulp off and the nodes up to 0.66 ulp.  Rounding
+#: them correctly would move the oracle's bits, so it is a change of its own.
+_NODES_HI = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_WEIGHTS_HI = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_NODES_LO = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_WEIGHTS_LO = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
 #: Both node sets of one panel and their weights as columns, one row per
 #: node, evaluated together by _panels.
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))[:, None]

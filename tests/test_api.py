@@ -14,6 +14,8 @@ import pytest
 
 import polycm
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 PUBLIC = [
     "BoundCheck",
     "CMScanReport",
@@ -101,6 +103,31 @@ def test_scalar_engine_loads_no_numpy():
         "polycm.polygamma(3, 0.5), polycm.factorial_over_power(2, 3.0)\n"
         "print(json.dumps('numpy' in sys.modules))"
     ) is False
+
+
+def test_cli_loads_no_numpy_polynomial_and_csv_on_demand():
+    # the quadrature rules are literals and csv is imported by the csv
+    # writer, so a CLI process loads neither until a verb needs it; with
+    # numpy.polynomial blocked, the integrating verb and the csv format run
+    command = "$ polycm verify-bounds --a 0.5 --k 1 --points 8 --format csv | head -3\n"
+    shown = README.read_text().split(command, 1)[1].splitlines()[:3]
+    loaded, codes, csv_head = fresh(
+        "import contextlib, io, json, sys\n"
+        "import polycm.cli\n"
+        "loaded = [name in sys.modules for name in ('numpy.polynomial', 'csv')]\n"
+        "sys.modules['numpy.polynomial'] = None\n"
+        "codes, outs = [], []\n"
+        "for argv in (['constants'],\n"
+        "             ['verify-bounds', '--a', '0.5', '--k', '1', '--points', '8', '--format', 'csv']):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        codes.append(polycm.cli.main(argv))\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps([loaded, codes, outs[1].splitlines()[:3]]))"
+    )
+    assert loaded == [False, False]
+    assert codes == [0, 0]
+    assert csv_head == shown
 
 
 @pytest.mark.parametrize("first", [

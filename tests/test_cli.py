@@ -172,6 +172,12 @@ class TestVerifyBounds:
         )
         assert code == 1
 
+    def test_infinite_bound_is_usage_error(self, capsys):
+        code, out, err = run(["verify-bounds", "--a", "0.5", "--k", "1", "--hi", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "polycm: error: hi must be finite, got inf\n"
+
 
 class TestTable:
     def test_csv_round_trip_is_bit_exact(self, capsys):

@@ -158,10 +158,24 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo=1.0, hi=2.0, points=5, spacing="cubic")
         # an int beyond binary64 is rejected as the infinity of its sign
-        with pytest.raises(ValueError, match=r"^hi must exceed lo, got inf$"):
+        with pytest.raises(ValueError, match=r"^hi must be finite, got inf$"):
             GridSpec(lo=1, hi=10**400, points=3)
         with pytest.raises(ValueError, match=r"^lo must be positive, got -inf$"):
             GridSpec(lo=-(10**400), hi=1, points=3)
+        # nan and inf break finiteness, named per bound; -inf breaks the
+        # order rules, checked lo first
+        for lo, hi, message in [
+            (math.nan, 2.0, "lo must be finite, got nan"),
+            (math.inf, 2.0, "lo must be finite, got inf"),
+            (math.nan, math.nan, "lo must be finite, got nan"),
+            (1.0, math.nan, "hi must be finite, got nan"),
+            (1.0, math.inf, "hi must be finite, got inf"),
+            (0.0, math.inf, "lo must be positive, got 0.0"),
+            (1.0, -math.inf, "hi must exceed lo, got -inf"),
+            (2.0, 2.0, "hi must exceed lo, got 2.0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GridSpec(lo=lo, hi=hi, points=3)
 
     @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
     def test_repeated_points_are_rejected(self, spacing):

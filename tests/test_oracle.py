@@ -316,6 +316,63 @@ class TestQuadrature:
                             assert err <= r.abs_error_estimate, (fn.__name__, a, p, x, float(err))
 
 
+class TestGaussLegendreTables:
+    """The literal rule tables against 50-digit Gauss-Legendre rules, so no
+    check depends on the host's numpy or LAPACK."""
+
+    RULES = [(15, "_NODES_HI", "_WEIGHTS_HI"), (7, "_NODES_LO", "_WEIGHTS_LO")]
+
+    @staticmethod
+    def _rule(name_nodes, name_weights):
+        nodes = getattr(oracle, name_nodes)
+        weights = getattr(oracle, name_weights)
+        assert nodes.dtype == weights.dtype == np.float64
+        return nodes.tolist(), weights.tolist()
+
+    @pytest.mark.parametrize("n,name_nodes,name_weights", RULES)
+    def test_within_ulps_of_the_exact_rule(self, n, name_nodes, name_weights):
+        # each exact node is the root of P_n nearest the float one, and its
+        # weight 2/((1-x^2) P_n'(x)^2) with P_n'(x) = n P_{n-1}(x)/(1-x^2).
+        # Measured worst: 0.66 ulp on the nodes; 37.7 ulp on the 15-point
+        # weights and 4.4 on the 7-point ones
+        mpmath = pytest.importorskip("mpmath")
+        nodes, weights = self._rule(name_nodes, name_weights)
+        assert len(nodes) == len(weights) == n
+        with mpmath.workdps(50):
+            for x, w in zip(nodes, weights):
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(x))
+                slope = n * mpmath.legendre(n - 1, root) / (1 - root**2)
+                exact_w = 2 / ((1 - root**2) * slope**2)
+                if x:
+                    assert abs(mpmath.mpf(x) - root) <= math.ulp(x), (n, x)
+                else:
+                    assert abs(root) < mpmath.mpf(10) ** -45, (n, x)
+                assert abs(mpmath.mpf(w) - exact_w) <= 40 * math.ulp(w), (n, x, w)
+
+    @pytest.mark.parametrize("n,name_nodes,name_weights", RULES)
+    def test_exactly_symmetric(self, n, name_nodes, name_weights):
+        nodes, weights = self._rule(name_nodes, name_weights)
+        assert nodes == [-x for x in reversed(nodes)]
+        assert weights == weights[::-1]
+        assert nodes == sorted(nodes)
+        if n == 15:
+            middle = nodes[n // 2]
+            assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+    @pytest.mark.parametrize("n,name_nodes,name_weights", RULES)
+    def test_integrates_even_powers_up_to_its_degree(self, n, name_nodes, name_weights):
+        # the n-point rule is exact for degree 2n - 1; the float tables, summed
+        # exactly, miss 2/(2j+1) by at most 8.7 ulp (15 points, j = 14)
+        mpmath = pytest.importorskip("mpmath")
+        nodes, weights = self._rule(name_nodes, name_weights)
+        with mpmath.workdps(50):
+            for j in range(n):
+                exact = mpmath.mpf(2) / (2 * j + 1)
+                total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(x) ** (2 * j)
+                                    for x, w in zip(nodes, weights))
+                assert abs(total - exact) <= 10 * math.ulp(float(exact)), (n, j)
+
+
 class TestThreeWay:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_engine_series_integral_agree(self, n):

@@ -6,7 +6,8 @@ close the rest with an Euler-Maclaurin tail whose remainder bound
 (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate, both
-held as literal tables (no numpy.polynomial, no LAPACK call); the
+held as literal tables, so polycm neither imports numpy.polynomial nor
+calls LAPACK for them (numpy 1.x still imports numpy.polynomial itself); the
 truncated upper tail is covered by an exact closed-form bound, so the
 reported error is sound, not heuristic.  Bisection runs in rounds: each
 round splits every panel whose discrepancy exceeds its equal share of the
@@ -47,9 +48,10 @@ _EM_REMAINDER = 8.4e-7
 _SERIES_CHUNK = 1 << 16  # series terms formed per numpy call
 
 #: The 15- and 7-point Gauss-Legendre rules on [-1, 1], written out: bit for
-#: bit what numpy 2.4.6's leggauss(15) and leggauss(7) return, so no process
-#: loads numpy.polynomial or calls LAPACK for them and the oracle's bits
-#: depend on no LAPACK build.  They are not correctly rounded: the 15-point
+#: bit what numpy 2.4.6's leggauss(15) and leggauss(7) return, so polycm
+#: neither imports numpy.polynomial nor calls LAPACK for them (numpy 1.x
+#: imports numpy.polynomial along with numpy) and the oracle's bits depend
+#: on no LAPACK build.  They are not correctly rounded: the 15-point
 #: weights are up to 37.7 ulp off and the nodes up to 0.66 ulp.  Rounding
 #: them correctly would move the oracle's bits, so it is a change of its own.
 _NODES_HI = np.array([

@@ -15,6 +15,8 @@ polycm.cli wires the same passes to the `polycm` console command.
 The engine is pure Python, and `import polycm` loads only it and the
 constants: the names of the numpy modules (cm, bounds and oracle) are
 imported on first access (PEP 562), so the scalar path never loads numpy.
+EvalResult is a plain immutable class, so it loads neither dataclasses nor
+inspect.
 """
 
 from .polygamma import (

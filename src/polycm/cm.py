@@ -132,7 +132,18 @@ class GridSpec:
         if self.spacing == "linear":
             xs = np.linspace(self.lo, self.hi, self.points)
         else:
-            xs = np.geomspace(self.lo, self.hi, self.points)
+            # np.geomspace's arithmetic, bit for bit, without its dtype and
+            # sign handling: 10^(log10(lo) + i*step) with the last exponent
+            # log10(hi), then both ends set back to lo and hi
+            log_lo = np.log10(self.lo)
+            log_hi = np.log10(self.hi)
+            step = (log_hi - log_lo) / (self.points - 1)
+            exponents = np.arange(self.points, dtype=float) * step
+            exponents += log_lo
+            exponents[-1] = log_hi
+            xs = np.power(10.0, exponents)
+            xs[0] = self.lo
+            xs[-1] = self.hi
         if not np.all(xs[1:] > xs[:-1]):
             raise ValueError(
                 f"[{self.lo!r}, {self.hi!r}] is too narrow for {self.points} distinct "

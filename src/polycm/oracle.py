@@ -81,10 +81,10 @@ _WEIGHTS_LO = np.array([
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))[:, None]
 _WEIGHTS = np.concatenate((_WEIGHTS_HI, _WEIGHTS_LO))[:, None]
 _HI_COUNT = _NODES_HI.size
-#: The cutoff search's candidates 30/x * 2^j for j < 200 (as multipliers of
-#: 30/x), probed _PROBES_PER_CALL per integrand call.
-_DOUBLINGS = 2.0 ** np.arange(200)
+#: The cutoff search probes its candidates 30/x * 2^j _PROBES_PER_CALL per
+#: integrand call, j = i + _PROBE_STEPS for i = 0, 8, 16, ...
 _PROBES_PER_CALL = 8
+_PROBE_STEPS = np.arange(_PROBES_PER_CALL, dtype=np.intc)
 
 
 class QuadratureError(RuntimeError):
@@ -396,14 +396,15 @@ def _integrate(
 def _auto_cutoff(
     f: Callable[[np.ndarray], np.ndarray], x: float, power: int, lead: float
 ) -> float:
-    """The first T = 30/x * 2^j, j < 200, with |f(T)| < 1e-18.
+    """The first finite T = 30/x * 2^j, j = 0, 1, 2, ..., with |f(T)| < 1e-18.
 
-    The candidates are probed eight per integrand call.  Scaling by a power
-    of two is exact, so they are the points repeated doubling of 30/x
-    reaches; those past the binary64 range are never evaluated.  The
-    integral is about lead * power!/x^(power+1) at small x: when 30/x itself
-    is inf, that is inf too (OverflowError) unless power is 0 and lead/x is
-    finite, and then the cutoff is unreachable (QuadratureError).
+    The candidates are probed eight per integrand call, until they leave
+    the binary64 range; those past it are never evaluated.  Scaling by a
+    power of two is exact (np.ldexp), so they are the points repeated
+    doubling of 30/x reaches.  The integral is about
+    lead * power!/x^(power+1) at small x: when 30/x itself is inf, that is
+    inf too (OverflowError) unless power is 0 and lead/x is finite, and then
+    the cutoff is unreachable (QuadratureError).
     """
     start = 30.0 / x
     if start == math.inf:
@@ -413,8 +414,10 @@ def _auto_cutoff(
                 f"x^-{power + 1} and x = {x!r}"
             )
         raise QuadratureError(f"the truncation point 30/x is not finite for x = {x!r}")
-    for i in range(0, _DOUBLINGS.size, _PROBES_PER_CALL):
-        probes = start * _DOUBLINGS[i:i + _PROBES_PER_CALL]
+    # x is finite, so 30/x > 2^-1019 and the candidates leave binary64
+    # before j = 2048
+    for i in range(0, 2048, _PROBES_PER_CALL):
+        probes = np.ldexp(start, i + _PROBE_STEPS)
         probes = probes[probes < math.inf]
         if not probes.size:
             break

@@ -27,12 +27,9 @@ error-bar formula over whole arrays of orders and arguments at once;
 cm_scan evaluates its grids through it.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from .constants import _BERNOULLI
 
@@ -51,25 +48,59 @@ _NEGLIGIBLE = 2.0**-106
 _FACTORIAL_FLOATS = tuple(float(math.factorial(n)) for n in range(MAX_ORDER + 1))
 
 
-@dataclass(frozen=True)
 class EvalResult:
-    """A value paired with a conservative absolute-error estimate."""
+    """A value paired with a conservative absolute-error estimate.
+
+    Immutable: it compares, hashes, prints, pickles and pattern-matches as
+    a frozen dataclass of its two fields would, and assigning or deleting
+    an attribute raises dataclasses.FrozenInstanceError.  It is written out
+    by hand so that `import polycm` loads neither dataclasses nor inspect;
+    vars(r) gives its fields as a dict.
+    """
+
+    __match_args__ = ("value", "abs_error_estimate")
 
     value: float
     abs_error_estimate: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.abs_error_estimate) or self.abs_error_estimate < 0.0:
+    def __init__(self, value: float, abs_error_estimate: float) -> None:
+        if not math.isfinite(abs_error_estimate) or abs_error_estimate < 0.0:
             raise ValueError(
-                f"abs_error_estimate must be finite and >= 0, got {self.abs_error_estimate!r}"
+                f"abs_error_estimate must be finite and >= 0, got {abs_error_estimate!r}"
             )
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(value={self.value!r}, "
+            f"abs_error_estimate={self.abs_error_estimate!r})"
+        )
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.value, self.abs_error_estimate) == (other.value, other.abs_error_estimate)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.abs_error_estimate))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _result(value: float, bar: float) -> EvalResult:
     """EvalResult for a computed value and bar; OverflowError, not the
     ValueError of a bad bar passed in, when either has left binary64.
 
-    A finite bar >= 0 passes __post_init__'s check, so the frozen result
+    A finite bar >= 0 passes the constructor's check, so the frozen result
     is built as the constructor builds it, without running that check
     again.  A negative bar goes through the constructor and raises its
     ValueError.

@@ -105,6 +105,20 @@ def test_scalar_engine_loads_no_numpy():
     ) is False
 
 
+def test_import_adds_only_the_engine_and_its_constants():
+    # no dataclasses, inspect or __future__ (and the 13 modules those bring
+    # in); a build that does not preload math or operator may load them here
+    added = fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import polycm\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert set(added) - {"math", "operator", "_operator"} == {
+        "polycm", "polycm.constants", "polycm.polygamma"
+    }
+
+
 def test_cli_loads_no_numpy_polynomial_and_csv_on_demand():
     # the quadrature rules are literals and csv is imported by the csv
     # writer, so polycm imports neither until a verb needs it; with

@@ -148,6 +148,24 @@ class TestGridSpec:
         assert len(log) == 31
         assert np.all(np.diff(log) > 0.0)
 
+    def test_log_grid_has_the_bits_of_geomspace(self):
+        # generate repeats np.geomspace's arithmetic without calling it: the
+        # README, CLI-default and benchmark grids, then seeded random ones
+        # over the whole positive range, down to a few ulp wide
+        grids = [(0.1, 100.0, 60), (1.5, 500.0, 25), (0.1, 100.0, 40), (1.001, 1000.0, 50),
+                 (1e-3, 1e14, 60), (1.001, 1e2, 50), (1.0, 1.0000000000000004, 3)]
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0, 2))
+            grids.append((lo, hi, int(rng.integers(2, 200))))
+            grids.append((lo, lo * (1.0 + 2.0 ** -rng.uniform(10.0, 40.0)), 2))
+            grids.append((lo, float(np.nextafter(lo, np.inf)), 2))
+        for lo, hi, points in grids:
+            xs = GridSpec(lo, hi, points).generate()
+            expected = np.geomspace(lo, hi, points)
+            assert xs.dtype == expected.dtype and xs.shape == expected.shape
+            assert xs.view(np.int64).tolist() == expected.view(np.int64).tolist(), (lo, hi, points)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(lo=0.0, hi=1.0, points=5)

@@ -255,8 +255,8 @@ class TestQuadrature:
             polygamma_integral(0, 2e-307)
 
     def test_cutoff_probes_where_nothing_decays(self):
-        # the search probes 30/x * 2^j, eight per integrand call, for j < 200
-        # while the candidate is finite, and names the last one it probed
+        # the search probes 30/x * 2^j, eight per integrand call, while the
+        # candidate is finite, and names the last one it probed
         def probe(x):
             sizes = []
 
@@ -268,10 +268,17 @@ class TestQuadrature:
                 oracle._auto_cutoff(never_small, x, 0, 1.0)
             return sizes, str(info.value)
 
-        # from 30/x = 30, all 200 candidates are finite; the last is 30 * 2^199
+        # from 30/x = 30 = 1.875 * 2^4, the candidates 30 * 2^j are finite
+        # for j <= 1019: 127 full calls, then one of four
         sizes, message = probe(1.0)
-        assert sizes == [8] * 25
-        assert "up to T = 2.4104070663884854e+61:" in message
+        assert sizes == [8] * 127 + [4]
+        assert "up to T = 1.6853373139334212e+308:" in message
+        # the smallest start, 30/x at the largest double, is just above
+        # 1.875 * 2^-1020: 2043 doublings stay finite
+        start = 30.0 / sys.float_info.max
+        sizes, message = probe(sys.float_info.max)
+        assert sizes == [8] * 255 + [4]
+        assert f"up to T = {start * 2.0**1000 * 2.0**1000 * 2.0**43!r}:" in message
         # from 30/x = 2^1005 the candidates 2^1005..2^1023 are finite: two
         # full calls, then one of three, and the message names 2^1023
         sizes, message = probe(30.0 / 2.0**1005)
@@ -314,6 +321,18 @@ class TestQuadrature:
                             r = fn(a, p, x)
                             err = abs(mpmath.mpf(r.value) - truth)
                             assert err <= r.abs_error_estimate, (fn.__name__, a, p, x, float(err))
+
+    def test_digamma_integral_past_1e60_covers_mpmath_referee(self):
+        # the n = 0 integrand decays at rate 1 while its cutoff search starts
+        # at 30/x, so above x ~ 1.2e60 the cutoff lies more than 200
+        # doublings out
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for x in (1e61, 1e100, 1e300):
+                truth = mpmath.digamma(mpmath.mpf(x))
+                r = polygamma_integral(0, x)
+                err = abs(mpmath.mpf(r.value) - truth)
+                assert err <= r.abs_error_estimate, (x, float(err))
 
 
 class TestGaussLegendreTables:
@@ -536,7 +555,7 @@ def _reference_integrate(rounds):
 def _reference_cutoff(f, x, power, lead):
     """Doubling from 30/x, one integrand value at a time."""
     t = 30.0 / x
-    for _ in range(200):
+    while t < math.inf:
         if abs(float(f(np.array([t]))[0])) < 1e-18:
             return t
         t *= 2.0

@@ -41,7 +41,6 @@ _LAZY = {
     "increasing_condition": "cm",
     "shift_gap_derivative": "cm",
     "QuadratureError": "oracle",
-    "QuadratureSpec": "oracle",
     "SeriesSpec": "oracle",
     "cm_weight": "oracle",
     "digamma_series": "oracle",
@@ -77,7 +76,6 @@ __all__ = [
     "GridSpec",
     "MAX_ORDER",
     "QuadratureError",
-    "QuadratureSpec",
     "RatioParams",
     "SeriesSpec",
     "ShiftParams",

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import oracle
 from .cm import GridSpec, ShiftParams, _gap, shift_gap_derivative
-from .oracle import gap_integral_even, gap_integral_odd
 from .polygamma import _EPS, EvalResult
 # unused here, but bench/tracing.py wraps both names in this module
 from .polygamma import factorial_over_power, polygamma  # noqa: F401
@@ -89,10 +89,10 @@ def endpoint_constants(p: ShiftParams) -> EvalResult:
     gap = shift_gap_derivative(p, 0, 1.0)
     direct, direct_err = gap.value, gap.abs_error_estimate
     if p.k % 2 == 0:
-        quad = gap_integral_even(p.a, p.k, 1.0)
+        quad = oracle.gap_integral_even(p.a, p.k, 1.0)
         other = quad.value
     else:
-        quad = gap_integral_odd(p.a, p.k, 1.0)
+        quad = oracle.gap_integral_odd(p.a, p.k, 1.0)
         other = -quad.value
     allowance = max(1e-9 * max(1.0, abs(direct)), 8.0 * (direct_err + quad.abs_error_estimate))
     if abs(direct - other) > allowance:

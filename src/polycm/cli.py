@@ -79,19 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     _grid_verb(sub, "table", "emit the bound rows", 1.001, 1000.0, 50, ("csv", "json"))
 
     p_const = sub.add_parser("constants", help="reference endpoint constants at a = 1/2")
-    p_const.add_argument("--tol", type=float, default=None, help="override the per-k tolerances")
     p_const.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
-def _check_tol(tol: float, nonnegative: bool = False) -> float:
-    """--tol as given; nan, or a negative tol where none makes sense, is a
-    usage error (ValueError)."""
+def _check_tol(tol: float) -> float:
+    """--tol as given; nan is a usage error (ValueError)."""
     if math.isnan(tol):
         raise ValueError("--tol must be a number, got nan")
-    if nonnegative and tol < 0.0:
-        raise ValueError(f"--tol must be >= 0, got {tol!r}")
     return tol
 
 
@@ -196,13 +192,12 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    override = None if args.tol is None else _check_tol(args.tol, nonnegative=True)
     ok = True
     entries = []
     for k, label, target in _REFERENCE_CONSTANTS:
         c = endpoint_constants(ShiftParams(a=0.5, k=k))
         engine = c.value
-        tol = c.abs_error_estimate + 0.5 * math.ulp(target) if override is None else override
+        tol = c.abs_error_estimate + 0.5 * math.ulp(target)
         good = abs(engine - target) <= tol
         ok = ok and good
         entries.append(

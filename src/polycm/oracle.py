@@ -85,10 +85,12 @@ _HI_COUNT = _NODES_HI.size
 #: integrand call, j = i + _PROBE_STEPS for i = 0, 8, 16, ...
 _PROBES_PER_CALL = 8
 _PROBE_STEPS = np.arange(_PROBES_PER_CALL, dtype=np.intc)
+_REL_TOL = 1e-10            # target of discrepancy / |integral|
+_MAX_SUBDIVISIONS = 4000    # panels one quadrature may split, over all rounds
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the subdivision budget runs out before rel_tol is met."""
+    """Raised when the subdivision budget runs out before the tolerance is met."""
 
 
 @dataclass(frozen=True)
@@ -107,32 +109,7 @@ class SeriesSpec:
             raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive quadrature oracles.
-
-    upper_cutoff = None lets each integral pick its own truncation point by
-    doubling T from 30/x until the integrand at T drops below 1e-18.
-    """
-
-    upper_cutoff: float | None = None
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_subdivisions", operator.index(self.max_subdivisions))
-        if self.upper_cutoff is not None and not (
-            math.isfinite(self.upper_cutoff) and self.upper_cutoff > 0.0
-        ):
-            raise ValueError(f"upper_cutoff must be positive, got {self.upper_cutoff!r}")
-        if not 1e-14 <= self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must lie in [1e-14, 1e-6], got {self.rel_tol!r}")
-        if self.max_subdivisions < 10:
-            raise ValueError(f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
-
-
 _DEFAULT_SERIES = SeriesSpec()
-_DEFAULT_QUAD = QuadratureSpec()
 
 
 def _em_terms(n: int, y: float) -> tuple[list[float], float]:
@@ -437,7 +414,7 @@ def _exp_poly_tail(m: int, x: float, upper: float) -> float:
     Equals (m!/x^(m+1)) e^-s sum_{j<=m} s^j/j! with s = x*upper.  For s past
     600 the direct sum is replaced by its largest-term bound (m+1) s^m / m!,
     valid once s >= m.  Every caller checks m <= 40 < 600, so that holds for
-    any cutoff, a user's upper_cutoff included.
+    any cutoff.
     """
     s = x * upper
     if s < 600.0:
@@ -456,28 +433,23 @@ def _exp_poly_tail(m: int, x: float, upper: float) -> float:
 
 
 def _run_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    spec: QuadratureSpec,
-    power: int,
-    lead: float = 1.0,
+    f: Callable[[np.ndarray], np.ndarray], x: float, power: int, lead: float = 1.0
 ) -> tuple[float, float, float]:
     """Returns (value, quadrature error, cutoff T) of an integral that is
-    about lead * power!/x^(power+1) at small x (see _auto_cutoff).
+    about lead * power!/x^(power+1) at small x: integrated up to
+    _auto_cutoff's T at _REL_TOL with at most _MAX_SUBDIVISIONS splits.
 
     An integrand that overflows does so silently and leaves the value or
     error non-finite (inf, or nan from inf - inf), which the caller's
     _result turns into OverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        upper = spec.upper_cutoff
-        if upper is None:
-            upper = _auto_cutoff(f, x, power, lead)
-        v, e = _integrate(f, upper, spec.rel_tol, spec.max_subdivisions)
+        upper = _auto_cutoff(f, x, power, lead)
+        v, e = _integrate(f, upper, _REL_TOL, _MAX_SUBDIVISIONS)
     return v, e, upper
 
 
-def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> EvalResult:
+def polygamma_integral(n: int, x: float) -> EvalResult:
     """psi_n(x) from its integral form.
 
     n = 0:  psi(x) = -gamma + int_0^inf (e^-t - e^-xt)/(1 - e^-t) dt
@@ -496,41 +468,46 @@ def polygamma_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -
             return num / t * _t_over_one_minus_exp(t)
 
         rate = min(1.0, x)
-        v, e, upper = _run_integral(f, x, spec, 0)
+        v, e, upper = _run_integral(f, x, 0)
         tail = _exp_poly_tail(0, rate, upper) / (-math.expm1(-upper))
         return _result(-GAMMA_EULER + v, e + tail)
 
     def f(t: np.ndarray) -> np.ndarray:
         return _power_exp(n, x, t) / -np.expm1(-t)
 
-    v, e, upper = _run_integral(f, x, spec, n)
+    v, e, upper = _run_integral(f, x, n)
     tail = _exp_poly_tail(n, x, upper) / (-math.expm1(-upper))
     sign = 1.0 if n % 2 == 1 else -1.0
     return _result(sign * v, e + tail)
 
 
-def power_integral(n: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD) -> EvalResult:
+def power_integral(n: int, x: float) -> EvalResult:
     """n!/x^(n+1) via int_0^inf t^n e^-xt dt, for checking the gap's last term."""
     n = _check_order(n)
     x = _check_x(x)
 
-    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, spec, n)
+    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, n)
     return _result(v, e + _exp_poly_tail(n, x, upper))
 
 
-def _gap_integral(
-    a: float, power: int, x: float, offset: float, spec: QuadratureSpec
-) -> tuple[float, float, float]:
+def _gap_integral(a: float, power: int, x: float, odd: bool) -> EvalResult:
+    """int_0^inf [ (1-e^-at)/(1-e^-t) - a + offset ] t^power e^-xt dt, with
+    offset 2a for the odd-order gap and 0 for the even one."""
+    a = _check_shift(a)
+    power = _check_order(power)
+    x = _check_x(x)
+    offset = 2.0 * a if odd else 0.0
+
     def f(t: np.ndarray) -> np.ndarray:
         return (_weight(a, t) + offset) * _power_exp(power, x, t)
 
     # the bracket tends to 1 - a + offset at large t
-    return _run_integral(f, x, spec, power, 1.0 - a + offset)
+    v, e, upper = _run_integral(f, x, power, 1.0 - a + offset)
+    tail = (1.0 + a if odd else 1.0 - a) * _exp_poly_tail(power, x, upper)
+    return _result(v, e + tail)
 
 
-def gap_integral_even(
-    a: float, power: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD
-) -> EvalResult:
+def gap_integral_even(a: float, power: int, x: float) -> EvalResult:
     """int_0^inf [ (1-e^-at)/(1-e^-t) - a ] t^power e^-xt dt.
 
     This is the n-th sign-adjusted derivative of the even-order shift gap
@@ -538,25 +515,13 @@ def gap_integral_even(
     whole content of the complete-monotonicity claim being checked.  power
     is capped at 40 like every derivative order.
     """
-    a = _check_shift(a)
-    power = _check_order(power)
-    x = _check_x(x)
-    v, e, upper = _gap_integral(a, power, x, 0.0, spec)
-    tail = (1.0 - a) * _exp_poly_tail(power, x, upper)
-    return _result(v, e + tail)
+    return _gap_integral(a, power, x, False)
 
 
-def gap_integral_odd(
-    a: float, power: int, x: float, spec: QuadratureSpec = _DEFAULT_QUAD
-) -> EvalResult:
+def gap_integral_odd(a: float, power: int, x: float) -> EvalResult:
     """int_0^inf [ a + (1-e^-at)/(1-e^-t) ] t^power e^-xt dt.
 
     Same role as gap_integral_even but for the negated odd-order gap; the
     bracket equals the even one plus 2a.
     """
-    a = _check_shift(a)
-    power = _check_order(power)
-    x = _check_x(x)
-    v, e, upper = _gap_integral(a, power, x, 2.0 * a, spec)
-    tail = (1.0 + a) * _exp_poly_tail(power, x, upper)
-    return _result(v, e + tail)
+    return _gap_integral(a, power, x, True)

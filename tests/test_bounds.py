@@ -8,6 +8,7 @@ import pytest
 
 import polycm.bounds
 import polycm.cm
+import polycm.oracle
 from polycm import (
     EvalResult,
     GridSpec,
@@ -117,6 +118,23 @@ class TestEndpointConstants:
                 assert endpoint_constants(ShiftParams(a=a, k=k)).value > 0.0
             for k in (1, 3, 5):
                 assert endpoint_constants(ShiftParams(a=a, k=k)).value < 0.0
+
+    def test_quadrature_is_looked_up_on_the_oracle_module(self, monkeypatch):
+        # the cross-check calls the oracle's gap integrals through the
+        # module, so a wrapper set on polycm.oracle (a tracer's) sees them
+        calls = []
+        for name in ("gap_integral_even", "gap_integral_odd"):
+            inner = getattr(polycm.oracle, name)
+
+            def recording(a, k, x, name=name, inner=inner):
+                calls.append((name, a, k, x))
+                return inner(a, k, x)
+
+            monkeypatch.setattr(polycm.oracle, name, recording)
+        even = endpoint_constants(ShiftParams(a=0.5, k=2))
+        odd = endpoint_constants(ShiftParams(a=0.5, k=3))
+        assert calls == [("gap_integral_even", 0.5, 2, 1.0), ("gap_integral_odd", 0.5, 3, 1.0)]
+        assert even.value > 0.0 > odd.value
 
 
 class TestBoundTable:

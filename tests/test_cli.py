@@ -14,6 +14,7 @@ import pytest
 
 import polycm.bounds
 import polycm.cli
+import polycm.oracle
 from polycm import (EvalResult, GridSpec, QuadratureError, ShiftParams, bound_table,
                     endpoint_constants, polygamma)
 from polycm.cli import main
@@ -97,7 +98,7 @@ class TestNumericalErrors:
         def exhausted(a, k, x):
             raise QuadratureError("needed more than 200 subdivisions for rel_tol=1e-13")
 
-        monkeypatch.setattr(polycm.bounds, "gap_integral_even", exhausted)
+        monkeypatch.setattr(polycm.oracle, "gap_integral_even", exhausted)
         code, out, err = run(["constants"], capsys)
         assert code == 3
         assert out == ""
@@ -275,10 +276,16 @@ class TestConstants:
         assert e["tol"] == c.abs_error_estimate + 0.5 * math.ulp(literal)
         assert e["abs_diff"] <= e["tol"] and e["ok"]
 
-    def test_impossible_tol_fails(self, capsys):
-        code, out, _ = run(["constants", "--tol", "1e-18"], capsys)
+    def test_impossible_tol_fails(self, capsys, monkeypatch):
+        # a literal 1e-12 off its closed form lies outside the row's
+        # tolerance, C's bar plus half an ulp: a verification FAIL
+        (k, label, literal), *rest = polycm.cli._REFERENCE_CONSTANTS
+        monkeypatch.setattr(polycm.cli, "_REFERENCE_CONSTANTS",
+                            ((k, label, literal + 1e-12), *rest))
+        code, out, _ = run(["constants"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert "MISMATCH" in out.splitlines()[0]
+        assert out.endswith("FAIL\n")
 
 
 class TestUsage:
@@ -297,8 +304,6 @@ class TestUsage:
         [
             ["verify-cm", "--a", "0.5", "--k", "2", "--tol", "nan"],
             ["verify-bounds", "--a", "0.5", "--k", "2", "--tol", "nan"],
-            ["constants", "--tol", "nan"],
-            ["constants", "--tol", "-1"],
         ],
     )
     def test_bad_tol_is_usage_error(self, capsys, argv):
@@ -306,6 +311,16 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("polycm: error: --tol")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_constants_takes_no_tol(self, capsys, tol):
+        # each row's tolerance is fixed: C's bar plus half an ulp
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--tol", tol])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,7 +15,6 @@ import polycm.oracle as oracle
 from polycm import (
     MAX_ORDER,
     QuadratureError,
-    QuadratureSpec,
     SeriesSpec,
     ShiftParams,
     cm_weight,
@@ -171,46 +170,31 @@ class TestQuadrature:
         r = power_integral(0, 5.0)
         assert r.value == pytest.approx(0.2, rel=1e-11)
 
-    def test_tail_honesty_on_short_cutoff(self):
-        # doubling an explicit cutoff must move the value by less than the
+    def test_tail_honesty_on_short_cutoff(self, monkeypatch):
+        # doubling a forced cutoff must move the value by less than the
         # error reported for the short one
-        short = polygamma_integral(2, 1.0, QuadratureSpec(upper_cutoff=20.0))
-        long = polygamma_integral(2, 1.0, QuadratureSpec(upper_cutoff=40.0))
+        monkeypatch.setattr(oracle, "_auto_cutoff", lambda f, x, power, lead: 20.0)
+        short = polygamma_integral(2, 1.0)
+        monkeypatch.setattr(oracle, "_auto_cutoff", lambda f, x, power, lead: 40.0)
+        long = polygamma_integral(2, 1.0)
         moved = abs(long.value - short.value)
         assert moved <= short.abs_error_estimate
         assert moved > 0.0
 
-    def test_rel_tol_is_respected(self):
-        coarse = QuadratureSpec(rel_tol=1e-6)
-        r = polygamma_integral(1, 1.0, coarse)
+    def test_rel_tol_is_respected(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-6)
+        r = polygamma_integral(1, 1.0)
         truth = math.pi * math.pi / 6.0
         assert abs(r.value - truth) <= 10.0 * 1e-6 * truth
         assert abs(r.value - truth) <= r.abs_error_estimate
 
-    def test_subdivision_budget_failure_is_loud(self):
+    def test_subdivision_budget_failure_is_loud(self, monkeypatch):
         # a high-order integrand at small x needs ~15 splits to hit 1e-14,
         # so a 10-split budget must fail by raising, never silently
-        tight = QuadratureSpec(rel_tol=1e-14, max_subdivisions=10)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 10)
         with pytest.raises(QuadratureError):
-            polygamma_integral(40, 0.02, tight)
-
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-20)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            QuadratureSpec(upper_cutoff=-5.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=3)
-        # a count, as SeriesSpec.max_terms: no fraction, and no inf that
-        # would lift the split budget
-        with pytest.raises(TypeError):
-            QuadratureSpec(max_subdivisions=10.5)
-        with pytest.raises(TypeError):
-            QuadratureSpec(max_subdivisions=math.inf)
-        count = QuadratureSpec(max_subdivisions=np.int64(12)).max_subdivisions
-        assert count == 12 and type(count) is int
+            polygamma_integral(40, 0.02)
 
     def test_non_finite_result_raises_overflow(self):
         # psi_40(1e-7) is about -8e334: the integrand overflows without a
@@ -594,42 +578,53 @@ class TestBatchedPanels:
     one-panel-at-a-time reference above: the node-order sums, the fsum
     totals, the split rule and the doubling cutoff search."""
 
-    SHORT = QuadratureSpec(upper_cutoff=5.0)
-    TIGHT = QuadratureSpec(rel_tol=1e-14, max_subdivisions=10)
+    #: Module settings a case runs under: a forced cutoff of 5.0, and a
+    #: tolerance the 10-split budget cannot meet.
+    SHORT = {"_auto_cutoff": lambda f, x, power, lead: 5.0}
+    TIGHT = {"_REL_TOL": 1e-14, "_MAX_SUBDIVISIONS": 10}
 
     @staticmethod
     def _cases():
+        default, short = {}, TestBatchedPanels.SHORT
         for n in range(MAX_ORDER + 1):
             for x in np.geomspace(1e-3, 1e6, 8).tolist():
-                yield polygamma_integral, (n, x)
+                yield polygamma_integral, (n, x), default
         for a in (0.01, 0.3, 0.5, 0.99):
             for k in range(0, MAX_ORDER + 1, 4):
-                yield gap_integral_even, (a, k, 1.0)
-                yield gap_integral_odd, (a, k, 1.0)
+                yield gap_integral_even, (a, k, 1.0), default
+                yield gap_integral_odd, (a, k, 1.0), default
         for n in (0, 1, 7, 40):
             for x in (1e-3, 0.5, 30.0):
-                yield power_integral, (n, x)
+                yield power_integral, (n, x), default
         for n in (0, 2, 40):
             for x in (0.05, 1.0, 30.0):
-                yield polygamma_integral, (n, x, TestBatchedPanels.SHORT)
-                yield gap_integral_even, (0.3, n, x, TestBatchedPanels.SHORT)
-                yield gap_integral_odd, (0.7, n, x, TestBatchedPanels.SHORT)
-        yield polygamma_integral, (40, 0.02, TestBatchedPanels.TIGHT)
+                yield polygamma_integral, (n, x), short
+                yield gap_integral_even, (0.3, n, x), short
+                yield gap_integral_odd, (0.7, n, x), short
+        yield polygamma_integral, (40, 0.02), TestBatchedPanels.TIGHT
+
+    @staticmethod
+    def _set(m, settings):
+        for name, value in settings.items():
+            m.setattr(oracle, name, value)
 
     def test_matches_panel_by_panel_reference(self, monkeypatch):
-        for fn, args in self._cases():
-            batched = _outcome(fn, *args)
+        for fn, args, settings in self._cases():
+            with monkeypatch.context() as m:
+                self._set(m, settings)
+                batched = _outcome(fn, *args)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_integrate", _reference_integrate([]))
                 m.setattr(oracle, "_auto_cutoff", _reference_cutoff)
-                assert _outcome(fn, *args) == batched, (fn.__name__, args)
+                self._set(m, settings)
+                assert _outcome(fn, *args) == batched, (fn.__name__, args, settings)
 
     def test_one_integrand_call_per_round(self, monkeypatch):
         # cutoff probes, eight doublings per call up to the one that is the
         # cutoff; one call on every initial panel; then one call per round
         # on both halves of each panel split in it
         run_integral = oracle._run_integral
-        for fn, args in self._cases():
+        for fn, args, settings in self._cases():
             sizes = []
             starts = []
 
@@ -642,15 +637,17 @@ class TestBatchedPanels:
                 return run_integral(g, x, *rest)
 
             with monkeypatch.context() as m:
+                self._set(m, settings)
                 m.setattr(oracle, "_run_integral", counting)
                 _outcome(fn, *args)
             rounds = []
             with monkeypatch.context() as m:
+                self._set(m, settings)
                 m.setattr(oracle, "_integrate", _reference_integrate(rounds))
                 _outcome(fn, *args)
             upper, panels, *split_counts = rounds
             probes = []
-            if args[-1] is not self.SHORT:
+            if settings is not self.SHORT:
                 [t] = starts
                 doublings = 0
                 while t != upper:
@@ -658,23 +655,24 @@ class TestBatchedPanels:
                     doublings += 1
                 probes = [8] * (doublings // 8 + 1)
             expected = probes + [22 * panels] + [44 * count for count in split_counts]
-            assert sizes == expected, (fn.__name__, args)
+            assert sizes == expected, (fn.__name__, args, settings)
 
     def test_budget_counts_split_panels(self, monkeypatch):
-        # max_subdivisions is the number of panels split, over all rounds:
+        # the budget is the number of panels split, over all rounds:
         # exactly the count the integral needs passes, one fewer raises
-        spec = QuadratureSpec(rel_tol=1e-14)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-14)
         rounds = []
         with monkeypatch.context() as m:
             m.setattr(oracle, "_integrate", _reference_integrate(rounds))
-            polygamma_integral(40, 0.02, spec)
+            polygamma_integral(40, 0.02)
         needed = sum(rounds[2:])
         assert needed > 10
-        enough = QuadratureSpec(rel_tol=1e-14, max_subdivisions=needed)
-        assert _outcome(polygamma_integral, 40, 0.02, enough) == _outcome(
-            polygamma_integral, 40, 0.02, spec)
+        unlimited = _outcome(polygamma_integral, 40, 0.02)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", needed)
+        assert _outcome(polygamma_integral, 40, 0.02) == unlimited
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", needed - 1)
         with pytest.raises(QuadratureError):
-            polygamma_integral(40, 0.02, QuadratureSpec(rel_tol=1e-14, max_subdivisions=needed - 1))
+            polygamma_integral(40, 0.02)
 
     def test_same_bits_under_another_blas_kernel(self):
         # a BLAS-ordered sum (np.dot) changes bits between OpenBLAS kernels;

@@ -7,8 +7,9 @@ Verbs:
   table          verify-bounds at --tol 0, emitted as csv or as json rows
   constants      endpoint constants at a = 1/2 against four closed forms, rounded once
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error: a result left the binary64 range, the endpoint constant's two routes
+Exit codes: 0 success, 1 verification failure, 2 usage error (a grid of
+more --points than memory holds is one: MemoryError), 3 numerical error: a
+result left the binary64 range, the endpoint constant's two routes
 disagreed (ArithmeticError), or a quadrature ran out of subdivisions
 (QuadratureError).
 """
@@ -234,6 +235,11 @@ def main(cli_args=None) -> int:
         return _DISPATCH[args.verb](args)
     except ValueError as exc:
         print(f"polycm: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a grid of more --points than memory holds: the size is the
+        # user's input, so a usage error, not a verdict (exit 1)
+        print(f"polycm: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OverflowError:
         print("polycm: numerical error: a result left the binary64 range", file=sys.stderr)

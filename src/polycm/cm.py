@@ -269,12 +269,17 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     polygamma's steps: its own shift count, the same head, the same series
     and the same error bar.  The kernel runs all 20 series terms; the
     scalar engine stops once a term is negligible, with the bits of the
-    full sum (see the series comment in polygamma).  Values can differ
-    from the scalar ones by the last-ulp differences between numpy's power
-    and log and libm's.  An element for which the scalar engine would
-    raise, or could, is evaluated by polygamma itself, looked up in this
-    module as _gap looks it up, in index order; so the first one that
-    raises raises what [polygamma(*e) for e in zip(n, x)] would raise.
+    full sum (see the series comment in polygamma).  Likewise it adds
+    every shift step, where the scalar n >= 1 fold stops at the first term
+    that leaves its sum unchanged: the terms strictly decrease and rounding
+    is monotone, so each later term leaves the kernel's running total
+    unchanged too, and both folds end on the same bits (see the fold
+    comment in polygamma).  Values can differ from the scalar ones by the
+    last-ulp differences between numpy's power and log and libm's.  An
+    element for which the scalar engine would raise, or could, is evaluated
+    by polygamma itself, looked up in this module as _gap looks it up, in
+    index order; so the first one that raises raises what
+    [polygamma(*e) for e in zip(n, x)] would raise.
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)

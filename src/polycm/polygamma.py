@@ -17,6 +17,9 @@ everything that was added.  The series stops at the first term below
 2^-106 of the head's magnitude budget: no such term, nor any after it, can
 move a bit of the value, the budget or the bar (see the comment in
 polygamma), so the results are those of the full 20-term sum, bit for bit.
+Likewise, for n >= 1 the fold stops at the first recurrence term that
+leaves the sum unchanged: the terms strictly decrease and rounding is
+monotone, so no later term could change it either.
 
 polygamma runs in one pass: a range test on each argument (the _check_*
 helpers run only to raise their messages), the shift, the series and the
@@ -96,6 +99,14 @@ class EvalResult:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+#: _result's builtins, bound once: it runs on every polygamma call, and a
+#: module global is one dict lookup where object.__new__ or math.isfinite is
+#: a global lookup and an attribute lookup each time.
+_new = object.__new__
+_setattr = object.__setattr__
+_isfinite = math.isfinite
+
+
 def _result(value: float, bar: float) -> EvalResult:
     """EvalResult for a computed value and bar; OverflowError, not the
     ValueError of a bad bar passed in, when either has left binary64.
@@ -105,16 +116,16 @@ def _result(value: float, bar: float) -> EvalResult:
     again.  A negative bar goes through the constructor and raises its
     ValueError.
     """
-    if not (math.isfinite(value) and math.isfinite(bar)):
+    if not (_isfinite(value) and _isfinite(bar)):
         raise OverflowError(f"result left the binary64 range: {value!r} with error bar {bar!r}")
     if bar < 0.0:
         return EvalResult(value, bar)
     # set, not written into result.__dict__ (which is faster): on CPython
     # 3.11 a materialised __dict__ costs 64 bytes more per result and can
     # unshare the class's key table, so that constructed results grow too
-    result = object.__new__(EvalResult)
-    object.__setattr__(result, "value", value)
-    object.__setattr__(result, "abs_error_estimate", bar)
+    result = _new(EvalResult)
+    _setattr(result, "value", value)
+    _setattr(result, "abs_error_estimate", bar)
     return result
 
 
@@ -284,9 +295,22 @@ def polygamma(n: int, x: float) -> EvalResult:
             err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
             return _result(value, err)
         # for n >= 1, value is |psi_n| until the sign (-1)^(n+1) goes on at the end
+        # The fold stops at the first term that leaves acc unchanged, with the
+        # bits of the full fold.  The terms (x + j)^-(n+1) strictly decrease
+        # in j: below the threshold each is at most (9/10)^2 = 0.81 times the
+        # one before, far beyond the rounding of x + j and of the power.  And
+        # rounding is monotone, so acc <= fl(acc + later term) <= fl(acc +
+        # this term) == acc for every term after it.  The largest term, the
+        # one that can overflow, is the j = 0 term, which is always formed, so
+        # the same arguments raise.  The n = 0 fold above runs every step:
+        # for x above about 1e-15 each of its 1/(x + j) moves the sum, so a
+        # stop test there would only cost time.
         acc = 0.0
         for j in range(shift_count):
-            acc += (x + j) ** neg_n_plus_1
+            total = acc + (x + j) ** neg_n_plus_1
+            if total == acc:
+                break
+            acc = total
         fact_acc = _FACTORIAL_FLOATS[n] * acc
         value += fact_acc
         budget += fact_acc

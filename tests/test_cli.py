@@ -67,6 +67,17 @@ class TestEval:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("verb", ["verify-cm", "verify-bounds", "table"])
+def test_unallocatable_grid_is_usage_error(capsys, verb):
+    # 10**15 points need 8 PB, more than a 64-bit process can map, so the
+    # grid's first array is refused before any of it is allocated
+    code, out, err = run([verb, "--a", "0.5", "--k", "2", "--points", str(10**15)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("polycm: error: out of memory: ")
+    assert err.count("\n") == 1
+
+
 class TestNumericalErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -481,6 +481,27 @@ def test_engine_matches_the_full_series_bit_for_bit(n):
         ), (n, x)
 
 
+def _fold_stop_points(n):
+    """Arguments below the shift threshold t, where the recurrence fold runs:
+    a log sweep t 2^(-i/4) down to about 1e-18 t, and each unit interval
+    below t at its two ends and two inner points."""
+    t = shift_threshold(n)
+    xs = [t * 2.0 ** (-i / 4) for i in range(1, 240)]
+    xs += [j + f for j in range(int(t)) for f in (0.001, 0.25, 0.5, 0.999)]
+    return xs
+
+
+@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+def test_fold_stop_matches_the_full_fold_bit_for_bit(n):
+    # the n >= 1 fold stops at the first term that leaves its sum unchanged;
+    # a stop on a term merely small against the sum would move bits here
+    for x in _fold_stop_points(n):
+        expected = _outcome(_reference_polygamma, n, x)
+        if expected[0] == "OverflowError":
+            expected = ("OverflowError", f"psi_{n}({x!r}) left the binary64 range")
+        assert _outcome(polygamma, n, x) == expected, (n, x)
+
+
 def test_series_terms_shrink_from_the_shift_threshold_on():
     # the premise of the negligible-term stop: at y >= shift_threshold(n)
     # each term is below the one before (at most 0.4575 of it), so the full

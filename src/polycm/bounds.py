@@ -43,38 +43,6 @@ class BoundCheck:
     passed: bool
 
 
-def _bound_row(p: ShiftParams, x: float, endpoint: EvalResult) -> BoundCheck:
-    """The chain at x > 1 given C(a, k) = endpoint, built on the gap g(x).
-
-    The base term a k!/x^(k+1) is the gap's own power term and the middle is
-    base + g.  The margins are the gap itself: (g, C - g) for even k, where
-    C joins the upper side, and (g - C, -g) for odd k, where it joins the
-    lower one.  Each margin's bar is g's, plus C's on the side that has C,
-    plus the rounding of the margin itself.
-    """
-    c, c_err = endpoint.value, endpoint.abs_error_estimate
-    g, g_err, base = _gap(p, 0, x)
-    if p.k % 2 == 0:
-        lower, upper = base, base + c
-        lower_margin, upper_margin = g, c - g
-        lo_c_err, up_c_err = 0.0, c_err
-    else:
-        lower, upper = base + c, base
-        lower_margin, upper_margin = g - c, -g
-        lo_c_err, up_c_err = c_err, 0.0
-    return BoundCheck(
-        x=x,
-        lower=lower,
-        middle=base + g,
-        upper=upper,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        lower_margin_error=g_err + lo_c_err + _EPS * abs(lower_margin),
-        upper_margin_error=g_err + up_c_err + _EPS * abs(upper_margin),
-        passed=lower_margin > 0.0 and upper_margin > 0.0,
-    )
-
-
 def endpoint_constants(p: ShiftParams) -> EvalResult:
     """The gap's value C(a, k) at x = 1 with its error bar, cross-checked by
     quadrature.
@@ -108,8 +76,32 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
     so it is evaluated once for the whole table, as the gap at x = 1;
     endpoint_constants cross-checks that same value by quadrature.
+
+    Each row is built on the gap g(x).  The base term a k!/x^(k+1) is the
+    gap's own power term and the middle is base + g.  The margins are the
+    gap itself: (g, C - g) for even k, where C joins the upper side, and
+    (g - C, -g) for odd k, where it joins the lower one.  Each margin's bar
+    is g's, plus C's on the side that has C, plus the rounding of the
+    margin itself.
     """
     if not grid.lo > 1.0:
         raise ValueError(f"bounds hold on x > 1 only, got x={grid.lo!r}")
     endpoint = shift_gap_derivative(p, 0, 1.0)
-    return [_bound_row(p, x, endpoint) for x in grid.generate().tolist()]
+    c, c_err = endpoint.value, endpoint.abs_error_estimate
+    even = p.k % 2 == 0
+    rows = []
+    for x in grid.generate().tolist():
+        g, g_err, base = _gap(p, 0, x)
+        if even:
+            lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
+            lower_err, upper_err = g_err, g_err + c_err
+        else:
+            lower, upper, lower_margin, upper_margin = base + c, base, g - c, -g
+            lower_err, upper_err = g_err + c_err, g_err
+        # positional: BoundCheck's fields in order, cheaper than keywords
+        rows.append(BoundCheck(
+            x, lower, base + g, upper, lower_margin, upper_margin,
+            lower_err + _EPS * abs(lower_margin), upper_err + _EPS * abs(upper_margin),
+            lower_margin > 0.0 and upper_margin > 0.0,
+        ))
+    return rows

@@ -292,9 +292,12 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # shift pass: 1/(x+j) for n = 0, (x+j)^-(n+1) for n >= 1, one row
         # per step j and one column per element below its threshold, the
         # n = 0 columns first.  Cells past the element's own count are set
-        # to 0.0, so adding the rows to a running total from 0.0 in order of
-        # j is the scalar engine's acc += term (np.sum may pair the terms
-        # up, and np.add.accumulate runs one slow inner loop per column).
+        # to 0.0, so adding the rows from 0.0 in order of j is the scalar
+        # engine's acc += term.  numpy pairs terms up only along the axis
+        # that is fast in memory (see the notes of np.sum); reducing this
+        # C-ordered block over its slow axis, the steps, adds them in order
+        # of j, column by column.  A single column is itself the fast axis,
+        # which np.add.reduce would sum pairwise, so it keeps the row loop.
         digamma = np.flatnonzero(zero & (count > 0))
         below = np.concatenate((digamma, np.flatnonzero(~zero & (count > 0))))
         if below.size:
@@ -305,24 +308,32 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.power(terms[:, d:], -(order[below[d:]] + 1.0), out=terms[:, d:])
             ok[below[d:]] = _in_range(terms[0, d:])
             terms[steps >= count[below]] = 0.0
-            total = np.zeros(below.size)
-            for row in terms:
-                total += row
-            acc[below] = total
+            if below.size > 1:
+                acc[below] = np.add.reduce(terms, axis=0)
+            else:
+                for row in terms:
+                    acc[below] += row
 
-        # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1
+        # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1;
+        # a block with no n = 0 element skips the digamma branch
         y = x + count
         inv2 = 1.0 / (y * y)
         fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
         lead_power = np.power(y, -order)
         half_power = np.power(y, order + 1.0)
         next_power = np.power(y, -(order + 2.0))
-        ok &= zero | (_in_range(lead_power) & _in_range(half_power) & _in_range(next_power))
+        head_ok = _in_range(lead_power) & _in_range(half_power) & _in_range(next_power)
         head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
-        log_head = np.log(y) - 0.5 / y
-        value = np.where(zero, log_head, head)
-        budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
-        power = np.where(zero, inv2, next_power)
+        has_zero = zero.any()
+        if has_zero:
+            ok &= zero | head_ok
+            log_head = np.log(y) - 0.5 / y
+            value = np.where(zero, log_head, head)
+            budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
+            power = np.where(zero, inv2, next_power)
+        else:
+            ok &= head_ok
+            value, budget, power = head, head.copy(), next_power
 
         coefficients = _COEFFICIENT_ARRAY[n]
         for j in range(_MAX_ASYMPTOTIC_TERMS):
@@ -332,8 +343,9 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             power *= inv2
         trunc = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
 
-        shift = np.where(zero, acc, _FACTORIALS[n] * acc)
-        total = np.where(zero, value - shift, value + shift)
+        # 0! = 1, so the n = 0 elements' shift is acc itself
+        shift = _FACTORIALS[n] * acc
+        total = np.where(zero, value - shift, value + shift) if has_zero else value + shift
         budget += shift
         bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
     values = np.where(zero | (n % 2 == 1), total, -total)
@@ -352,13 +364,15 @@ def _factorial_over_power_array(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     ** of factorial_over_power and libm's pow underneath, because numpy's
     power can differ from it by an ulp; the division is IEEE in numpy as in
     Python.  Every other element is evaluated by factorial_over_power
-    itself.
+    itself; when there is none, the plain quotients are the whole result.
     """
     exponent = m + 1.0
     log_power = exponent * np.log(x)
     plain = (np.abs(log_power) <= _PLAIN_LOG_BOUND) & (
         _LOG_FACTORIALS[m] - log_power <= _PLAIN_LOG_BOUND
     )
+    if plain.all():
+        return _FACTORIALS[m] / np.fromiter(map(pow, x.tolist(), exponent.tolist()), float, x.size)
     out = np.empty_like(x)
     powers = np.array(list(map(pow, x[plain].tolist(), exponent[plain].tolist())))
     out[plain] = _FACTORIALS[m[plain]] / powers
@@ -410,7 +424,10 @@ def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     nowhere that shift_gap_derivative's would.
     """
     m = p.k + n
-    values, bars = _polygamma_array(np.repeat(m, 2), np.column_stack((x + p.a, x)).ravel())
+    pairs = np.empty(2 * x.size)
+    np.add(x, p.a, out=pairs[0::2])
+    pairs[1::2] = x
+    values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
     last = np.where(n % 2 == 0, p.a, -p.a) * _factorial_over_power_array(m, x)
     value = _fsum3(hi, -lo, -last)

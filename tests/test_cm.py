@@ -471,7 +471,7 @@ class TestGapBlockBits:
         calls = []
 
         def counted(mi, xi):
-            calls.append(mi)
+            calls.append((mi, xi))
             return factorial_over_power(mi, xi)
 
         monkeypatch.setattr(polycm.cm, "factorial_over_power", counted)
@@ -479,6 +479,15 @@ class TestGapBlockBits:
         assert hexes(got) == hexes(expected)
         # both branches ran, and the fallback went through the module attribute
         assert 0 < len(calls) < len(m)
+        # a block of plain elements only, which skips the scatter, and one
+        # of fallback elements only
+        fallback = set(calls)
+        for in_fallback in (False, True):
+            idx = [i for i, e in enumerate(zip(m, x)) if (e in fallback) is in_fallback]
+            calls.clear()
+            got = _factorial_over_power_array(np.array(m)[idx], np.array(x)[idx])
+            assert hexes(got) == hexes(expected[i] for i in idx)
+            assert len(calls) == (len(idx) if in_fallback else 0)
 
     @pytest.mark.parametrize("a,k,max_order,grid", SCANS + FALLBACK_SCANS)
     def test_gap_block_matches_scalar_combination(self, monkeypatch, a, k, max_order, grid):

@@ -618,7 +618,9 @@ def test_array_kernel_matches_its_previous_form_bit_for_bit(n):
 
 def test_array_kernel_mixed_shift_counts_match_bit_for_bit():
     # every order with every shift count it can take, 1 .. 48, in one
-    # shuffled block that mixes n = 0 and n >= 1 rows, and in blocks of one
+    # shuffled block that mixes n = 0 and n >= 1 rows, in blocks of one,
+    # which sum their shift steps in a loop, and in blocks of two, the
+    # smallest that sum them in one reduce
     pairs = []
     for n in range(MAX_ORDER + 1):
         t = shift_threshold(n)
@@ -631,6 +633,7 @@ def test_array_kernel_mixed_shift_counts_match_bit_for_bit():
     _assert_kernel_matches_reference(n[:97], x[:97])
     for i in range(0, len(n), 41):
         _assert_kernel_matches_reference(n[i:i + 1], x[i:i + 1])
+        _assert_kernel_matches_reference(n[i:i + 2], x[i:i + 2])
 
 
 def test_array_kernel_without_shifts_matches_bit_for_bit():

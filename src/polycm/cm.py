@@ -31,7 +31,6 @@ from .polygamma import (
     _COEFFICIENTS,
     _EPS,
     _FACTORIAL_FLOATS,
-    _LOG_FACTORIAL_FLOATS,
     _MAX_ASYMPTOTIC_TERMS,
     _THRESHOLD_FLOATS,
     EvalResult,
@@ -55,18 +54,6 @@ SIGN_GUARD = 1e3
 #: memory whatever the number of grid points: the kernel's shift pass holds
 #: at most 48 steps of 2 x _SCAN_BLOCK elements.
 _SCAN_BLOCK = 4096
-
-#: ln m! for every order, to screen factorial_over_power's branches.
-_LOG_FACTORIALS = np.array(_LOG_FACTORIAL_FLOATS)
-
-#: Where ln x^(m+1) and ln(m!/x^(m+1)) both stay within this bound,
-#: factorial_over_power takes its plain branch m!/x**(m+1).  Its own
-#: thresholds are ln(DBL_MAX) = 709.78 and -745 on the log of the result,
-#: and a normal power needs its log in (-708.39, 709.78); the margin dwarfs
-#: any ulp of difference between numpy's log and libm's.  As ln m! >= 0, the
-#: bound on |ln x^(m+1)| also bounds ln(m!/x^(m+1)) from below.
-_PLAIN_LOG_BOUND = 700.0
-
 
 @dataclass(frozen=True)
 class RatioParams:
@@ -169,7 +156,7 @@ class CMScanReport:
 def exp_diff_ratio(p: RatioParams, t: float) -> float:
     """(e^-alpha t - e^-beta t) / (1 - e^-t) for t > 0, extended by its
     limit beta - alpha at t = 0."""
-    t = float(t)
+    t = _as_float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     al, be = p.alpha, p.beta
@@ -202,7 +189,7 @@ def increasing_condition(p: RatioParams) -> bool:
 def expm1_ratio(a: float, t: float) -> float:
     """(1 - e^-at)/(1 - e^-t) for t > 0, strictly inside (a, 1) for 0 < a < 1."""
     a = _check_shift(a)
-    t = float(t)
+    t = _as_float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and positive, got {t!r}")
     return math.expm1(-a * t) / math.expm1(-t)
@@ -249,17 +236,16 @@ _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 #: numpy's power never raises, and its SIMD loops can differ from libm's
 #: pow by an ulp (on 5% of random powers on an AVX-512 Xeon, numpy 2.4).
 #: CPython's ** raises OverflowError where the power overflows, and returns
-#: a subnormal power with its precision cut short; so a power outside
-#: [_TINY, _HUGE] sends its element back to the scalar engine, which raises
-#: or evaluates it as polygamma does.  The factor of two keeps an ulp of
-#: difference between the two powers from putting them on different sides
-#: of either edge.
+#: a subnormal power with its precision cut short; so an element with an
+#: infinite bar, or with n >= 1 and y^-(n+2) below _TINY, goes back to the
+#: scalar engine, which raises or evaluates it as polygamma does.  The
+#: factor of two keeps an ulp between the two powers from splitting them at
+#: the edge.  Every other power is then in range, as y >= 10 and a shifting
+#: x < 48 (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~
+#: 1e-69, and above DBL_MAX/2 it puts n! acc there too, so 8 |total| is
+#: inf; y^-n >= 100 y^-(n+2); and y^(n+1) > DBL_MAX/2 puts y^-(n+2) below
+#: (2/DBL_MAX)^((n+2)/(n+1)) < 1e-315.
 _TINY = 2.0 * sys.float_info.min
-_HUGE = 0.5 * sys.float_info.max
-
-
-def _in_range(p: np.ndarray) -> np.ndarray:
-    return (p >= _TINY) & (p <= _HUGE)
 
 
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +262,10 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     unchanged too, and both folds end on the same bits (see the fold
     comment in polygamma).  Values can differ from the scalar ones by the
     last-ulp differences between numpy's power and log and libm's.  An
-    element for which the scalar engine would raise, or could, is evaluated
-    by polygamma itself, looked up in this module as _gap looks it up, in
-    index order; so the first one that raises raises what
+    element whose bar is not finite, or with n >= 1 whose head power
+    y^-(n+2) is below _TINY (no other power needs a screen; see _TINY), is
+    evaluated by polygamma itself, looked up in this module as _gap looks
+    it up, in index order; so the first one that raises raises what
     [polygamma(*e) for e in zip(n, x)] would raise.
     """
     n = np.asarray(n, dtype=np.intp)
@@ -286,7 +273,6 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     zero = n == 0
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
-    ok = np.ones(x.shape, dtype=bool)
     acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
         # shift pass: 1/(x+j) for n = 0, (x+j)^-(n+1) for n >= 1, one row
@@ -306,7 +292,6 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             terms = x[below] + steps
             np.divide(1.0, terms[:, :d], out=terms[:, :d])
             np.power(terms[:, d:], -(order[below[d:]] + 1.0), out=terms[:, d:])
-            ok[below[d:]] = _in_range(terms[0, d:])
             terms[steps >= count[below]] = 0.0
             if below.size > 1:
                 acc[below] = np.add.reduce(terms, axis=0)
@@ -322,17 +307,15 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         lead_power = np.power(y, -order)
         half_power = np.power(y, order + 1.0)
         next_power = np.power(y, -(order + 2.0))
-        head_ok = _in_range(lead_power) & _in_range(half_power) & _in_range(next_power)
+        ok = zero | (next_power >= _TINY)
         head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
         has_zero = zero.any()
         if has_zero:
-            ok &= zero | head_ok
             log_head = np.log(y) - 0.5 / y
             value = np.where(zero, log_head, head)
             budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
             power = np.where(zero, inv2, next_power)
         else:
-            ok &= head_ok
             value, budget, power = head, head.copy(), next_power
 
         coefficients = _COEFFICIENT_ARRAY[n]
@@ -353,32 +336,6 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         r = polygamma(int(n[i]), float(x[i]))
         values[i], bars[i] = r.value, r.abs_error_estimate
     return values, bars
-
-
-def _factorial_over_power_array(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """factorial_over_power(m[i], x[i]) for every i, bit for bit.
-
-    Orders and arguments must already be valid.  numpy's log only screens
-    which elements take factorial_over_power's plain branch m!/x**(m+1)
-    (see _PLAIN_LOG_BOUND).  Their powers come from CPython's float pow, the
-    ** of factorial_over_power and libm's pow underneath, because numpy's
-    power can differ from it by an ulp; the division is IEEE in numpy as in
-    Python.  Every other element is evaluated by factorial_over_power
-    itself; when there is none, the plain quotients are the whole result.
-    """
-    exponent = m + 1.0
-    log_power = exponent * np.log(x)
-    plain = (np.abs(log_power) <= _PLAIN_LOG_BOUND) & (
-        _LOG_FACTORIALS[m] - log_power <= _PLAIN_LOG_BOUND
-    )
-    if plain.all():
-        return _FACTORIALS[m] / np.fromiter(map(pow, x.tolist(), exponent.tolist()), float, x.size)
-    out = np.empty_like(x)
-    powers = np.array(list(map(pow, x[plain].tolist(), exponent[plain].tolist())))
-    out[plain] = _FACTORIALS[m[plain]] / powers
-    for i in np.flatnonzero(~plain).tolist():
-        out[i] = factorial_over_power(int(m[i]), float(x[i]))
-    return out
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,14 +371,21 @@ def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
 
     The two polygamma values of every sample come from one array-kernel
     call, interleaved as x[i] + a, x[i] in sample order, so the kernel
-    raises what shift_gap_derivative would raise first.  The power term
-    (_factorial_over_power_array) and the three-term sum (_fsum3) run as
-    array code with no per-sample Python loop, and both give
-    shift_gap_derivative's bits given the kernel's hi and lo; so does the
-    bar, which is its formula.  Finite polygamma bars keep |hi|, |lo| and
-    |last| (which |lo| or its 1/x shift term exceeds) under an eighth of
-    the binary64 range, so the sum and the bar are finite too and raise
-    nowhere that shift_gap_derivative's would.
+    raises what shift_gap_derivative would raise first.  The power term and
+    the three-term sum (_fsum3) run as array code with no per-sample Python
+    loop, and both give shift_gap_derivative's bits given the kernel's hi
+    and lo; so does the bar, which is its formula.  The power term is
+    factorial_over_power's plain branch m!/x**(m+1), with CPython's float
+    pow (libm's, which numpy's power can miss by an ulp) and an IEEE
+    division, and every sample that gets here would take that branch.  A
+    finite bar on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as the
+    kernel's budget holds it as the first shift step below the threshold,
+    and x >= 10 above it; where x^(m+1) overflows, or m!/x^(m+1) < e^-745,
+    x^-(m+2) is below _TINY, so the kernel sent x to polygamma, which raised.
+    Finite polygamma bars keep |hi|, |lo| and |last| (which |lo| or its
+    1/x shift term exceeds) under an eighth of the binary64 range, so the
+    sum and the bar are finite too and raise nowhere that
+    shift_gap_derivative's would.
     """
     m = p.k + n
     pairs = np.empty(2 * x.size)
@@ -429,7 +393,8 @@ def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     pairs[1::2] = x
     values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
-    last = np.where(n % 2 == 0, p.a, -p.a) * _factorial_over_power_array(m, x)
+    powers = np.fromiter(map(pow, x.tolist(), (m + 1.0).tolist()), float, x.size)
+    last = np.where(n % 2 == 0, p.a, -p.a) * (_FACTORIALS[m] / powers)
     value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
     return value, err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from polycm import (
     increasing_condition,
     shift_gap_derivative,
 )
-from polycm.cm import _factorial_over_power_array, _fsum3, _gap_block, _polygamma_array
+from polycm.cm import _fsum3, _gap_block, _polygamma_array
 from polycm.polygamma import _EPS
 
 
@@ -56,8 +57,9 @@ class TestExpDiffRatio:
         with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
             RatioParams(alpha=10**400, beta=0.5)
         p = RatioParams(alpha=0.0, beta=0.5)
-        with pytest.raises(ValueError):
-            exp_diff_ratio(p, -1.0)
+        for t in (-1.0, 10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^t must be finite and >= 0, got "):
+                exp_diff_ratio(p, t)
 
 
 class TestIncreasingCondition:
@@ -113,8 +115,9 @@ class TestSqueeze:
             expm1_ratio(0.0, 1.0)
         with pytest.raises(ValueError):
             expm1_ratio(1.0, 1.0)
-        with pytest.raises(ValueError):
-            expm1_ratio(0.5, 0.0)
+        for t in (0.0, 10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^t must be finite and positive, got "):
+                expm1_ratio(0.5, t)
 
 
 class TestShiftParams:
@@ -426,9 +429,9 @@ def adversarial_triples():
     return triples
 
 
-#: Samples whose power term leaves _factorial_over_power_array's plain
-#: branch but whose polygamma values do not overflow: m!/x^(m+1) ~ e^703
-#: at k + n = 40, and x^1 ~ e^702 at k = n = 0.
+#: Samples whose power term m!/x^(m+1) or power x^(m+1) lies beyond e^700,
+#: near factorial_over_power's other branches, but whose polygamma values do
+#: not overflow: m!/x^(m+1) ~ e^703 at k + n = 40, and x^1 ~ e^702 at k = n = 0.
 FALLBACK_SCANS = [
     (0.5, 32, 8, GridSpec(lo=5.3e-7, hi=1e-6, points=4)),
     (0.5, 0, 0, GridSpec(lo=1e304, hi=1e305, points=4)),
@@ -444,53 +447,42 @@ class TestGapBlockBits:
         assert hexes(_fsum3(a, b, c)) == hexes(math.fsum(t) for t in triples)
 
     def test_power_term_matches_factorial_over_power(self, monkeypatch):
-        # x on both sides of every edge factorial_over_power has: x^(n+1)
-        # overflowing, leaving the normal range and underflowing to zero;
-        # its log value crossing 709 and -745; and the plain-branch screen
-        m, x = [], []
-        for n in range(MAX_ORDER + 1):
-            e, lg = n + 1, math.lgamma(n + 1)
-            for log_x in (1024 * math.log(2.0) / e, -1022 * math.log(2.0) / e,
-                          -1075 * math.log(2.0) / e, (lg - 709.0) / e, (lg + 745.0) / e,
-                          700.0 / e, -700.0 / e, (lg - 700.0) / e):
-                centre = math.exp(min(log_x, math.log(1.7e308)))
-                near = [centre * (1.0 + s) for s in (-1e-3, -1e-9, 1e-9, 1e-3)]
-                up = down = centre
-                for _ in range(4):
-                    up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
-                    near += [up, down]
-                for xi in [centre, *near]:
-                    if 0.0 < xi < math.inf:
-                        m.append(n)
-                        x.append(xi)
-            for xi in np.geomspace(1e-300, 1e300, 200).tolist():
-                m.append(n)
-                x.append(xi)
-        expected = [factorial_over_power(mi, xi) for mi, xi in zip(m, x)]
-        assert math.inf in expected and 0.0 in expected
-        calls = []
-
-        def counted(mi, xi):
-            calls.append((mi, xi))
-            return factorial_over_power(mi, xi)
-
-        monkeypatch.setattr(polycm.cm, "factorial_over_power", counted)
-        got = _factorial_over_power_array(np.array(m), np.array(x))
-        assert hexes(got) == hexes(expected)
-        # both branches ran, and the fallback went through the module attribute
-        assert 0 < len(calls) < len(m)
-        # a block of plain elements only, which skips the scatter, and one
-        # of fallback elements only
-        fallback = set(calls)
-        for in_fallback in (False, True):
-            idx = [i for i, e in enumerate(zip(m, x)) if (e in fallback) is in_fallback]
-            calls.clear()
-            got = _factorial_over_power_array(np.array(m)[idx], np.array(x)[idx])
-            assert hexes(got) == hexes(expected[i] for i in idx)
-            assert len(calls) == (len(idx) if in_fallback else 0)
+        # the block's quotient m!/x**(m+1) on its reachable domain: x across
+        # the windows where ln x^(m+1) or ln(m!/x^(m+1)) lies between 700 and
+        # ln(DBL_MAX/2), next to factorial_over_power's other branches, at
+        # every x where the block returns; a = 1/2 scales the term exactly
+        # wherever it is normal
+        lasts = []
+        monkeypatch.setattr(polycm.cm, "_fsum3",
+                            lambda a, b, c: lasts.append(-c) or _fsum3(a, b, c))
+        p = ShiftParams(a=0.5, k=0)
+        edge = math.log(sys.float_info.max / 2.0)
+        returned = [0, 0, 0]
+        for m in range(MAX_ORDER + 1):
+            e, lg = m + 1, math.lgamma(m + 1)
+            reached = []
+            for w, (lo, hi) in enumerate(((700.0, edge), (-edge, -700.0), (lg - edge, lg - 700.0))):
+                xs = np.exp(np.linspace(lo / e, hi / e, 48)).tolist()
+                for end in (xs[0], xs[-1]):
+                    for step in range(1, 4):
+                        xs += [end + step * math.ulp(end), end - step * math.ulp(end)]
+                for x in xs:
+                    try:
+                        _gap_block(p, np.array([m]), np.array([x]))
+                    except OverflowError:
+                        continue
+                    returned[w] += 1
+                    reached.append(x)
+            # one term per returning call, then the same x in one block
+            sign = -1.0 if m % 2 else 1.0
+            expected = [sign * p.a * factorial_over_power(m, x) for x in reached]
+            _gap_block(p, np.full(len(reached), m), np.array(reached))
+            assert hexes(np.concatenate(lasts)) == hexes(expected * 2), m
+            lasts.clear()
+        assert min(returned) > 0, returned
 
     @pytest.mark.parametrize("a,k,max_order,grid", SCANS + FALLBACK_SCANS)
-    def test_gap_block_matches_scalar_combination(self, monkeypatch, a, k, max_order, grid):
+    def test_gap_block_matches_scalar_combination(self, a, k, max_order, grid):
         p = ShiftParams(a=a, k=k)
         n, i = np.divmod(np.arange((max_order + 1) * grid.points), grid.points)
         x = grid.generate()[i]
@@ -504,10 +496,6 @@ class TestGapBlockBits:
             last = (1.0 if ni % 2 == 0 else -1.0) * p.a * factorial_over_power(mi, xi)
             ref_value.append(math.fsum((hi, -lo, -last)))
             ref_err.append(hi_bar + lo_bar + _EPS * (abs(hi) + abs(lo) + 2.0 * abs(last)))
-        calls = []
-        monkeypatch.setattr(polycm.cm, "factorial_over_power",
-                            lambda mi, xi: calls.append(mi) or factorial_over_power(mi, xi))
         value, err = _gap_block(p, n, x)
         assert hexes(value) == hexes(ref_value)
         assert hexes(err) == hexes(ref_err)
-        assert (len(calls) > 0) is ((a, k, max_order, grid) in FALLBACK_SCANS)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import polycm.cm
 from polycm import (
     MAX_ORDER,
     EvalResult,
@@ -22,7 +23,6 @@ from polycm.cm import (
     _COEFFICIENT_ARRAY,
     _FACTORIALS,
     _THRESHOLDS,
-    _in_range,
     _polygamma_array,
 )
 from polycm.constants import GAMMA_EULER
@@ -512,11 +512,16 @@ def test_series_terms_shrink_from_the_shift_threshold_on():
             assert ratio < 0.4575, (n, j, ratio)
 
 
+def _in_range(p):
+    """The previous kernel's range screen on a power: [2 DBL_MIN, DBL_MAX/2]."""
+    return (p >= 2.0 * sys.float_info.min) & (p <= 0.5 * sys.float_info.max)
+
+
 # The array kernel as it was before its shift pass became one 2-D pass and
 # its series lost the growth stop: the elements below their threshold,
 # sorted by shift count, step j adding to the prefix still shifting; the
-# series stopping an element whose terms grow again.  The current kernel
-# must match it bit for bit.
+# series stopping an element whose terms grow again; a range screen on each
+# power.  The current kernel must match it bit for bit.
 def _reference_polygamma_array(n, x):
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
@@ -650,3 +655,62 @@ def test_array_kernel_raises_as_its_previous_form():
     for n, x in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
         _assert_kernel_matches_reference([3, 0, n, 40], [2.5, 0.25, x, 1e-7])
         _assert_kernel_matches_reference([n], [x])
+
+
+def _edge(e, target):
+    """The least double x > 0 at which numpy's x^e has reached target."""
+    lo, hi = 0, 0x7FEFFFFFFFFFFFFF  # the bit patterns of 0.0 and DBL_MAX
+    with np.errstate(over="ignore", under="ignore"):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            p = np.power(np.int64(mid).view(np.float64), e)
+            lo, hi = (lo, mid) if (p >= target if e > 0 else p <= target) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def _range_edges(n):
+    """Arguments within 4 ulps of order n's range edges: the first shift term
+    x^-(n+1) at DBL_MAX/2 and where 8 n! x^-(n+1) overflows; the head powers
+    y^-n and y^-(n+2) at 2 DBL_MIN, and y^(n+1) at DBL_MAX/2 and DBL_MAX."""
+    huge = sys.float_info.max
+    tiny = 2.0 * sys.float_info.min
+    edges = [(-(n + 1.0), huge / 2.0), (-(n + 1.0), huge / (8.0 * math.factorial(n))),
+             (-(n + 2.0), tiny), (n + 1.0, huge / 2.0), (n + 1.0, huge)]
+    if n:
+        edges.append((-float(n), tiny))
+    xs = []
+    for e, target in edges:
+        up = down = _edge(e, target)
+        xs.append(up)
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            xs += [up, down]
+    return sorted(x for x in set(xs) if 0.0 < x < math.inf)
+
+
+@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+def test_array_kernel_hands_polygamma_what_its_range_screens_did(monkeypatch, n):
+    # one screen on y^-(n+2) and the finite-bar check send to polygamma
+    # exactly the elements that the previous form's screens on every power
+    # and the same check sent, each alone and in one block of those that
+    # return
+    engine, calls = polygamma, []
+
+    def recorded(m, x):
+        calls.append((m, x))
+        return engine(m, x)
+
+    monkeypatch.setattr(polycm.cm, "polygamma", recorded)
+    monkeypatch.setitem(globals(), "polygamma", recorded)
+    xs = _range_edges(n)
+    fine = [x for x in xs if not _engine_raises(n, x)]
+    handed = 0
+    for block in [[x] for x in xs] + [fine]:
+        sent = []
+        for kernel in (_polygamma_array, _reference_polygamma_array):
+            calls.clear()
+            sent.append((_kernel_outcome(kernel, [n] * len(block), block), list(calls)))
+        assert sent[0] == sent[1], (n, block)
+        handed += len(block) == 1 and len(calls) == 1
+    # the edges put elements on both sides of the screens
+    assert 0 < handed < len(xs)

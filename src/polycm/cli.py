@@ -153,7 +153,7 @@ def _cmd_verify_cm(args) -> int:
     else:
         print(
             f"scan a={_g(params.a)} k={params.k} orders 0..{report.derivative_orders[-1]} "
-            f"on {grid.points} {grid.spacing} points in [{_g(grid.lo)}, {_g(grid.hi)}]"
+            f"on {grid.points} logarithmic points in [{_g(grid.lo)}, {_g(grid.hi)}]"
         )
         if report.witness_point is None:
             print("no determinate points; nothing to certify")

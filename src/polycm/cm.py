@@ -24,6 +24,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -85,12 +86,11 @@ class ShiftParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling grid on [lo, hi], linear or logarithmic."""
+    """Logarithmic sampling grid on [lo, hi]."""
 
     lo: float
     hi: float
     points: int
-    spacing: str = "logarithmic"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _as_float(self.lo))
@@ -107,34 +107,33 @@ class GridSpec:
             raise ValueError(f"hi must exceed lo, got {self.hi!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        if self.spacing not in ("linear", "logarithmic"):
-            raise ValueError(f"spacing must be linear or logarithmic, got {self.spacing!r}")
 
     def generate(self) -> np.ndarray:
         """Strictly increasing points spanning [lo, hi] exactly.
 
-        Raises ValueError when [lo, hi] holds too few doubles for that many
+        lo, then 10^(i*step + log10(lo)) for 0 < i < points - 1, then hi,
+        with step = (log10(hi) - log10(lo)) / (points - 1).  The logs and
+        powers are libm's (math.log10, math.pow), not numpy's SIMD loops,
+        so every host builds the same bits; the ends are never raised to a
+        power, as 10^log10(hi) overflows for hi near DBL_MAX.  Raises
+        ValueError when [lo, hi] holds too few doubles for that many
         distinct points.
         """
-        if self.spacing == "linear":
-            xs = np.linspace(self.lo, self.hi, self.points)
-        else:
-            # np.geomspace's arithmetic, bit for bit, without its dtype and
-            # sign handling: 10^(log10(lo) + i*step) with the last exponent
-            # log10(hi), then both ends set back to lo and hi
-            log_lo = np.log10(self.lo)
-            log_hi = np.log10(self.hi)
-            step = (log_hi - log_lo) / (self.points - 1)
-            exponents = np.arange(self.points, dtype=float) * step
-            exponents += log_lo
-            exponents[-1] = log_hi
-            xs = np.power(10.0, exponents)
-            xs[0] = self.lo
-            xs[-1] = self.hi
-        if not np.all(xs[1:] > xs[:-1]):
+        log_lo = math.log10(self.lo)
+        step = (math.log10(self.hi) - log_lo) / (self.points - 1)
+        # the exponents first: a grid larger than memory raises MemoryError
+        # before any per-point work
+        inner = np.arange(1, self.points - 1) * step + log_lo
+        try:
+            xs = np.fromiter(chain((self.lo,), map(math.pow, repeat(10.0), inner), (self.hi,)),
+                             float, self.points)
+        except OverflowError:
+            # an interior power beyond DBL_MAX cannot lie below hi
+            xs = None
+        if xs is None or not (xs[1:] > xs[:-1]).all():
             raise ValueError(
                 f"[{self.lo!r}, {self.hi!r}] is too narrow for {self.points} distinct "
-                f"{self.spacing} points"
+                "logarithmic points"
             )
         return xs
 

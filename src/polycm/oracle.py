@@ -278,7 +278,11 @@ def cm_weight(a: float, t):
     scalar = np.ndim(t) == 0
     if scalar:
         t = _as_float(t)
-    arr = np.asarray(t, dtype=float)
+    try:
+        arr = np.asarray(t, dtype=float)
+    except OverflowError:
+        # a sequence holding an int beyond binary64: rejected as its inf is
+        arr = np.array(math.inf)
     # nan fails both comparisons, so it is rejected along with -inf and inf
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")

@@ -85,11 +85,15 @@ class TestNumericalErrors:
             ["eval", "--n", "40", "--x", "1e-7"],
             ["eval", "--n", "0", "--x", "1e-310"],
             ["verify-cm", "--a", "0.5", "--k", "32", "--lo", "1e-7", "--hi", "1", "--points", "10"],
+            ["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5",
+             "--hi", "1.7976931348623157e308", "--points", "5"],
         ],
     )
     def test_non_finite_result(self, capsys, argv):
         # the result itself leaves binary64 (psi_40(1e-7) is about 8e334,
-        # psi(1e-310) about -1e310): a numerical error, not a usage error
+        # psi(1e-310) about -1e310): a numerical error, not a usage error.
+        # A grid ending at DBL_MAX is built without a warning, and only the
+        # bound row there overflows
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""

@@ -142,32 +142,33 @@ class TestShiftParams:
 
 class TestGridSpec:
     def test_generation(self):
-        lin = GridSpec(lo=1.0, hi=2.0, points=5, spacing="linear").generate()
-        assert lin[0] == 1.0 and lin[-1] == 2.0
-        assert np.all(np.diff(lin) > 0.0)
         log = GridSpec(lo=0.1, hi=100.0, points=31).generate()
         assert log[0] == pytest.approx(0.1, rel=1e-15)
         assert log[-1] == pytest.approx(100.0, rel=1e-15)
         assert len(log) == 31
         assert np.all(np.diff(log) > 0.0)
 
-    def test_log_grid_has_the_bits_of_geomspace(self):
-        # generate repeats np.geomspace's arithmetic without calling it: the
-        # README, CLI-default and benchmark grids, then seeded random ones
-        # over the whole positive range, down to a few ulp wide
+    def test_log_grid_has_the_bits_of_libm(self):
+        # lo, then 10^(i*step + log10(lo)) from libm's log10 and pow, then
+        # hi: the same bits whatever SIMD loops numpy dispatches to.  The
+        # README, CLI-default and benchmark grids, grids ending at the ends
+        # of binary64, then seeded random ones over the whole positive
+        # range, down to a few ulp wide
         grids = [(0.1, 100.0, 60), (1.5, 500.0, 25), (0.1, 100.0, 40), (1.001, 1000.0, 50),
-                 (1e-3, 1e14, 60), (1.001, 1e2, 50), (1.0, 1.0000000000000004, 3)]
+                 (1e-3, 1e14, 60), (1.001, 1e2, 50), (1.0, 1.0000000000000004, 3),
+                 (5e-324, sys.float_info.max, 50), (1.5, sys.float_info.max, 5)]
         rng = np.random.default_rng(19)
         for _ in range(2000):
-            lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0, 2))
+            lo, hi = sorted(10.0 ** u for u in rng.uniform(-300.0, 300.0, 2).tolist())
             grids.append((lo, hi, int(rng.integers(2, 200))))
-            grids.append((lo, lo * (1.0 + 2.0 ** -rng.uniform(10.0, 40.0)), 2))
-            grids.append((lo, float(np.nextafter(lo, np.inf)), 2))
+            grids.append((lo, lo * (1.0 + 2.0 ** -float(rng.uniform(10.0, 40.0))), 2))
+            grids.append((lo, math.nextafter(lo, math.inf), 2))
         for lo, hi, points in grids:
             xs = GridSpec(lo, hi, points).generate()
-            expected = np.geomspace(lo, hi, points)
-            assert xs.dtype == expected.dtype and xs.shape == expected.shape
-            assert xs.view(np.int64).tolist() == expected.view(np.int64).tolist(), (lo, hi, points)
+            step = (math.log10(hi) - math.log10(lo)) / (points - 1)
+            expected = [lo, *(10.0 ** (i * step + math.log10(lo)) for i in range(1, points - 1)), hi]
+            assert xs.dtype == np.float64 and xs.shape == (points,)
+            assert xs.tolist() == expected, (lo, hi, points)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,8 +177,9 @@ class TestGridSpec:
             GridSpec(lo=2.0, hi=1.0, points=5)
         with pytest.raises(ValueError):
             GridSpec(lo=1.0, hi=2.0, points=1)
-        with pytest.raises(ValueError):
-            GridSpec(lo=1.0, hi=2.0, points=5, spacing="cubic")
+        # one spacing, so no fourth setting
+        with pytest.raises(TypeError):
+            GridSpec(1.0, 2.0, 5, "linear")
         # an int beyond binary64 is rejected as the infinity of its sign
         with pytest.raises(ValueError, match=r"^hi must be finite, got inf$"):
             GridSpec(lo=1, hi=10**400, points=3)
@@ -198,16 +200,20 @@ class TestGridSpec:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 GridSpec(lo=lo, hi=hi, points=3)
 
-    @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
-    def test_repeated_points_are_rejected(self, spacing):
+    def test_repeated_points_are_rejected(self):
         # [1, 1 + 2 ulp] holds three doubles, so ten points must repeat some
-        grid = GridSpec(lo=1.0, hi=1.0000000000000004, points=10, spacing=spacing)
+        grid = GridSpec(lo=1.0, hi=1.0000000000000004, points=10)
         with pytest.raises(ValueError, match="too narrow"):
             grid.generate()
         with pytest.raises(ValueError, match="too narrow"):
             cm_scan(ShiftParams(a=0.5, k=2), 1, grid)
-        three = GridSpec(lo=1.0, hi=1.0000000000000004, points=3, spacing=spacing).generate()
+        three = GridSpec(lo=1.0, hi=1.0000000000000004, points=3).generate()
         assert np.all(np.diff(three) > 0.0)
+        # below DBL_MAX both ends share one log10, whose power overflows:
+        # the interior point cannot lie below hi, so the grid is too narrow
+        top = sys.float_info.max
+        with pytest.raises(ValueError, match="is too narrow for 3 distinct logarithmic points$"):
+            GridSpec(lo=math.nextafter(top, 0.0), hi=top, points=3).generate()
 
 
 class TestShiftGaps:

@@ -418,8 +418,10 @@ class TestGapIntegrals:
         with pytest.raises(ValueError):
             cm_weight(0.3, -1.0)
         # exp_diff_ratio's rule: nan and inf, alone or in an array, are
-        # rejected as a negative t is, not mapped to nan
-        for t in (math.inf, math.nan, np.array([1.0, math.nan]), 10**400, -(10**400)):
+        # rejected as a negative t is, not mapped to nan; an int beyond
+        # binary64, alone or in a sequence, as the infinity of its sign
+        for t in (math.inf, math.nan, np.array([1.0, math.nan]), 10**400, -(10**400),
+                  [1.0, 10**400], (1.0, 10**400), (1.0, -(10**400))):
             with pytest.raises(ValueError, match="t must be finite and >= 0"):
                 cm_weight(0.5, t)
 

@@ -33,11 +33,9 @@ _LAZY = {
     "endpoint_constants": "bounds",
     "CMScanReport": "cm",
     "GridSpec": "cm",
-    "RatioParams": "cm",
     "ShiftParams": "cm",
     "cm_scan": "cm",
     "exp_diff_ratio": "cm",
-    "expm1_ratio": "cm",
     "increasing_condition": "cm",
     "shift_gap_derivative": "cm",
     "QuadratureError": "oracle",
@@ -76,7 +74,6 @@ __all__ = [
     "GridSpec",
     "MAX_ORDER",
     "QuadratureError",
-    "RatioParams",
     "SeriesSpec",
     "ShiftParams",
     "bound_table",
@@ -85,7 +82,6 @@ __all__ = [
     "digamma_series",
     "endpoint_constants",
     "exp_diff_ratio",
-    "expm1_ratio",
     "factorial_over_power",
     "gap_integral_even",
     "gap_integral_odd",

@@ -12,10 +12,9 @@ its samples through the engine's numpy array kernel, _polygamma_array,
 which lives here, beside its one caller, so that polycm.polygamma stays
 pure Python.
 
-The module also carries the two elementary ingredients behind those facts:
-the two-parameter exponential ratio (e^-alpha t - e^-beta t)/(1 - e^-t) with
-its exact monotonicity criterion, and the squeeze
-a < (1 - e^-at)/(1 - e^-t) < 1 for t > 0.
+The module also carries the elementary ratio behind those facts,
+(e^-alpha t - e^-beta t)/(1 - e^-t), with its exact monotonicity criterion;
+the squeeze a < (1 - e^-at)/(1 - e^-t) < 1 for t > 0 is its (0, a) case.
 """
 
 from __future__ import annotations
@@ -55,22 +54,6 @@ SIGN_GUARD = 1e3
 #: memory whatever the number of grid points: the kernel's shift pass holds
 #: at most 48 steps of 2 x _SCAN_BLOCK elements.
 _SCAN_BLOCK = 4096
-
-@dataclass(frozen=True)
-class RatioParams:
-    """Exponent pair (alpha, beta) of the two-parameter exponential ratio."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _as_float(self.alpha))
-        object.__setattr__(self, "beta", _as_float(self.beta))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.alpha == self.beta:
-            raise ValueError("alpha and beta must differ")
-
 
 @dataclass(frozen=True)
 class ShiftParams:
@@ -152,46 +135,44 @@ class CMScanReport:
     passed: bool
 
 
-def exp_diff_ratio(p: RatioParams, t: float) -> float:
+def _check_pair(alpha: float, beta: float) -> tuple[float, float]:
+    alpha, beta = _as_float(alpha), _as_float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
+    if alpha == beta:
+        raise ValueError("alpha and beta must differ")
+    return alpha, beta
+
+
+def exp_diff_ratio(alpha: float, beta: float, t: float) -> float:
     """(e^-alpha t - e^-beta t) / (1 - e^-t) for t > 0, extended by its
-    limit beta - alpha at t = 0."""
+    limit beta - alpha at t = 0.  At (0, a) this is the squeeze
+    (1 - e^-at)/(1 - e^-t), which lies strictly inside (a, 1) for 0 < a < 1."""
+    al, be = _check_pair(alpha, beta)
     t = _as_float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    al, be = p.alpha, p.beta
-    if t == 0.0:
-        return be - al
-    if t < 1e-4:
-        # leading series of numerator and denominator; next terms are O(t^4)
-        # relative, far below 1e-16 at this switch point
-        num = (
-            (be - al)
-            + (al * al - be * be) * t / 2.0
-            + (be**3 - al**3) * t * t / 6.0
-            + (al**4 - be**4) * t**3 / 24.0
-        )
+    if max(1.0, abs(al), abs(be)) * t < 1e-4:
+        # u = alpha t, v = beta t and t are all below 1e-4 in size, so the
+        # next terms are below (1e-4)^4/120 ~ 1e-18 relative; beta - alpha
+        # is factored out, so no power of alpha or beta alone is formed and
+        # near-equal pairs do not cancel
+        u, v = al * t, be * t
+        num = 1.0 - (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0 - (u + v) * (u * u + v * v) / 24.0
         den = 1.0 - t / 2.0 + t * t / 6.0 - t**3 / 24.0
-        return num / den
+        return (be - al) * (num / den)
     return (math.expm1(-al * t) - math.expm1(-be * t)) / (-math.expm1(-t))
 
 
-def increasing_condition(p: RatioParams) -> bool:
+def increasing_condition(alpha: float, beta: float) -> bool:
     """True iff the exponential ratio is increasing on t > 0.
 
     The exact criterion: (beta - alpha)(1 - alpha - beta) >= 0 and
     (beta - alpha)(|alpha - beta| - alpha - beta) >= 0.
     """
-    d = p.beta - p.alpha
-    return d * (1.0 - p.alpha - p.beta) >= 0.0 and d * (abs(p.alpha - p.beta) - p.alpha - p.beta) >= 0.0
-
-
-def expm1_ratio(a: float, t: float) -> float:
-    """(1 - e^-at)/(1 - e^-t) for t > 0, strictly inside (a, 1) for 0 < a < 1."""
-    a = _check_shift(a)
-    t = _as_float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and positive, got {t!r}")
-    return math.expm1(-a * t) / math.expm1(-t)
+    al, be = _check_pair(alpha, beta)
+    d = be - al
+    return d * (1.0 - al - be) >= 0.0 and d * (abs(al - be) - al - be) >= 0.0
 
 
 def _gap(p: ShiftParams, n: int, x: float) -> tuple[float, float, float]:

@@ -13,12 +13,10 @@ import polycm.cm
 from polycm import (
     MAX_ORDER,
     GridSpec,
-    RatioParams,
     ShiftParams,
     cm_scan,
     cm_weight,
     exp_diff_ratio,
-    expm1_ratio,
     factorial_over_power,
     gap_integral_odd,
     increasing_condition,
@@ -30,36 +28,76 @@ from polycm.polygamma import _EPS
 
 class TestExpDiffRatio:
     def test_limit_at_zero(self):
-        p = RatioParams(alpha=0.0, beta=0.5)
-        assert exp_diff_ratio(p, 0.0) == 0.5
+        assert exp_diff_ratio(0.0, 0.5, 0.0) == 0.5
 
     def test_value_against_direct_formula(self):
-        p = RatioParams(alpha=0.0, beta=0.5)
         direct = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
-        assert exp_diff_ratio(p, 1.0) == pytest.approx(direct, rel=1e-15)
-        p2 = RatioParams(alpha=-1.0, beta=2.0)
+        assert exp_diff_ratio(0.0, 0.5, 1.0) == pytest.approx(direct, rel=1e-15)
         direct2 = (math.exp(3.0) - math.exp(-6.0)) / (1.0 - math.exp(-3.0))
-        assert exp_diff_ratio(p2, 3.0) == pytest.approx(direct2, rel=1e-14)
+        assert exp_diff_ratio(-1.0, 2.0, 3.0) == pytest.approx(direct2, rel=1e-14)
 
     def test_series_branch_joins_smoothly(self):
-        # a tight straddle of the 1e-4 switch: the tolerance allows for the
-        # function's own motion across the 2e-10 wide t-interval
-        for p in (RatioParams(alpha=0.0, beta=0.5), RatioParams(alpha=-1.3, beta=0.9)):
-            below = exp_diff_ratio(p, 0.999999e-4)
-            above = exp_diff_ratio(p, 1.000001e-4)
+        # a tight straddle of each pair's own switch, 1e-4/max(1, |alpha|,
+        # |beta|): the tolerance allows for the function's own motion across
+        # the t-interval, 2e-6 of the switch wide
+        for alpha, beta in ((0.0, 0.5), (-1.3, 0.9)):
+            switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
+            below = exp_diff_ratio(alpha, beta, 0.999999 * switch)
+            above = exp_diff_ratio(alpha, beta, 1.000001 * switch)
             assert below == pytest.approx(above, rel=1e-9)
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            RatioParams(alpha=0.5, beta=0.5)
-        with pytest.raises(ValueError):
-            RatioParams(alpha=math.nan, beta=0.5)
-        with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
-            RatioParams(alpha=10**400, beta=0.5)
-        p = RatioParams(alpha=0.0, beta=0.5)
+        # the ratio and its criterion share one pair rule and its messages
+        for check in (lambda al, be: exp_diff_ratio(al, be, 1.0), increasing_condition):
+            with pytest.raises(ValueError, match="^alpha and beta must differ$"):
+                check(0.5, 0.5)
+            with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+                check(math.nan, 0.5)
+            with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+                check(10**400, 0.5)
         for t in (-1.0, 10**400, -(10**400)):
             with pytest.raises(ValueError, match="^t must be finite and >= 0, got "):
-                exp_diff_ratio(p, t)
+                exp_diff_ratio(0.0, 0.5, t)
+
+    def test_small_t_against_mpmath(self):
+        # below 1e-4 the ratio takes its series only where max(1, |alpha|,
+        # |beta|) t < 1e-4, and the plain formula otherwise; both hold a few
+        # eps over |alpha|, |beta| up to 1e300, near-equal pairs, t down to
+        # subnormal, and the points where a series in powers of alpha and
+        # beta lost digits or raised OverflowError
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(alpha, beta, t):
+            alpha, beta, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+            # e^-alpha t - e^-beta t = -e^-alpha t expm1(-(beta - alpha) t),
+            # which does not cancel for near-equal pairs
+            return mpmath.exp(-alpha * t) * mpmath.expm1(-(beta - alpha) * t) / mpmath.expm1(-t)
+
+        rng = np.random.default_rng(20261019)
+        cases = [(-1000.0, 0.0, 9.9e-5), (1e4, 0.0, 9.9e-5), (0.0, 1e4, 9e-5),
+                 (1e100, 0.0, 1e-5), (0.0, 1e200, 1e-210)]
+        for _ in range(300):
+            # the series region, near-equal pairs in three draws of ten
+            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+            beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
+                    if rng.uniform() < 0.3
+                    else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)))
+            switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
+            cases.append((alpha, beta, max(switch * float(10.0 ** -rng.uniform(0.0, 30.0)), 1e-322)))
+            # t in [switch, 1e-4), which takes the plain formula
+            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 2.8))
+            beta = float(rng.uniform(-abs(alpha) / 2.0, abs(alpha) / 2.0))
+            switch = 1e-4 / abs(alpha)
+            cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), -4.0))))
+        with mpmath.workdps(50):
+            for alpha, beta, t in cases:
+                if alpha == beta or t >= 1e-4:
+                    continue
+                ref = reference(alpha, beta, t)
+                got = exp_diff_ratio(alpha, beta, t)
+                # a subnormal value has no relative precision to hold
+                scale = max(abs(ref), sys.float_info.min)
+                assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * scale, (alpha, beta, t, got)
 
 
 class TestIncreasingCondition:
@@ -76,48 +114,46 @@ class TestIncreasingCondition:
         ],
     )
     def test_known_classifications(self, alpha, beta, expected):
-        assert increasing_condition(RatioParams(alpha=alpha, beta=beta)) is expected
+        assert increasing_condition(alpha, beta) is expected
 
     @pytest.mark.parametrize(
         "alpha,beta",
         [(0.0, 0.5), (-1.0, 0.5), (0.25, 0.5), (2.0, 3.0), (0.3, 0.9), (-0.5, 1.5)],
     )
     def test_classification_matches_sampled_monotonicity(self, alpha, beta):
-        p = RatioParams(alpha=alpha, beta=beta)
         ts = np.geomspace(1e-4, 50.0, 120)
-        vals = np.array([exp_diff_ratio(p, float(t)) for t in ts])
+        vals = np.array([exp_diff_ratio(alpha, beta, float(t)) for t in ts])
         steps = np.diff(vals)
         scale = np.maximum(np.abs(vals[:-1]), 1.0)
-        if increasing_condition(p):
+        if increasing_condition(alpha, beta):
             assert np.all(steps >= -1e-12 * scale)
         else:
             assert np.any(steps < -1e-9 * scale)
 
 
 class TestSqueeze:
+    # the squeeze (1 - e^-at)/(1 - e^-t) is the ratio at (alpha, beta) = (0, a)
+
     def test_strictly_between_a_and_one(self):
         # t stays below 20 so the true upper margin e^-at never dips under
         # the 1e-12 slack; past at ~ 28 the ratio is 1.0 to working precision
         for a in np.linspace(0.05, 0.95, 10):
             for t in np.geomspace(1e-4, 20.0, 12):
-                r = expm1_ratio(float(a), float(t))
+                r = exp_diff_ratio(0.0, float(a), float(t))
                 assert a + 1e-12 < r < 1.0 - 1e-12, (a, t, r)
 
+    def test_subnormal_t_keeps_the_limit(self):
+        # expm1(-at)/expm1(-t) loses its digits once t is subnormal (0.0 at
+        # t = 5e-324); the small-t series keeps the limit a
+        for t in (5e-324, 1e-315, 1e-310):
+            assert exp_diff_ratio(0.0, 0.3, t) == 0.3
+
     def test_matches_weight_formula(self):
-        # expm1_ratio - a and cm_weight reach the same quantity through
+        # the squeeze - a and cm_weight reach the same quantity through
         # different algebra; they may only disagree at rounding level
         for a in (0.1, 0.5, 0.9):
             for t in (1e-3, 0.04, 1.0, 30.0):
-                assert expm1_ratio(a, t) - a == pytest.approx(cm_weight(a, t), rel=1e-10)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            expm1_ratio(0.0, 1.0)
-        with pytest.raises(ValueError):
-            expm1_ratio(1.0, 1.0)
-        for t in (0.0, 10**400, -(10**400)):
-            with pytest.raises(ValueError, match="^t must be finite and positive, got "):
-                expm1_ratio(0.5, t)
+                assert exp_diff_ratio(0.0, a, t) - a == pytest.approx(cm_weight(a, t), rel=1e-10)
 
 
 class TestShiftParams:
@@ -132,10 +168,10 @@ class TestShiftParams:
 
     @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, math.nan, pytest.param(10**400, id="10**400")])
     def test_one_shift_rule(self, a):
-        # ShiftParams, expm1_ratio and the oracle's weight and gap integrals
-        # share one check and one message
-        for check in (lambda: ShiftParams(a=a, k=0), lambda: expm1_ratio(a, 1.0),
-                      lambda: cm_weight(a, 1.0), lambda: gap_integral_odd(a, 1, 1.0)):
+        # ShiftParams and the oracle's weight and gap integrals share one
+        # check and one message
+        for check in (lambda: ShiftParams(a=a, k=0), lambda: cm_weight(a, 1.0),
+                      lambda: gap_integral_odd(a, 1, 1.0)):
             with pytest.raises(ValueError, match=r"^a must lie strictly in \(0, 1\), got "):
                 check()
 

@@ -417,9 +417,10 @@ class TestGapIntegrals:
             cm_weight(1.0, 1.0)
         with pytest.raises(ValueError):
             cm_weight(0.3, -1.0)
-        # exp_diff_ratio's rule: nan and inf, alone or in an array, are
-        # rejected as a negative t is, not mapped to nan; an int beyond
-        # binary64, alone or in a sequence, as the infinity of its sign
+        # exp_diff_ratio's message, with its scalar rule carried over to
+        # arrays: nan and inf, alone or in an array, are rejected as a
+        # negative t is, not mapped to nan; an int beyond binary64, alone or
+        # in a sequence, as the infinity of its sign
         for t in (math.inf, math.nan, np.array([1.0, math.nan]), 10**400, -(10**400),
                   [1.0, 10**400], (1.0, 10**400), (1.0, -(10**400))):
             with pytest.raises(ValueError, match="t must be finite and >= 0"):

@@ -144,14 +144,25 @@ def _check_pair(alpha: float, beta: float) -> tuple[float, float]:
     return alpha, beta
 
 
+def _product_error(a: float, b: float, p: float) -> float:
+    """a b - p, correctly rounded, for finite a, b and p: exact rational
+    arithmetic, so no split of a or b can overflow or underflow."""
+    (an, ad), (bn, bd), (pn, pd) = a.as_integer_ratio(), b.as_integer_ratio(), p.as_integer_ratio()
+    return (an * bn * pd - pn * ad * bd) / (ad * bd * pd)
+
+
 def exp_diff_ratio(alpha: float, beta: float, t: float) -> float:
     """(e^-alpha t - e^-beta t) / (1 - e^-t) for t > 0, extended by its
     limit beta - alpha at t = 0.  At (0, a) this is the squeeze
-    (1 - e^-at)/(1 - e^-t), which lies strictly inside (a, 1) for 0 < a < 1."""
+    (1 - e^-at)/(1 - e^-t), which lies strictly inside (a, 1) for 0 < a < 1.
+
+    Raises OverflowError, naming the call, where the result leaves the
+    binary64 range (or, below the series switch, where beta - alpha does)."""
     al, be = _check_pair(alpha, beta)
     t = _as_float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    d = be - al
     if max(1.0, abs(al), abs(be)) * t < 1e-4:
         # u = alpha t, v = beta t and t are all below 1e-4 in size, so the
         # next terms are below (1e-4)^4/120 ~ 1e-18 relative; beta - alpha
@@ -160,8 +171,34 @@ def exp_diff_ratio(alpha: float, beta: float, t: float) -> float:
         u, v = al * t, be * t
         num = 1.0 - (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0 - (u + v) * (u * u + v * v) / 24.0
         den = 1.0 - t / 2.0 + t * t / 6.0 - t**3 / 24.0
-        return (be - al) * (num / den)
-    return (math.expm1(-al * t) - math.expm1(-be * t)) / (-math.expm1(-t))
+        value = d * (num / den)
+    else:
+        # e^-alpha t - e^-beta t = -e^-alpha t expm1(-d t) = e^-beta t expm1(d t):
+        # with lo = min(alpha, beta) the factor is e^-lo t and expm1 takes
+        # -|d| t, so the difference neither cancels nor overflows in expm1.
+        # lo t = p + e exactly, and e^-(p + e) = e^-p (1 - e) to within
+        # e^2/2 < 2e-26 wherever the result is finite, so the rounding of
+        # lo t costs no digits
+        lo = min(al, be)
+        p = lo * t
+        e = _product_error(lo, t, p) if math.isfinite(p) else 0.0
+        q = math.expm1(-abs(d) * t) / math.expm1(-t)
+        try:
+            if p >= -709.0:
+                factor = math.exp(-p)
+                value = (factor - factor * e) * q
+            else:
+                # e^-p alone overflows where the ratio need not (a near-equal
+                # pair makes q small), so q goes between two halves of e^-p
+                half = math.exp(-0.5 * p)
+                half -= 0.5 * half * e
+                value = half * q * half
+        except OverflowError:
+            value = math.inf
+        value = math.copysign(value, d)
+    if not math.isfinite(value):
+        raise OverflowError(f"exp_diff_ratio({al!r}, {be!r}, {t!r}) left the binary64 range")
+    return value
 
 
 def increasing_condition(alpha: float, beta: float) -> bool:

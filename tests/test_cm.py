@@ -26,6 +26,14 @@ from polycm.cm import _fsum3, _gap_block, _polygamma_array
 from polycm.polygamma import _EPS
 
 
+def _mp_ratio(mpmath, alpha, beta, t):
+    """The ratio in the working precision of mpmath, from exact inputs."""
+    alpha, beta, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+    # e^-alpha t - e^-beta t = -e^-alpha t expm1(-(beta - alpha) t), which
+    # does not cancel for near-equal pairs
+    return mpmath.exp(-alpha * t) * mpmath.expm1(-(beta - alpha) * t) / mpmath.expm1(-t)
+
+
 class TestExpDiffRatio:
     def test_limit_at_zero(self):
         assert exp_diff_ratio(0.0, 0.5, 0.0) == 0.5
@@ -66,13 +74,6 @@ class TestExpDiffRatio:
         # subnormal, and the points where a series in powers of alpha and
         # beta lost digits or raised OverflowError
         mpmath = pytest.importorskip("mpmath")
-
-        def reference(alpha, beta, t):
-            alpha, beta, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
-            # e^-alpha t - e^-beta t = -e^-alpha t expm1(-(beta - alpha) t),
-            # which does not cancel for near-equal pairs
-            return mpmath.exp(-alpha * t) * mpmath.expm1(-(beta - alpha) * t) / mpmath.expm1(-t)
-
         rng = np.random.default_rng(20261019)
         cases = [(-1000.0, 0.0, 9.9e-5), (1e4, 0.0, 9.9e-5), (0.0, 1e4, 9e-5),
                  (1e100, 0.0, 1e-5), (0.0, 1e200, 1e-210)]
@@ -93,11 +94,49 @@ class TestExpDiffRatio:
             for alpha, beta, t in cases:
                 if alpha == beta or t >= 1e-4:
                     continue
-                ref = reference(alpha, beta, t)
+                ref = _mp_ratio(mpmath, alpha, beta, t)
                 got = exp_diff_ratio(alpha, beta, t)
                 # a subnormal value has no relative precision to hold
                 scale = max(abs(ref), sys.float_info.min)
                 assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * scale, (alpha, beta, t, got)
+
+    def test_plain_formula_against_mpmath(self):
+        # from the series switch on, near-equal pairs, where a difference of
+        # two expm1 would cancel, keep their digits, and the rounding of
+        # min(alpha, beta) t costs none; a ratio beyond binary64 raises
+        # OverflowError and every other one holds 4 eps, the last fixed case
+        # too, whose factor e^-min(alpha, beta) t alone overflows
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261020)
+        cases = [(2.0, 2.0 * (1.0 + 1e-10), 1e-3), (2.0, 2.0 * (1.0 + 1e-13), 1.0),
+                 (0.3, 0.3 + 1e-12, 5.0), (-1000.0, -1000.0 + 1e-10, 0.71)]
+        for _ in range(400):
+            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+            beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
+                    if rng.uniform() < 0.5
+                    else float(rng.uniform(-1e3, 1e3)))
+            switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
+            cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), math.log10(50.0)))))
+        with mpmath.workdps(50):
+            for alpha, beta, t in cases:
+                if alpha == beta:
+                    continue
+                ref = _mp_ratio(mpmath, alpha, beta, t)
+                if abs(ref) > sys.float_info.max:
+                    with pytest.raises(OverflowError, match="^exp_diff_ratio"):
+                        exp_diff_ratio(alpha, beta, t)
+                    continue
+                got = exp_diff_ratio(alpha, beta, t)
+                scale = max(abs(ref), sys.float_info.min)
+                assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * scale, (alpha, beta, t, got)
+
+    def test_overflow_names_the_call(self):
+        # beta - alpha overflows in the series branch and e^-alpha t in the
+        # plain one: both raise the same OverflowError, and neither gives inf
+        for t in (1e-320, 1e-4):
+            with pytest.raises(OverflowError,
+                               match=rf"^exp_diff_ratio\(-1e\+308, 1e\+308, {t!r}\) left the binary64 range$"):
+                exp_diff_ratio(-1e308, 1e308, t)
 
 
 class TestIncreasingCondition:

@@ -117,6 +117,31 @@ class TestSeries:
                         err = abs(mpmath.mpf(r.value) - truth)
                         assert err <= r.abs_error_estimate, (spec.max_terms, n, x, float(err))
 
+    def test_default_term_count_is_set_by_its_rule(self):
+        # the default K is the least power of two at which the
+        # Euler-Maclaurin remainder part of every bar is at most 2^-24 of
+        # the bar over n <= 40 and x in [1e-3, 1e6]; the grid holds the
+        # worst point at K = 256, (40, 1283)
+        xs = [10.0 ** (-3.0 + 9.0 * i / 240) for i in range(241)] + [1283.0]
+
+        def worst_share(spec):
+            k = spec.max_terms
+            worst = 0.0
+            for n in range(MAX_ORDER + 1):
+                for x in xs:
+                    if n == 0:
+                        r, rem = digamma_series(x, spec), oracle._em_terms(0, float(k))[1]
+                    else:
+                        r = polygamma_series(n, x, spec)
+                        rem = math.factorial(n) * oracle._em_terms(n, k + x)[1]
+                    worst = max(worst, rem / r.abs_error_estimate)
+            return worst
+
+        k = SeriesSpec().max_terms
+        assert k & (k - 1) == 0, k
+        assert worst_share(SeriesSpec()) <= 2.0**-24
+        assert worst_share(SeriesSpec(max_terms=k // 2)) > 2.0**-24
+
     def test_chunked_sum_matches_one_list(self, monkeypatch):
         # past two chunk edges, the sum read chunk by chunk keeps the bits of
         # one math.fsum over every term and the tail in one Python list

@@ -1,0 +1,422 @@
+"""Bit-for-bit outcomes against the package at a pinned commit.
+
+The package at BASE is read from local git history into pytest's temporary
+directory and imported as a second package, _polycm_base (the package uses
+only relative imports, so the copy runs unchanged).  Each corpus family runs
+through both trees in this process, on this host's libm, numpy dispatch and
+interpreter, and every outcome must agree: the hex of each value and bar,
+or the type and message of each exception.  Some inputs are chosen with
+BASE's engine; others come from this tree: the orders up to its MAX_ORDER
+and the case lists of test_cm.py and test_oracle.py (SCANS,
+FALLBACK_SCANS, small_t_cases, plain_formula_cases, libm_grids,
+TestBatchedPanels._cases), imported as sibling modules under pytest's
+default import mode.  Editing those changes the corpus of both trees
+alike, so it moves no outcome and needs no MOVED entry.
+
+A change that means to move outcomes lists them in MOVED: the test fails on
+a move not listed and on a listed entry that did not move, and prints the
+moves as lines to paste there.  A later change may advance BASE and empty
+MOVED.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import math
+import subprocess
+import sys
+from functools import partial
+from importlib import import_module
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import test_cm
+import test_oracle
+from polycm import MAX_ORDER
+
+#: The commit whose package every outcome is compared with (full sha).
+BASE = "beafe7a654ba3df9c3dcc988c789720cdd982691"
+
+#: Outcomes this tree means to move against BASE, each one
+#: (family, order, key, outcome at BASE, outcome here) as the failure
+#: message prints it; None stands for an outcome one side does not have.
+MOVED = []
+
+ORDERS = range(MAX_ORDER + 1)
+_ROOT = Path(__file__).resolve().parents[1]
+_RAISES = (ArithmeticError, ValueError, RuntimeError)
+
+
+def _modules(package):
+    return SimpleNamespace(**{name: import_module(f"{package}.{name}")
+                              for name in ("polygamma", "cm", "oracle", "bounds")})
+
+
+HEAD = _modules("polycm")
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=_ROOT, capture_output=True, check=True).stdout
+
+
+@pytest.fixture(scope="session")
+def base_tree(tmp_path_factory):
+    """BASE's package as the modules of _polycm_base, or the message that
+    says why it cannot be read."""
+    root = tmp_path_factory.mktemp("base") / "_polycm_base"
+    root.mkdir()
+    try:
+        for name in _git("ls-tree", "-r", "--name-only", BASE, "src/polycm").decode().split():
+            (root / Path(name).name).write_bytes(_git("show", f"{BASE}:{name}"))
+        spec = importlib.util.spec_from_file_location(
+            "_polycm_base", root / "__init__.py", submodule_search_locations=[str(root)])
+        sys.modules["_polycm_base"] = package = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(package)
+    except (OSError, subprocess.CalledProcessError) as e:
+        detail = e.stderr.decode().strip() if getattr(e, "stderr", None) else str(e)
+        return (f"BASE {BASE} cannot be read from this checkout's git history ({detail}). "
+                f"tests/test_bits.py compares the working tree with the package at BASE, "
+                f"so it needs a full clone: git clone without --depth, or "
+                f"actions/checkout with fetch-depth: 0")
+    return _modules("_polycm_base")
+
+
+def _plain(v):
+    """v as a literal that compares bit for bit: each float as its hex, and
+    sequences and result objects as tuples of their parts."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (list, tuple)):
+        return tuple(map(_plain, v))
+    if hasattr(v, "__dict__"):
+        return tuple(map(_plain, vars(v).values()))
+    return v
+
+
+def _outcome(f, *args):
+    """f(*args) as _plain, or the exception's type and message."""
+    try:
+        return _plain(f(*args))
+    except _RAISES as e:
+        return type(e).__name__, str(e)
+
+
+def _returns(base, n, x):
+    """Whether BASE's polygamma(n, x) returns: the blocks meant not to raise
+    hold only such x."""
+    return _outcome(base.polygamma.polygamma, n, x)[0] != "OverflowError"
+
+
+def _items(out, key, outcome, labels):
+    """Adds each item's outcome under key + (i, *its label), or what raised."""
+    if outcome and isinstance(outcome[0], str):
+        out[(*key, "raised")] = outcome
+    else:
+        out.update(((*key, i, *label), item)
+                   for i, (label, item) in enumerate(zip(labels, outcome)))
+
+
+def _kernel_blocks(tree, blocks):
+    """For each block (name, n, x): the kernel's hex value and bar of each
+    element, or what it raises, and under (name, "handed") the (n, x) it
+    hands to its module's polygamma past its screens."""
+    out, handed, engine = {}, [], tree.cm.polygamma
+
+    def recorded(m, x):
+        handed.append((m, x))
+        return engine(m, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree.cm, "polygamma", recorded)
+        for name, n, x in blocks:
+            handed.clear()
+            _items(out, (name,), _outcome(lambda: list(zip(*tree.cm._polygamma_array(
+                np.array(n, dtype=np.intp), np.array(x, dtype=float))))), zip(n, x))
+            out[name, "handed"] = tuple(handed)
+    return out
+
+
+def _bit_identity_points(n, t):
+    """A log grid over [1e-3, 1e300], the shift threshold t and its one-ulp
+    neighbours, and the arguments at which a power the engine or
+    factorial_over_power forms, x^e or y^e for e in {n, n + 1, n + 2},
+    crosses the overflow, underflow and subnormal edges of binary64."""
+    xs = np.geomspace(1e-3, 1e300, 400).tolist()
+    xs += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), t - 1.0, t + 1.0]
+    edges = (math.log(sys.float_info.max), math.log(sys.float_info.min), -744.44, -745.2)
+    for e in {n, n + 1, n + 2} - {0}:
+        for log_edge in edges:
+            for sign in (1.0, -1.0):
+                if abs(log_edge) / e < 709.0:
+                    centre = math.exp(sign * log_edge / e)
+                    xs += [centre * (1.0 + k * 2e-4) for k in range(-6, 7)]
+    return xs
+
+
+def _fold_stop_points(t):
+    """Arguments below the shift threshold t, where the recurrence fold runs:
+    a log sweep t 2^(-i/4) down to about 1e-18 t, and each unit interval
+    below t at its two ends and two inner points."""
+    xs = [t * 2.0 ** (-i / 4) for i in range(1, 240)]
+    xs += [j + f for j in range(int(t)) for f in (0.001, 0.25, 0.5, 0.999)]
+    return xs
+
+
+def _edge(e, target):
+    """The least double x > 0 at which numpy's x^e has reached target."""
+    lo, hi = 0, 0x7FEFFFFFFFFFFFFF  # the bit patterns of 0.0 and DBL_MAX
+    with np.errstate(over="ignore", under="ignore"):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            p = np.power(np.int64(mid).view(np.float64), e)
+            lo, hi = (lo, mid) if (p >= target if e > 0 else p <= target) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def _range_edges(n):
+    """Arguments within 4 ulps of order n's range edges: the first shift term
+    x^-(n+1) at DBL_MAX/2 and where 8 n! x^-(n+1) overflows; the head powers
+    y^-n and y^-(n+2) at 2 DBL_MIN, and y^(n+1) at DBL_MAX/2 and DBL_MAX."""
+    huge = sys.float_info.max
+    tiny = 2.0 * sys.float_info.min
+    edges = [(-(n + 1.0), huge / 2.0), (-(n + 1.0), huge / (8.0 * math.factorial(n))),
+             (-(n + 2.0), tiny), (n + 1.0, huge / 2.0), (n + 1.0, huge)]
+    if n:
+        edges.append((-float(n), tiny))
+    xs = []
+    for e, target in edges:
+        up = down = _edge(e, target)
+        xs.append(up)
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            xs += [up, down]
+    return sorted(x for x in set(xs) if 0.0 < x < math.inf)
+
+
+# Each family maps (tree, order, base) to {key: outcome}, where tree is the
+# package it runs and base is BASE's, which chooses the inputs.
+
+
+def _engine(tree, n, base):
+    # the series may stop early only where no later term can move a bit,
+    # and the fold only at a term that leaves its sum unchanged
+    t = base.polygamma.shift_threshold(n)
+    out = {}
+    for x in _bit_identity_points(n, t) + _fold_stop_points(t):
+        out["polygamma", x] = _outcome(tree.polygamma.polygamma, n, x)
+        out["factorial_over_power", x] = _outcome(tree.polygamma.factorial_over_power, n, x)
+    return out
+
+
+def _kernel(tree, n, base):
+    # the points the engine evaluates in one block, all points in one, which
+    # raises what the first raising point raises, and every seventh alone;
+    # the range edges each alone, and those that return in one block
+    xs, edges = _bit_identity_points(n, base.polygamma.shift_threshold(n)), _range_edges(n)
+    blocks = [("fine", [x for x in xs if _returns(base, n, x)]), ("all", xs),
+              *((("alone", x), [x]) for x in xs[::7]), *((("edge", x), [x]) for x in edges),
+              ("edges", [x for x in edges if _returns(base, n, x)])]
+    return _kernel_blocks(tree, [(name, [n] * len(x), x) for name, x in blocks])
+
+
+def _kernel_shapes(tree, _, base):
+    # every order with every shift count it can take, in one shuffled block
+    # that mixes n = 0 and n >= 1 rows, its prefix, and in blocks of one,
+    # which sum their shift steps in a loop, and of two, the smallest that
+    # sum them in one reduce; blocks with no shift step at all; and blocks
+    # in which the first raising element decides what they raise
+    t = base.polygamma.shift_threshold
+    pairs = [(n, t(n) - count + u) for n in ORDERS for count in range(1, int(t(n)) + 1)
+             for u in (1e-3, 0.5, 0.999)]
+    pairs = [(n, x) for n, x in pairs if _returns(base, n, x)]
+    n, x = zip(*(pairs[i] for i in np.random.default_rng(13).permutation(len(pairs))))
+    blocks = [("shuffled", n, x), ("prefix", n[:97], x[:97])]
+    blocks += [(("slice", i, size), n[i:i + size], x[i:i + size])
+               for i in range(0, len(n), 41) for size in (1, 2)]
+    blocks += [("no shifts", [m for m in ORDERS for _ in range(3)],
+                [t(m) * s for m in ORDERS for s in (1.0, 1.5, 3.0)]),
+               ("no shifts at 0", [0], [t(0)]), ("no shifts at 40", [40], [t(40)])]
+    for m, xm in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
+        blocks += [(("raising", m, xm), [3, 0, m, 40], [2.5, 0.25, xm, 1e-7]),
+                   (("raising alone", m, xm), [m], [xm])]
+    return _kernel_blocks(tree, blocks)
+
+
+def _quadrature(tree, _, base):
+    # every case of the panel tests, under its module settings
+    out = {}
+    for fn, args, settings in test_oracle.TestBatchedPanels._cases():
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in settings.items():
+                mp.setattr(tree.oracle, name, value)
+            out[fn.__name__, args, tuple(settings)] = _outcome(
+                getattr(tree.oracle, fn.__name__), *args)
+    return out
+
+
+#: The series oracles' arguments: a libm log grid on [1e-3, 1e6].
+SERIES_XS = [10.0 ** (-3.0 + 9.0 * i / 120) for i in range(121)]
+
+
+def _series(tree, n, base):
+    # the log grid, and at a few orders a sum read in three chunks, so
+    # across two chunk edges
+    f = partial(tree.oracle.polygamma_series, n) if n else tree.oracle.digamma_series
+    out = {x: _outcome(f, x) for x in SERIES_XS}
+    if n in (0, 1, 5, 40):
+        spec = tree.oracle.SeriesSpec(max_terms=2 * tree.oracle._SERIES_CHUNK + 7)
+        out.update(((x, "chunks"), _outcome(f, x, spec)) for x in (1e-3, 0.5, 1.3, 2.0, 30.0))
+    return out
+
+
+def _bound_tables(tree, k, base):
+    # the first grids have rows on both sides of every order's shift
+    # threshold (10 .. 48), the second reach far past them
+    out = {}
+    for a in (0.01, 0.3, 0.5, 0.99):
+        for hi in (60.0, 1e6):
+            grid = tree.cm.GridSpec(lo=1.001, hi=hi, points=20)
+            rows = _outcome(tree.bounds.bound_table, tree.cm.ShiftParams(a=a, k=k), grid)
+            _items(out, (a, hi), rows, ((x,) for x in grid.generate().tolist()))
+    return out
+
+
+def _endpoint_constants(tree, k, base):
+    return {a: _outcome(tree.bounds.endpoint_constants, tree.cm.ShiftParams(a=a, k=k))
+            for a in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)}
+
+
+def _scans(tree, _, base):
+    # every field of the report, and the gap block on all of a scan's
+    # samples at once
+    out = {}
+    for i, (a, k, max_order, g) in enumerate(test_cm.SCANS + test_cm.FALLBACK_SCANS):
+        p = tree.cm.ShiftParams(a=a, k=k)
+        grid = tree.cm.GridSpec(g.lo, g.hi, g.points)
+        out[i, "cm_scan"] = _outcome(tree.cm.cm_scan, p, max_order, grid)
+        n, j = np.divmod(np.arange((max_order + 1) * g.points), g.points)
+        x = grid.generate()[j]
+        _items(out, (i, "_gap_block"), _outcome(lambda: list(zip(*tree.cm._gap_block(p, n, x)))),
+               zip(n.tolist(), x.tolist()))
+    return out
+
+
+def _exp_diff_ratio(tree, _, base):
+    # both sides of the series switch, near-equal and generic pairs
+    return {(alpha, beta, t): _outcome(tree.cm.exp_diff_ratio, alpha, beta, t)
+            for alpha, beta, t in test_cm.small_t_cases() + test_cm.plain_formula_cases()}
+
+
+def _cm_weight(tree, _, base):
+    # both sides of the ratio difference's series switch (t = 0.05) and of
+    # t/(1 - e^-t)'s (t = 1e-3), at scalars and in one array
+    ts = [0.0, 5e-324, 1e-300, *np.geomspace(1e-8, 200.0, 60).tolist(), 1e4]
+    for switch in (1e-3, 0.05):
+        ts += [switch, math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)]
+    out = {}
+    for a in (0.01, 0.3, 0.5, 0.99):
+        out["array", a] = _outcome(lambda: tree.oracle.cm_weight(a, np.array(ts)).tolist())
+        out.update((("scalar", a, t), _outcome(tree.oracle.cm_weight, a, t)) for t in ts)
+    return out
+
+
+def _grids(tree, _, base):
+    # the grids of the libm test, the first 100 of its draws, and grids too
+    # narrow for their points
+    narrow = [(1.0, 1.0000000000000004, 10),
+              (math.nextafter(sys.float_info.max, 0.0), sys.float_info.max, 3)]
+    return {(lo, hi, points): _outcome(lambda: tree.cm.GridSpec(lo, hi, points).generate().tolist())
+            for lo, hi, points in test_cm.libm_grids(100) + narrow}
+
+
+#: Each family's function and the orders it runs at; None where a family
+#: spans orders.  A failure names the family and the order.
+FAMILIES = {
+    "engine": (_engine, ORDERS),
+    "kernel": (_kernel, ORDERS),
+    "kernel_shapes": (_kernel_shapes, [None]),
+    "series": (_series, ORDERS),
+    "quadrature": (_quadrature, [None]),
+    "bound_table": (_bound_tables, ORDERS),
+    "endpoint_constants": (_endpoint_constants, ORDERS),
+    "cm_scan": (_scans, [None]),
+    "exp_diff_ratio": (_exp_diff_ratio, [None]),
+    "cm_weight": (_cm_weight, [None]),
+    "grid": (_grids, [None]),
+}
+CASES = [(family, order) for family, (_, orders) in FAMILIES.items() for order in orders]
+
+
+def _compare(family, order, old, new, moved):
+    """The failure message for the outcome maps old (BASE's) and new (this
+    tree's) of one family and order, given the MOVED entries: every move
+    that is not listed and every listed entry that did not move, each as a
+    line to paste; empty when they agree."""
+    moves = {(family, order, key, old.get(key), new.get(key))
+             for key in old.keys() | new.keys() if old.get(key) != new.get(key)}
+    listed = {entry for entry in moved if entry[:2] == (family, order)}
+    parts = []
+    for entries, heading in ((moves - listed, "moved against BASE and are not in MOVED; "
+                              "if the moves are meant, add these lines to MOVED"),
+                             (listed - moves, "in MOVED did not move; delete these lines")):
+        if entries:
+            parts.append(f"{len(entries)} outcome(s) of {family}[{order}] {heading}:")
+            parts += [f"    {entry!r}," for entry in sorted(entries, key=repr)]
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("family,order", [
+    pytest.param(family, order, id=family if order is None else f"{family}-{order}")
+    for family, order in CASES])
+def test_outcomes_match_base(base_tree, family, order):
+    if isinstance(base_tree, str):
+        pytest.fail(base_tree, pytrace=False)
+    run = FAMILIES[family][0]
+    message = _compare(family, order, run(base_tree, order, base_tree),
+                       run(HEAD, order, base_tree), MOVED)
+    if message:
+        pytest.fail(message, pytrace=False)
+
+
+def test_range_edges_fall_on_both_sides_of_the_kernel_screens(base_tree):
+    # else the kernel family's edge outcomes could agree only because
+    # neither tree hands its engine any edge point, or hands it every one
+    if isinstance(base_tree, str):
+        pytest.fail(base_tree, pytrace=False)
+    for n in ORDERS:
+        edges = _range_edges(n)
+        out = _kernel_blocks(base_tree, [(x, [n], [x]) for x in edges])
+        handed = sum(bool(out[x, "handed"]) for x in edges)
+        assert 0 < handed < len(edges), (n, handed, len(edges))
+
+
+def test_moved_entries_name_a_corpus_case():
+    assert [entry for entry in MOVED if len(entry) != 5 or tuple(entry[:2]) not in CASES] == []
+
+
+def _pasted(message):
+    return [ast.literal_eval(line.strip().rstrip(",")) for line in message.splitlines()
+            if line.startswith("    ")]
+
+
+def test_comparator_reports_unlisted_moves_and_stale_entries():
+    key, raised, extra = ("polygamma", 0.5), ("polygamma", 5e-324), ("fine", 0, 3, 2.5)
+    old = {key: ("0x1.8p+0", "0x1p-52"),
+           raised: ("OverflowError", "psi_3(5e-324) left the binary64 range")}
+    # a value that moved, and an outcome only the new tree has
+    new = {**old, key: ("0x1.8000000000001p+0", "0x1p-52"), extra: ("0x1p+0", "0x1p-50")}
+    message = _compare("engine", 3, old, new, [])
+    assert "2 outcome(s) of engine[3] moved against BASE" in message
+    pasted = _pasted(message)
+    assert sorted(pasted, key=repr) == sorted(
+        [("engine", 3, key, old[key], new[key]), ("engine", 3, extra, None, new[extra])], key=repr)
+    assert _compare("engine", 3, old, new, pasted) == ""
+    # a listed entry that did not move, beside one listed for another order
+    stale = ("engine", 3, raised, old[raised], ("OverflowError", "another message"))
+    message = _compare("engine", 3, old, old, [stale, ("engine", 4, key, old[key], new[key])])
+    assert "1 outcome(s) of engine[3] in MOVED did not move" in message
+    assert _pasted(message) == [stale]

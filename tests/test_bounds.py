@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -11,8 +10,6 @@ import polycm.bounds
 import polycm.cm
 import polycm.oracle
 from polycm import (
-    MAX_ORDER,
-    BoundCheck,
     EvalResult,
     GridSpec,
     SeriesSpec,
@@ -24,8 +21,6 @@ from polycm import (
     gap_integral_odd,
     shift_gap_derivative,
 )
-from polycm.cm import _gap
-from polycm.polygamma import _EPS
 
 BIG = SeriesSpec(max_terms=4_000_000)
 
@@ -193,65 +188,6 @@ class TestBoundTable:
             g = shift_gap_derivative(p, 0, r.x).value
             expected = (g, c - g) if k % 2 == 0 else (g - c, -g)
             assert (r.lower_margin, r.upper_margin) == expected
-
-
-def reference_row(p, x, endpoint):
-    """A bound row as bound_table built it one function call per row, with
-    keyword construction; bound_table must give its bits."""
-    c, c_err = endpoint.value, endpoint.abs_error_estimate
-    g, g_err, base = _gap(p, 0, x)
-    if p.k % 2 == 0:
-        lower, upper = base, base + c
-        lower_margin, upper_margin = g, c - g
-        lo_c_err, up_c_err = 0.0, c_err
-    else:
-        lower, upper = base + c, base
-        lower_margin, upper_margin = g - c, -g
-        lo_c_err, up_c_err = c_err, 0.0
-    return BoundCheck(
-        x=x,
-        lower=lower,
-        middle=base + g,
-        upper=upper,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        lower_margin_error=g_err + lo_c_err + _EPS * abs(lower_margin),
-        upper_margin_error=g_err + up_c_err + _EPS * abs(upper_margin),
-        passed=lower_margin > 0.0 and upper_margin > 0.0,
-    )
-
-
-def row_hexes(row):
-    return [
-        getattr(row, f.name).hex() if f.name != "passed" else row.passed
-        for f in dataclasses.fields(BoundCheck)
-    ]
-
-
-def table_outcome(build, p, grid):
-    """Every row's fields in hex, or the exception's type and message."""
-    try:
-        return [row_hexes(r) for r in build(p, grid)]
-    except (OverflowError, ValueError) as e:
-        return type(e).__name__, str(e)
-
-
-def reference_table(p, grid):
-    endpoint = shift_gap_derivative(p, 0, 1.0)
-    return [reference_row(p, x, endpoint) for x in grid.generate().tolist()]
-
-
-class TestBoundTableBits:
-    # the first grid has rows on both sides of every order's shift
-    # threshold (10 .. 48), the second reaches far past them
-    @pytest.mark.parametrize("hi", [60.0, 1e6])
-    @pytest.mark.parametrize("a", [0.01, 0.3, 0.5, 0.99])
-    def test_rows_match_the_row_by_row_build(self, a, hi):
-        grid = GridSpec(lo=1.001, hi=hi, points=20)
-        for k in range(MAX_ORDER + 1):
-            p = ShiftParams(a=a, k=k)
-            expected = table_outcome(reference_table, p, grid)
-            assert table_outcome(bound_table, p, grid) == expected, (a, k, hi)
 
     def test_engine_calls_per_table(self, monkeypatch):
         # each row takes its gap from cm: two polygamma calls and one

@@ -34,6 +34,42 @@ def _mp_ratio(mpmath, alpha, beta, t):
     return mpmath.exp(-alpha * t) * mpmath.expm1(-(beta - alpha) * t) / mpmath.expm1(-t)
 
 
+def small_t_cases():
+    """(alpha, beta, t) with t < 1e-4, fixed and seeded."""
+    rng = np.random.default_rng(20261019)
+    cases = [(-1000.0, 0.0, 9.9e-5), (1e4, 0.0, 9.9e-5), (0.0, 1e4, 9e-5),
+             (1e100, 0.0, 1e-5), (0.0, 1e200, 1e-210)]
+    for _ in range(300):
+        # the series region, near-equal pairs in three draws of ten
+        alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+        beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
+                if rng.uniform() < 0.3
+                else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)))
+        switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
+        cases.append((alpha, beta, max(switch * float(10.0 ** -rng.uniform(0.0, 30.0)), 1e-322)))
+        # t in [switch, 1e-4), which takes the plain formula
+        alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 2.8))
+        beta = float(rng.uniform(-abs(alpha) / 2.0, abs(alpha) / 2.0))
+        switch = 1e-4 / abs(alpha)
+        cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), -4.0))))
+    return cases
+
+
+def plain_formula_cases():
+    """(alpha, beta, t) from the series switch up to t = 50, fixed and seeded."""
+    rng = np.random.default_rng(20261020)
+    cases = [(2.0, 2.0 * (1.0 + 1e-10), 1e-3), (2.0, 2.0 * (1.0 + 1e-13), 1.0),
+             (0.3, 0.3 + 1e-12, 5.0), (-1000.0, -1000.0 + 1e-10, 0.71)]
+    for _ in range(400):
+        alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
+                if rng.uniform() < 0.5
+                else float(rng.uniform(-1e3, 1e3)))
+        switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
+        cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), math.log10(50.0)))))
+    return cases
+
+
 class TestExpDiffRatio:
     def test_limit_at_zero(self):
         assert exp_diff_ratio(0.0, 0.5, 0.0) == 0.5
@@ -74,24 +110,8 @@ class TestExpDiffRatio:
         # subnormal, and the points where a series in powers of alpha and
         # beta lost digits or raised OverflowError
         mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(20261019)
-        cases = [(-1000.0, 0.0, 9.9e-5), (1e4, 0.0, 9.9e-5), (0.0, 1e4, 9e-5),
-                 (1e100, 0.0, 1e-5), (0.0, 1e200, 1e-210)]
-        for _ in range(300):
-            # the series region, near-equal pairs in three draws of ten
-            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
-            beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
-                    if rng.uniform() < 0.3
-                    else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)))
-            switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
-            cases.append((alpha, beta, max(switch * float(10.0 ** -rng.uniform(0.0, 30.0)), 1e-322)))
-            # t in [switch, 1e-4), which takes the plain formula
-            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 2.8))
-            beta = float(rng.uniform(-abs(alpha) / 2.0, abs(alpha) / 2.0))
-            switch = 1e-4 / abs(alpha)
-            cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), -4.0))))
         with mpmath.workdps(50):
-            for alpha, beta, t in cases:
+            for alpha, beta, t in small_t_cases():
                 if alpha == beta or t >= 1e-4:
                     continue
                 ref = _mp_ratio(mpmath, alpha, beta, t)
@@ -107,18 +127,8 @@ class TestExpDiffRatio:
         # OverflowError and every other one holds 4 eps, the last fixed case
         # too, whose factor e^-min(alpha, beta) t alone overflows
         mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(20261020)
-        cases = [(2.0, 2.0 * (1.0 + 1e-10), 1e-3), (2.0, 2.0 * (1.0 + 1e-13), 1.0),
-                 (0.3, 0.3 + 1e-12, 5.0), (-1000.0, -1000.0 + 1e-10, 0.71)]
-        for _ in range(400):
-            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
-            beta = (float(alpha * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)))
-                    if rng.uniform() < 0.5
-                    else float(rng.uniform(-1e3, 1e3)))
-            switch = 1e-4 / max(1.0, abs(alpha), abs(beta))
-            cases.append((alpha, beta, float(10.0 ** rng.uniform(math.log10(switch), math.log10(50.0)))))
         with mpmath.workdps(50):
-            for alpha, beta, t in cases:
+            for alpha, beta, t in plain_formula_cases():
                 if alpha == beta:
                     continue
                 ref = _mp_ratio(mpmath, alpha, beta, t)
@@ -215,6 +225,22 @@ class TestShiftParams:
                 check()
 
 
+def libm_grids(draws):
+    """(lo, hi, points): the README, CLI-default and benchmark grids, grids
+    ending at the ends of binary64, then three seeded random ones per draw
+    over the whole positive range, down to a few ulp wide."""
+    grids = [(0.1, 100.0, 60), (1.5, 500.0, 25), (0.1, 100.0, 40), (1.001, 1000.0, 50),
+             (1e-3, 1e14, 60), (1.001, 1e2, 50), (1.0, 1.0000000000000004, 3),
+             (5e-324, sys.float_info.max, 50), (1.5, sys.float_info.max, 5)]
+    rng = np.random.default_rng(19)
+    for _ in range(draws):
+        lo, hi = sorted(10.0 ** u for u in rng.uniform(-300.0, 300.0, 2).tolist())
+        grids.append((lo, hi, int(rng.integers(2, 200))))
+        grids.append((lo, lo * (1.0 + 2.0 ** -float(rng.uniform(10.0, 40.0))), 2))
+        grids.append((lo, math.nextafter(lo, math.inf), 2))
+    return grids
+
+
 class TestGridSpec:
     def test_generation(self):
         log = GridSpec(lo=0.1, hi=100.0, points=31).generate()
@@ -225,20 +251,8 @@ class TestGridSpec:
 
     def test_log_grid_has_the_bits_of_libm(self):
         # lo, then 10^(i*step + log10(lo)) from libm's log10 and pow, then
-        # hi: the same bits whatever SIMD loops numpy dispatches to.  The
-        # README, CLI-default and benchmark grids, grids ending at the ends
-        # of binary64, then seeded random ones over the whole positive
-        # range, down to a few ulp wide
-        grids = [(0.1, 100.0, 60), (1.5, 500.0, 25), (0.1, 100.0, 40), (1.001, 1000.0, 50),
-                 (1e-3, 1e14, 60), (1.001, 1e2, 50), (1.0, 1.0000000000000004, 3),
-                 (5e-324, sys.float_info.max, 50), (1.5, sys.float_info.max, 5)]
-        rng = np.random.default_rng(19)
-        for _ in range(2000):
-            lo, hi = sorted(10.0 ** u for u in rng.uniform(-300.0, 300.0, 2).tolist())
-            grids.append((lo, hi, int(rng.integers(2, 200))))
-            grids.append((lo, lo * (1.0 + 2.0 ** -float(rng.uniform(10.0, 40.0))), 2))
-            grids.append((lo, math.nextafter(lo, math.inf), 2))
-        for lo, hi, points in grids:
+        # hi: the same bits whatever SIMD loops numpy dispatches to
+        for lo, hi, points in libm_grids(2000):
             xs = GridSpec(lo, hi, points).generate()
             step = (math.log10(hi) - math.log10(lo)) / (points - 1)
             expected = [lo, *(10.0 ** (i * step + math.log10(lo)) for i in range(1, points - 1)), hi]

@@ -501,77 +501,24 @@ class TestGapIntegrals:
                     gap(0.5, power, 1.0)
 
 
-def _reference_sum(terms):
-    """Left to right from the first term, as np.add.accumulate forms it."""
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
-    return total
+def _record_rounds(m):
+    """Patches oracle._panels to record, as _integrate makes its calls, the
+    cutoff, the initial panel count and each round's split count; returns
+    the list it appends them to."""
+    rounds = []
+    panels = oracle._panels
 
+    def recorded(f, lo, hi):
+        # the first call holds every initial panel and ends at the cutoff;
+        # each later one, both halves of every panel split in its round
+        if rounds:
+            rounds.append(len(lo) // 2)
+        else:
+            rounds.extend((hi[-1], len(lo)))
+        return panels(f, lo, hi)
 
-def _reference_panel(f, lo, hi):
-    """One panel in Python floats: each rule on its own nodes, its weight *
-    value terms summed in node order."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    estimates = []
-    for nodes, weights in ((oracle._NODES_HI, oracle._WEIGHTS_HI),
-                           (oracle._NODES_LO, oracle._WEIGHTS_LO)):
-        values = f(np.array([c + h * node for node in nodes.tolist()])).tolist()
-        estimates.append(h * _reference_sum([w * y for w, y in zip(weights.tolist(), values)]))
-    hi_est, lo_est = estimates
-    return hi_est, abs(hi_est - lo_est)
-
-
-def _reference_integrate(rounds):
-    """The rounds of _integrate, one panel and one split at a time.
-
-    Appends the cutoff, the initial panel count and each round's split
-    count to rounds, whether it returns or raises.
-    """
-
-    def integrate(f, upper, rel_tol, max_subdivisions):
-        edges = [0.0]
-        step = min(1.0, upper)
-        while step < upper:
-            edges.append(step)
-            step *= 2.0
-        edges.append(upper)
-        panels = [(lo, hi, *_reference_panel(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
-        rounds.extend((upper, len(panels)))
-        splits = 0
-        while True:
-            total_v = math.fsum(v for _, _, v, _ in panels)
-            total_e = math.fsum(e for _, _, _, e in panels)
-            allowance = rel_tol * abs(total_v)
-            if not total_e > allowance:
-                return total_v, total_e
-            share = allowance / len(panels)
-            worst = max(e for _, _, _, e in panels)
-            split = [p for p in panels if p[3] > share or p[3] == worst]
-            splits += len(split)
-            if splits > max_subdivisions:
-                raise QuadratureError(
-                    f"needed more than {max_subdivisions} subdivisions for rel_tol={rel_tol}"
-                )
-            rounds.append(len(split))
-            panels = [p for p in panels if not (p[3] > share or p[3] == worst)]
-            for lo, hi, _, _ in split:
-                mid = 0.5 * (lo + hi)
-                panels.append((lo, mid, *_reference_panel(f, lo, mid)))
-                panels.append((mid, hi, *_reference_panel(f, mid, hi)))
-
-    return integrate
-
-
-def _reference_cutoff(f, x, power, lead):
-    """Doubling from 30/x, one integrand value at a time."""
-    t = 30.0 / x
-    while t < math.inf:
-        if abs(float(f(np.array([t]))[0])) < 1e-18:
-            return t
-        t *= 2.0
-    raise QuadratureError("no truncation point")
+    m.setattr(oracle, "_panels", recorded)
+    return rounds
 
 
 def _outcome(fn, *args):
@@ -602,9 +549,9 @@ for a in (0.01, 0.5, 0.99):
 
 
 class TestBatchedPanels:
-    """_integrate's rounds of panels, pinned bit for bit against the
-    one-panel-at-a-time reference above: the node-order sums, the fsum
-    totals, the split rule and the doubling cutoff search."""
+    """_integrate's rounds of panels: one integrand call per round and a
+    budget that counts split panels.  tests/test_bits.py pins their bits
+    against the base commit on these cases."""
 
     #: Module settings a case runs under: a forced cutoff of 5.0, and a
     #: tolerance the 10-split budget cannot meet.
@@ -636,17 +583,6 @@ class TestBatchedPanels:
         for name, value in settings.items():
             m.setattr(oracle, name, value)
 
-    def test_matches_panel_by_panel_reference(self, monkeypatch):
-        for fn, args, settings in self._cases():
-            with monkeypatch.context() as m:
-                self._set(m, settings)
-                batched = _outcome(fn, *args)
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_integrate", _reference_integrate([]))
-                m.setattr(oracle, "_auto_cutoff", _reference_cutoff)
-                self._set(m, settings)
-                assert _outcome(fn, *args) == batched, (fn.__name__, args, settings)
-
     def test_one_integrand_call_per_round(self, monkeypatch):
         # cutoff probes, eight doublings per call up to the one that is the
         # cutoff; one call on every initial panel; then one call per round
@@ -667,11 +603,7 @@ class TestBatchedPanels:
             with monkeypatch.context() as m:
                 self._set(m, settings)
                 m.setattr(oracle, "_run_integral", counting)
-                _outcome(fn, *args)
-            rounds = []
-            with monkeypatch.context() as m:
-                self._set(m, settings)
-                m.setattr(oracle, "_integrate", _reference_integrate(rounds))
+                rounds = _record_rounds(m)
                 _outcome(fn, *args)
             upper, panels, *split_counts = rounds
             probes = []
@@ -689,9 +621,8 @@ class TestBatchedPanels:
         # the budget is the number of panels split, over all rounds:
         # exactly the count the integral needs passes, one fewer raises
         monkeypatch.setattr(oracle, "_REL_TOL", 1e-14)
-        rounds = []
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_integrate", _reference_integrate(rounds))
+            rounds = _record_rounds(m)
             polygamma_integral(40, 0.02)
         needed = sum(rounds[2:])
         assert needed > 10

@@ -7,28 +7,20 @@ import dataclasses
 import math
 import pickle
 import re
-import sys
 
 import numpy as np
 import pytest
 
-import polycm.cm
 from polycm import (
     MAX_ORDER,
     EvalResult,
     factorial_over_power,
     polygamma,
 )
-from polycm.cm import (
-    _COEFFICIENT_ARRAY,
-    _FACTORIALS,
-    _THRESHOLDS,
-    _polygamma_array,
-)
+from polycm.cm import _polygamma_array
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import (
     _COEFFICIENTS,
-    _EPS,
     _check_order,
     _check_x,
     _result,
@@ -372,136 +364,6 @@ def test_array_kernel_raises_where_the_engine_raises():
             _polygamma_array(np.array([3, n, 40]), np.array([2.5, x, 1e-7]))
 
 
-# The engine as it was before the per-order tables and the negligible-term
-# stop: every call forms its constants with float() and runs the series to
-# its 20-term cap.  The current engine must match it bit for bit.
-def _reference_asymptotic(n, y):
-    inv2 = 1.0 / (y * y)
-    if n == 0:
-        value = math.log(y) - 0.5 / y
-        budget = abs(value) + 1.0 / y
-        power = inv2
-    else:
-        fact_nm1 = float(math.factorial(n - 1))
-        lead = fact_nm1 * y ** float(-n)
-        half = fact_nm1 * n / (2.0 * y ** float(n + 1))
-        value = lead + half
-        budget = lead + half
-        power = y ** float(-(n + 2))
-    prev = math.inf
-    for c in _COEFFICIENTS[n][:20]:
-        term = c * power
-        size = abs(term)
-        if size >= prev:
-            return value, size, budget
-        value += term
-        budget += size
-        prev = size
-        power *= inv2
-    return value, abs(_COEFFICIENTS[n][20] * power), budget
-
-
-def _reference_polygamma(n, x):
-    shift_count = max(0, math.ceil(float(max(10, n + 8)) - x))
-    series, trunc, budget = _reference_asymptotic(n, x + shift_count)
-    if n == 0:
-        shift = 0.0
-        for j in range(shift_count):
-            shift += 1.0 / (x + j)
-        value = series - shift
-        budget += shift
-        err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
-        return _result(value, err)
-    fact = float(math.factorial(n))
-    acc = 0.0
-    for j in range(shift_count):
-        acc += (x + j) ** float(-(n + 1))
-    mag_total = series + fact * acc
-    budget += fact * acc
-    sign = 1.0 if n % 2 == 1 else -1.0
-    err = trunc + _EPS * (2.0 * budget + 8.0 * mag_total)
-    return _result(sign * mag_total, err)
-
-
-def _reference_factorial_over_power(n, x):
-    log_value = math.lgamma(n + 1) - (n + 1) * math.log(x)
-    if log_value > math.log(sys.float_info.max):
-        return math.inf
-    if log_value < -745.0:
-        return 0.0
-    try:
-        p = x ** float(n + 1)
-    except OverflowError:
-        return math.exp(log_value)
-    if p == 0.0 or not math.isfinite(p):
-        return math.exp(log_value)
-    return float(math.factorial(n)) / p
-
-
-def _outcome(f, n, x):
-    """Hex of the value (and bar), or the exception's type and message."""
-    try:
-        r = f(n, x)
-    except (OverflowError, ValueError) as e:
-        return type(e).__name__, str(e)
-    if isinstance(r, float):
-        return r.hex()
-    return r.value.hex(), r.abs_error_estimate.hex()
-
-
-def _bit_identity_points(n):
-    """A log grid over [1e-3, 1e300], the shift threshold and its one-ulp
-    neighbours, and the arguments at which a power the engine or
-    factorial_over_power forms, x^e or y^e for e in {n, n + 1, n + 2},
-    crosses the overflow, underflow and subnormal edges of binary64."""
-    xs = np.geomspace(1e-3, 1e300, 400).tolist()
-    t = shift_threshold(n)
-    xs += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), t - 1.0, t + 1.0]
-    edges = (math.log(sys.float_info.max), math.log(sys.float_info.min), -744.44, -745.2)
-    for e in {n, n + 1, n + 2} - {0}:
-        for log_edge in edges:
-            for sign in (1.0, -1.0):
-                if abs(log_edge) / e < 709.0:
-                    centre = math.exp(sign * log_edge / e)
-                    xs += [centre * (1.0 + k * 2e-4) for k in range(-6, 7)]
-    return xs
-
-
-@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
-def test_engine_matches_the_full_series_bit_for_bit(n):
-    # the series may stop early only where no later term can move a bit;
-    # where the reference overflows, the engine raises its one message
-    for x in _bit_identity_points(n):
-        expected = _outcome(_reference_polygamma, n, x)
-        if expected[0] == "OverflowError":
-            expected = ("OverflowError", f"psi_{n}({x!r}) left the binary64 range")
-        assert _outcome(polygamma, n, x) == expected, (n, x)
-        assert _outcome(factorial_over_power, n, x) == _outcome(
-            _reference_factorial_over_power, n, x
-        ), (n, x)
-
-
-def _fold_stop_points(n):
-    """Arguments below the shift threshold t, where the recurrence fold runs:
-    a log sweep t 2^(-i/4) down to about 1e-18 t, and each unit interval
-    below t at its two ends and two inner points."""
-    t = shift_threshold(n)
-    xs = [t * 2.0 ** (-i / 4) for i in range(1, 240)]
-    xs += [j + f for j in range(int(t)) for f in (0.001, 0.25, 0.5, 0.999)]
-    return xs
-
-
-@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
-def test_fold_stop_matches_the_full_fold_bit_for_bit(n):
-    # the n >= 1 fold stops at the first term that leaves its sum unchanged;
-    # a stop on a term merely small against the sum would move bits here
-    for x in _fold_stop_points(n):
-        expected = _outcome(_reference_polygamma, n, x)
-        if expected[0] == "OverflowError":
-            expected = ("OverflowError", f"psi_{n}({x!r}) left the binary64 range")
-        assert _outcome(polygamma, n, x) == expected, (n, x)
-
-
 def test_series_terms_shrink_from_the_shift_threshold_on():
     # the premise of the negligible-term stop: at y >= shift_threshold(n)
     # each term is below the one before (at most 0.4575 of it), so the full
@@ -510,207 +372,3 @@ def test_series_terms_shrink_from_the_shift_threshold_on():
         for j in range(20):
             ratio = abs(row[j + 1] / row[j]) / shift_threshold(n) ** 2
             assert ratio < 0.4575, (n, j, ratio)
-
-
-def _in_range(p):
-    """The previous kernel's range screen on a power: [2 DBL_MIN, DBL_MAX/2]."""
-    return (p >= 2.0 * sys.float_info.min) & (p <= 0.5 * sys.float_info.max)
-
-
-# The array kernel as it was before its shift pass became one 2-D pass and
-# its series lost the growth stop: the elements below their threshold,
-# sorted by shift count, step j adding to the prefix still shifting; the
-# series stopping an element whose terms grow again; a range screen on each
-# power.  The current kernel must match it bit for bit.
-def _reference_polygamma_array(n, x):
-    n = np.asarray(n, dtype=np.intp)
-    x = np.asarray(x, dtype=float)
-    zero = n == 0
-    order = n.astype(float)
-    count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
-    with np.errstate(over="ignore", under="ignore"):
-        below = np.flatnonzero(count)
-        below = below[np.argsort(-count[below], kind="stable")]
-        xb, eb, zb = x[below], -(order[below] + 1.0), zero[below]
-        shifting = np.searchsorted(-count[below], -np.arange(count.max(initial=0.0)))
-        accb = np.zeros_like(xb)
-        ok = np.ones(x.shape, dtype=bool)
-        for j, m in enumerate(shifting.tolist()):
-            xj = xb[:m] + j
-            term = np.power(xj, eb[:m])
-            if j == 0:
-                ok[below] = zb | _in_range(term)
-            if zb.any():
-                term = np.where(zb[:m], 1.0 / xj, term)
-            accb[:m] += term
-        acc = np.zeros_like(x)
-        acc[below] = accb
-        y = x + count
-        inv2 = 1.0 / (y * y)
-        fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
-        lead_power = np.power(y, -order)
-        half_power = np.power(y, order + 1.0)
-        next_power = np.power(y, -(order + 2.0))
-        ok &= zero | (_in_range(lead_power) & _in_range(half_power) & _in_range(next_power))
-        head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
-        log_head = np.log(y) - 0.5 / y
-        value = np.where(zero, log_head, head)
-        budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
-        power = np.where(zero, inv2, next_power)
-        coefficients = _COEFFICIENT_ARRAY[n]
-        trunc = np.zeros_like(x)
-        prev = np.full_like(x, math.inf)
-        running = np.ones(x.shape, dtype=bool)
-        for j in range(20):
-            term = coefficients[:, j] * power
-            size = np.abs(term)
-            stop = running & (size >= prev)
-            if stop.any():
-                trunc[stop] = size[stop]
-                running &= ~stop
-                term[stop] = size[stop] = power[stop] = 0.0
-            value += term
-            budget += size
-            prev = size
-            power *= inv2
-        last = np.abs(coefficients[:, 20] * power)
-        trunc = np.where(running, last, trunc)
-        shift = np.where(zero, acc, _FACTORIALS[n] * acc)
-        total = np.where(zero, value - shift, value + shift)
-        budget += shift
-        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
-    values = np.where(zero | (n % 2 == 1), total, -total)
-    for i in np.flatnonzero(~(ok & np.isfinite(bars))):
-        r = polygamma(int(n[i]), float(x[i]))
-        values[i], bars[i] = r.value, r.abs_error_estimate
-    return values, bars
-
-
-def _kernel_outcome(kernel, n, x):
-    """Hex of every value and bar, or the exception's type and message."""
-    try:
-        values, bars = kernel(np.array(n, dtype=np.intp), np.array(x, dtype=float))
-    except (OverflowError, ValueError) as e:
-        return type(e).__name__, str(e)
-    return [(v.hex(), b.hex()) for v, b in zip(values.tolist(), bars.tolist())]
-
-
-def _assert_kernel_matches_reference(n, x):
-    assert _kernel_outcome(_polygamma_array, n, x) == _kernel_outcome(
-        _reference_polygamma_array, n, x
-    ), (n, x)
-
-
-def _engine_raises(n, x):
-    try:
-        polygamma(n, x)
-    except OverflowError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
-def test_array_kernel_matches_its_previous_form_bit_for_bit(n):
-    # one block of the points the engine evaluates, one of all points, which
-    # raises what the first raising point raises, and each point alone
-    xs = _bit_identity_points(n)
-    fine = [x for x in xs if not _engine_raises(n, x)]
-    _assert_kernel_matches_reference([n] * len(fine), fine)
-    _assert_kernel_matches_reference([n] * len(xs), xs)
-    for x in xs[::7]:
-        _assert_kernel_matches_reference([n], [x])
-
-
-def test_array_kernel_mixed_shift_counts_match_bit_for_bit():
-    # every order with every shift count it can take, 1 .. 48, in one
-    # shuffled block that mixes n = 0 and n >= 1 rows, in blocks of one,
-    # which sum their shift steps in a loop, and in blocks of two, the
-    # smallest that sum them in one reduce
-    pairs = []
-    for n in range(MAX_ORDER + 1):
-        t = shift_threshold(n)
-        for count in range(1, int(t) + 1):
-            pairs += [(n, t - count + u) for u in (1e-3, 0.5, 0.999)]
-    pairs = [(n, x) for n, x in pairs if not _engine_raises(n, x)]
-    order = np.random.default_rng(13).permutation(len(pairs))
-    n, x = zip(*(pairs[i] for i in order))
-    _assert_kernel_matches_reference(n, x)
-    _assert_kernel_matches_reference(n[:97], x[:97])
-    for i in range(0, len(n), 41):
-        _assert_kernel_matches_reference(n[i:i + 1], x[i:i + 1])
-        _assert_kernel_matches_reference(n[i:i + 2], x[i:i + 2])
-
-
-def test_array_kernel_without_shifts_matches_bit_for_bit():
-    # no element below its threshold: a shift pass with no steps at all
-    n = [m for m in range(MAX_ORDER + 1) for _ in range(3)]
-    x = [shift_threshold(m) * s for m in range(MAX_ORDER + 1) for s in (1.0, 1.5, 3.0)]
-    _assert_kernel_matches_reference(n, x)
-    _assert_kernel_matches_reference([0], [10.0])
-    _assert_kernel_matches_reference([40], [48.0])
-
-
-def test_array_kernel_raises_as_its_previous_form():
-    # the first raising element in index order decides, as it did
-    for n, x in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
-        _assert_kernel_matches_reference([3, 0, n, 40], [2.5, 0.25, x, 1e-7])
-        _assert_kernel_matches_reference([n], [x])
-
-
-def _edge(e, target):
-    """The least double x > 0 at which numpy's x^e has reached target."""
-    lo, hi = 0, 0x7FEFFFFFFFFFFFFF  # the bit patterns of 0.0 and DBL_MAX
-    with np.errstate(over="ignore", under="ignore"):
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            p = np.power(np.int64(mid).view(np.float64), e)
-            lo, hi = (lo, mid) if (p >= target if e > 0 else p <= target) else (mid, hi)
-    return float(np.int64(hi).view(np.float64))
-
-
-def _range_edges(n):
-    """Arguments within 4 ulps of order n's range edges: the first shift term
-    x^-(n+1) at DBL_MAX/2 and where 8 n! x^-(n+1) overflows; the head powers
-    y^-n and y^-(n+2) at 2 DBL_MIN, and y^(n+1) at DBL_MAX/2 and DBL_MAX."""
-    huge = sys.float_info.max
-    tiny = 2.0 * sys.float_info.min
-    edges = [(-(n + 1.0), huge / 2.0), (-(n + 1.0), huge / (8.0 * math.factorial(n))),
-             (-(n + 2.0), tiny), (n + 1.0, huge / 2.0), (n + 1.0, huge)]
-    if n:
-        edges.append((-float(n), tiny))
-    xs = []
-    for e, target in edges:
-        up = down = _edge(e, target)
-        xs.append(up)
-        for _ in range(4):
-            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
-            xs += [up, down]
-    return sorted(x for x in set(xs) if 0.0 < x < math.inf)
-
-
-@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
-def test_array_kernel_hands_polygamma_what_its_range_screens_did(monkeypatch, n):
-    # one screen on y^-(n+2) and the finite-bar check send to polygamma
-    # exactly the elements that the previous form's screens on every power
-    # and the same check sent, each alone and in one block of those that
-    # return
-    engine, calls = polygamma, []
-
-    def recorded(m, x):
-        calls.append((m, x))
-        return engine(m, x)
-
-    monkeypatch.setattr(polycm.cm, "polygamma", recorded)
-    monkeypatch.setitem(globals(), "polygamma", recorded)
-    xs = _range_edges(n)
-    fine = [x for x in xs if not _engine_raises(n, x)]
-    handed = 0
-    for block in [[x] for x in xs] + [fine]:
-        sent = []
-        for kernel in (_polygamma_array, _reference_polygamma_array):
-            calls.clear()
-            sent.append((_kernel_outcome(kernel, [n] * len(block), block), list(calls)))
-        assert sent[0] == sent[1], (n, block)
-        handed += len(block) == 1 and len(calls) == 1
-    # the edges put elements on both sides of the screens
-    assert 0 < handed < len(xs)

@@ -254,13 +254,13 @@ _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 #: pow by an ulp (on 5% of random powers on an AVX-512 Xeon, numpy 2.4).
 #: CPython's ** raises OverflowError where the power overflows, and returns
 #: a subnormal power with its precision cut short; so an element with an
-#: infinite bar, or with n >= 1 and y^-(n+2) below _TINY, goes back to the
-#: scalar engine, which raises or evaluates it as polygamma does.  The
-#: factor of two keeps an ulp between the two powers from splitting them at
-#: the edge.  Every other power is then in range, as y >= 10 and a shifting
-#: x < 48 (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~
-#: 1e-69, and above DBL_MAX/2 it puts n! acc there too, so 8 |total| is
-#: inf; y^-n >= 100 y^-(n+2); and y^(n+1) > DBL_MAX/2 puts y^-(n+2) below
+#: infinite bar, or with y^-(n+2) below _TINY, goes back to the scalar
+#: engine, which raises or evaluates it as polygamma does.  The factor of
+#: two keeps an ulp between the two powers from splitting them at the edge.
+#: Every other power is then in range, as y >= 10 and a shifting x < 48
+#: (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~ 1e-69,
+#: and above DBL_MAX/2 it puts n! acc there too, so 8 |total| is inf;
+#: y^-n >= 100 y^-(n+2); and y^(n+1) > DBL_MAX/2 puts y^-(n+2) below
 #: (2/DBL_MAX)^((n+2)/(n+1)) < 1e-315.
 _TINY = 2.0 * sys.float_info.min
 
@@ -268,47 +268,41 @@ _TINY = 2.0 * sys.float_info.min
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """polygamma(n[i], x[i]) for every i, as (values, error bars).
 
-    Orders and arguments must already be valid.  Each element goes through
-    polygamma's steps: its own shift count, the same head, the same series
-    and the same error bar.  The kernel runs all 20 series terms; the
-    scalar engine stops once a term is negligible, with the bits of the
-    full sum (see the series comment in polygamma).  Likewise it adds
-    every shift step, where the scalar n >= 1 fold stops at the first term
-    that leaves its sum unchanged: the terms strictly decrease and rounding
-    is monotone, so each later term leaves the kernel's running total
-    unchanged too, and both folds end on the same bits (see the fold
-    comment in polygamma).  Values can differ from the scalar ones by the
-    last-ulp differences between numpy's power and log and libm's.  An
-    element whose bar is not finite, or with n >= 1 whose head power
-    y^-(n+2) is below _TINY (no other power needs a screen; see _TINY), is
-    evaluated by polygamma itself, looked up in this module as _gap looks
-    it up, in index order; so the first one that raises raises what
-    [polygamma(*e) for e in zip(n, x)] would raise.
+    Orders and arguments must already be valid.  The kernel evaluates
+    orders n >= 1, where polygamma sums positive terms, through polygamma's
+    steps: its own shift count, the same head, the same series and the same
+    error bar.  It runs all 20 series terms; the scalar engine stops once a
+    term is negligible, with the bits of the full sum (see the series
+    comment in polygamma).  Likewise it adds every shift step, where the
+    scalar fold stops at the first term that leaves its sum unchanged: the
+    terms strictly decrease and rounding is monotone, so each later term
+    leaves the kernel's running total unchanged too, and both folds end on
+    the same bits (see the fold comment in polygamma).  Values can differ
+    from the scalar ones by the last-ulp differences between numpy's power
+    and libm's.  Every n = 0 element, and every element whose bar is not
+    finite or whose head power y^-(n+2) is below _TINY (no other power
+    needs a screen; see _TINY), is evaluated by polygamma itself, looked up
+    in this module as _gap looks it up, in index order; so the first one
+    that raises raises what [polygamma(*e) for e in zip(n, x)] would raise.
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
-    zero = n == 0
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
     acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        # shift pass: 1/(x+j) for n = 0, (x+j)^-(n+1) for n >= 1, one row
-        # per step j and one column per element below its threshold, the
-        # n = 0 columns first.  Cells past the element's own count are set
-        # to 0.0, so adding the rows from 0.0 in order of j is the scalar
-        # engine's acc += term.  numpy pairs terms up only along the axis
-        # that is fast in memory (see the notes of np.sum); reducing this
-        # C-ordered block over its slow axis, the steps, adds them in order
-        # of j, column by column.  A single column is itself the fast axis,
-        # which np.add.reduce would sum pairwise, so it keeps the row loop.
-        digamma = np.flatnonzero(zero & (count > 0))
-        below = np.concatenate((digamma, np.flatnonzero(~zero & (count > 0))))
+        # shift pass: (x+j)^-(n+1), one row per step j and one column per
+        # element below its threshold.  Cells past the element's own count
+        # are set to 0.0, so adding the rows from 0.0 in order of j is the
+        # scalar engine's acc += term.  numpy pairs terms up only along the
+        # axis that is fast in memory (see the notes of np.sum); reducing this
+        # C-ordered block over its slow axis, the steps, adds them in order of
+        # j, column by column.  A single column is itself the fast axis, which
+        # np.add.reduce would sum pairwise, so it keeps the row loop.
+        below = np.flatnonzero(count > 0)
         if below.size:
-            d = digamma.size
             steps = np.arange(count.max())[:, None]
-            terms = x[below] + steps
-            np.divide(1.0, terms[:, :d], out=terms[:, :d])
-            np.power(terms[:, d:], -(order[below[d:]] + 1.0), out=terms[:, d:])
+            terms = np.power(x[below] + steps, -(order[below] + 1.0))
             terms[steps >= count[below]] = 0.0
             if below.size > 1:
                 acc[below] = np.add.reduce(terms, axis=0)
@@ -316,24 +310,15 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 for row in terms:
                     acc[below] += row
 
-        # heads: ln y - 1/(2y) for n = 0, (n-1)!/y^n + n!/(2 y^(n+1)) for n >= 1;
-        # a block with no n = 0 element skips the digamma branch
+        # head: (n-1)!/y^n + n!/(2 y^(n+1))
         y = x + count
         inv2 = 1.0 / (y * y)
         fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
-        lead_power = np.power(y, -order)
         half_power = np.power(y, order + 1.0)
-        next_power = np.power(y, -(order + 2.0))
-        ok = zero | (next_power >= _TINY)
-        head = fact_nm1 * lead_power + fact_nm1 * order / (2.0 * half_power)
-        has_zero = zero.any()
-        if has_zero:
-            log_head = np.log(y) - 0.5 / y
-            value = np.where(zero, log_head, head)
-            budget = np.where(zero, np.abs(log_head) + 1.0 / y, head)
-            power = np.where(zero, inv2, next_power)
-        else:
-            value, budget, power = head, head.copy(), next_power
+        power = np.power(y, -(order + 2.0))
+        ok = (n > 0) & (power >= _TINY)
+        value = fact_nm1 * np.power(y, -order) + fact_nm1 * order / (2.0 * half_power)
+        budget = value.copy()
 
         coefficients = _COEFFICIENT_ARRAY[n]
         for j in range(_MAX_ASYMPTOTIC_TERMS):
@@ -343,12 +328,11 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             power *= inv2
         trunc = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
 
-        # 0! = 1, so the n = 0 elements' shift is acc itself
         shift = _FACTORIALS[n] * acc
-        total = np.where(zero, value - shift, value + shift) if has_zero else value + shift
+        total = value + shift
         budget += shift
-        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(total))
-    values = np.where(zero | (n % 2 == 1), total, -total)
+        bars = trunc + _EPS * (2.0 * budget + 8.0 * total)
+    values = np.where(n % 2 == 1, total, -total)
     for i in np.flatnonzero(~(ok & np.isfinite(bars))):
         r = polygamma(int(n[i]), float(x[i]))
         values[i], bars[i] = r.value, r.abs_error_estimate
@@ -395,10 +379,11 @@ def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     factorial_over_power's plain branch m!/x**(m+1), with CPython's float
     pow (libm's, which numpy's power can miss by an ulp) and an IEEE
     division, and every sample that gets here would take that branch.  A
-    finite bar on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as the
-    kernel's budget holds it as the first shift step below the threshold,
-    and x >= 10 above it; where x^(m+1) overflows, or m!/x^(m+1) < e^-745,
-    x^-(m+2) is below _TINY, so the kernel sent x to polygamma, which raised.
+    finite bar on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as its budget
+    (the kernel's, or polygamma's for m = 0) holds it as the first shift
+    step below the threshold, and x >= 10 above it.  x^(m+1) overflows, or
+    m!/x^(m+1) < e^-745, only for m >= 1 and x^-(m+2) below _TINY; so the
+    kernel sent x to polygamma, which raised.
     Finite polygamma bars keep |hi|, |lo| and |last| (which |lo| or its
     1/x shift term exceeds) under an eighth of the binary64 range, so the
     sum and the bar are finite too and raise nowhere that

@@ -218,7 +218,6 @@ def _t_over_one_minus_exp(t: np.ndarray) -> np.ndarray:
     The plain quotient is formed wherever t >= 1e-3 and only the few small
     t are patched.
     """
-    t = np.asarray(t, dtype=float)
     big = t >= _SMALL_T
     out = np.divide(t, -np.expm1(-t), out=np.empty_like(t), where=big)
     small = ~big
@@ -235,15 +234,9 @@ def _ratio_difference(a: float, t: np.ndarray) -> np.ndarray:
     quantities, it is replaced by its series
     (1-a)t/2 + (1-a^2)t^2/12 - (1-a^4)t^4/720 + (1-a^6)t^6/30240, whose
     next term is below 1e-16 there.  The direct difference is formed on the
-    other t only, and on the whole array, with no mask, when none is small.
+    other t only.
     """
-    t = np.asarray(t, dtype=float)
     small = t < _SMALL_T_DIFF
-    if not small.any():
-        # in place, so that a 0-d t keeps a 0-d array
-        out = _t_over_one_minus_exp(t)
-        out -= _t_over_one_minus_exp(a * t)
-        return out
     out = np.empty_like(t)
     big = ~small
     tb = t[big]
@@ -326,22 +319,17 @@ def _fsum(values: list[float]) -> float:
         return math.nan
 
 
-def _integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    upper: float,
-    rel_tol: float,
-    max_subdivisions: int,
-) -> tuple[float, float]:
+def _integrate(f: Callable[[np.ndarray], np.ndarray], upper: float) -> tuple[float, float]:
     """Adaptive bisection of int_0^upper f in rounds; returns (value, error).
 
     Starts from a geometric partition 0, 1, 2, 4, ... so the initial panels
     already track the scale of a decaying integrand.  While the summed
-    15-vs-7-point discrepancies exceed rel_tol * |integral|, a round splits
+    15-vs-7-point discrepancies exceed _REL_TOL * |integral|, a round splits
     every panel whose discrepancy exceeds its equal share of that allowance,
-    rel_tol * |integral| / panels, and the worst panel in any case, so that
+    _REL_TOL * |integral| / panels, and the worst panel in any case, so that
     every round makes progress; all halves of a round go through one
     integrand call.  Both totals are math.fsum over the panels, correctly
-    rounded and independent of panel order.  max_subdivisions caps the
+    rounded and independent of panel order.  _MAX_SUBDIVISIONS caps the
     number of panels split, over all rounds.
 
     The panels live in four Python lists (lo, hi, estimate, discrepancy)
@@ -361,7 +349,7 @@ def _integrate(
     while True:
         total_v = _fsum(v)
         total_e = _fsum(e)
-        allowance = rel_tol * abs(total_v)
+        allowance = _REL_TOL * abs(total_v)
         if not total_e > allowance:
             return total_v, total_e
         # no discrepancy is nan here, since one would have made total_e nan
@@ -369,9 +357,9 @@ def _integrate(
         worst = max(e)
         split = [i for i, d in enumerate(e) if d > share or d == worst]
         splits += len(split)
-        if splits > max_subdivisions:
+        if splits > _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"needed more than {max_subdivisions} subdivisions for rel_tol={rel_tol}"
+                f"needed more than {_MAX_SUBDIVISIONS} subdivisions for rel_tol={_REL_TOL}"
             )
         left = [lo[i] for i in split]
         right = [hi[i] for i in split]
@@ -462,7 +450,7 @@ def _run_integral(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         upper = _auto_cutoff(f, x, power, lead)
-        v, e = _integrate(f, upper, _REL_TOL, _MAX_SUBDIVISIONS)
+        v, e = _integrate(f, upper)
     return v, e, upper
 
 

@@ -26,8 +26,9 @@ helpers run only to raise their messages), the shift, the series and the
 fold inline, and a result validated once by _result.  The module is pure
 Python and imports no numpy.  polygamma is the scalar reference for the
 array kernel in polycm.cm, which runs the same steps and the same
-error-bar formula over whole arrays of orders and arguments at once;
-cm_scan evaluates its grids through it.
+error-bar formula over whole arrays of orders n >= 1 and arguments at
+once, and hands its order-0 elements back to polygamma; cm_scan
+evaluates its grids through it.
 """
 
 import math
@@ -325,15 +326,8 @@ def factorial_over_power(n: int, x: float) -> float:
 
     Returns inf (or 0.0) when the true value leaves binary64 range.
     """
-    n = operator.index(n)
-    if not 0 <= n <= MAX_ORDER:
-        _check_order(n)
-    try:
-        x = float(x)
-    except OverflowError:
-        x = math.inf if x > 0 else -math.inf
-    if not 0.0 < x < math.inf:
-        _check_x(x)
+    n = _check_order(n)
+    x = _check_x(x)
     exponent = _ORDERS[n][1]  # n + 1
     log_value = _LOG_FACTORIAL_FLOATS[n] - exponent * math.log(x)
     if log_value > _LOG_MAX:

@@ -153,6 +153,24 @@ class TestVerifyCM:
         assert code == 1
         assert out.strip().endswith("FAIL")
 
+    # far out the gap cancels below every sample's bar, so no point is
+    # determinate and the scan has no witness
+    FAR = ["verify-cm", "--a", "0.5", "--k", "2", "--lo", "1e12", "--hi", "1e13", "--points", "5"]
+
+    def test_no_determinate_points_fails(self, capsys):
+        code, out, _ = run(self.FAR, capsys)
+        assert code == 1
+        assert out.splitlines()[1:] == ["no determinate points; nothing to certify", "FAIL"]
+
+    def test_no_determinate_points_json_has_no_witness(self, capsys):
+        code, out, _ = run(self.FAR + ["--format", "json"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["indeterminate_count"] == 45
+        for field in ("min_signed_value", "witness_error", "witness_point"):
+            assert payload[field] is None, field
+
     def test_invalid_shift_is_usage_error(self, capsys):
         code, _, err = run(["verify-cm", "--a", "1.5", "--k", "2"], capsys)
         assert code == 2

@@ -326,6 +326,8 @@ def test_factorial_over_power_extremes():
     assert factorial_over_power(0, 1e-308) == 1e308
     assert factorial_over_power(0, 1.2e-308) == pytest.approx(1.0 / 1.2e-308, rel=1e-15)
     assert factorial_over_power(1, 1e-154) == pytest.approx(1e308, rel=1e-15)
+    # below e^-745 the quotient is 0.0 without forming the power
+    assert factorial_over_power(1, 1e200) == 0.0
     with pytest.raises(ValueError):
         factorial_over_power(2, 0.0)
     with pytest.raises(ValueError):
@@ -348,6 +350,20 @@ def test_array_kernel_matches_scalar_engine():
     for (n, x, r), v, b in zip(pairs, values.tolist(), bars.tolist()):
         assert abs(v - r.value) <= b + r.abs_error_estimate, (n, x)
         assert b == pytest.approx(r.abs_error_estimate, rel=1e-6), (n, x)
+
+
+def test_array_kernel_order_zero_has_the_scalar_engines_bits():
+    # order 0 goes to the scalar engine whole, so its values and bars are
+    # polygamma's bit for bit: on a log grid, and at points where numpy's
+    # AVX-512 log differs from libm's by an ulp
+    xs = np.geomspace(1e-3, 1e300, 400).tolist() + [
+        1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
+        17.89970295332177, 17.643684916268207,
+    ]
+    values, bars = _polygamma_array(np.zeros(len(xs), dtype=np.intp), np.array(xs))
+    for x, v, b in zip(xs, values.tolist(), bars.tolist()):
+        r = polygamma(0, x)
+        assert (v.hex(), b.hex()) == (r.value.hex(), r.abs_error_estimate.hex()), x
 
 
 def test_array_kernel_raises_where_the_engine_raises():

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle
-from .cm import GridSpec, ShiftParams, _gap, shift_gap_derivative
+from .cm import _SCAN_BLOCK, GridSpec, ShiftParams, _gap_block, shift_gap_derivative
 from .polygamma import _EPS, EvalResult
 # unused here, but bench/tracing.py wraps both names in this module
 from .polygamma import factorial_over_power, polygamma  # noqa: F401
@@ -77,21 +79,26 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     so it is evaluated once for the whole table, as the gap at x = 1;
     endpoint_constants cross-checks that same value by quadrature.
 
-    Each row is built on the gap g(x).  The base term a k!/x^(k+1) is the
-    gap's own power term and the middle is base + g.  The margins are the
-    gap itself: (g, C - g) for even k, where C joins the upper side, and
-    (g - C, -g) for odd k, where it joins the lower one.  Each margin's bar
-    is g's, plus C's on the side that has C, plus the rounding of the
-    margin itself.
+    Each row is built on the gap g(x), taken _SCAN_BLOCK rows at a time
+    from _gap_block, which has shift_gap_derivative's bits.  The base term
+    a k!/x^(k+1) is the gap's own power term and the middle is base + g.
+    The margins are the gap itself: (g, C - g) for even k, where C joins
+    the upper side, and (g - C, -g) for odd k, where it joins the lower
+    one.  Each margin's bar is g's, plus C's on the side that has C, plus
+    the rounding of the margin itself.
     """
     if not grid.lo > 1.0:
         raise ValueError(f"bounds hold on x > 1 only, got x={grid.lo!r}")
     endpoint = shift_gap_derivative(p, 0, 1.0)
     c, c_err = endpoint.value, endpoint.abs_error_estimate
     even = p.k % 2 == 0
+    xs = grid.generate()
+    gaps = []
+    for start in range(0, xs.size, _SCAN_BLOCK):
+        x = xs[start:start + _SCAN_BLOCK]
+        gaps += zip(x.tolist(), *(a.tolist() for a in _gap_block(p, np.zeros(x.size, np.intp), x)))
     rows = []
-    for x in grid.generate().tolist():
-        g, g_err, base = _gap(p, 0, x)
+    for x, g, g_err, base in gaps:
         if even:
             lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
             lower_err, upper_err = g_err, g_err + c_err

@@ -8,9 +8,10 @@ which is strictly completely monotonic on x > 0 for even k, while for odd k
 its negation is.  Equivalently (-1)^n g^(n)(x) keeps one strict sign for
 every derivative order n; cm_scan samples that sign pattern over a grid and
 reports the worst margin found together with where it happened.  It takes
-its samples through the engine's numpy array kernel, _polygamma_array,
-which lives here, beside its one caller, so that polycm.polygamma stays
-pure Python.
+its samples, and polycm.bounds its table rows, from _gap_block, which runs
+the engine's numpy array kernel, _polygamma_array.  The kernel lives here,
+beside its one caller, so that polycm.polygamma stays pure Python; its
+powers are libm's, so it returns polygamma's bits on every host.
 
 The module also carries the elementary ratio behind those facts,
 (e^-alpha t - e^-beta t)/(1 - e^-t), with its exact monotonicity criterion;
@@ -50,9 +51,10 @@ from .polygamma import (
 #: legitimately flattens toward zero at large x.
 SIGN_GUARD = 1e3
 
-#: Samples per array-kernel call in cm_scan; bounds the scan's working
-#: memory whatever the number of grid points: the kernel's shift pass holds
-#: at most 48 steps of 2 x _SCAN_BLOCK elements.
+#: Samples per _gap_block call in cm_scan, and rows per call in
+#: polycm.bounds.bound_table; bounds their working memory whatever the
+#: number of grid points: the kernel's shift pass holds at most 48 steps of
+#: 2 x _SCAN_BLOCK elements.
 _SCAN_BLOCK = 4096
 
 @dataclass(frozen=True)
@@ -212,23 +214,6 @@ def increasing_condition(alpha: float, beta: float) -> bool:
     return d * (1.0 - al - be) >= 0.0 and d * (abs(al - be) - al - be) >= 0.0
 
 
-def _gap(p: ShiftParams, n: int, x: float) -> tuple[float, float, float]:
-    """shift_gap_derivative's (value, error bar) for an order and x already
-    checked, plus its power term (-1)^n a (k+n)!/x^(k+n+1)."""
-    m = p.k + n
-    hi = polygamma(m, x + p.a)
-    lo = polygamma(m, x)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    last = sign * p.a * factorial_over_power(m, x)
-    value = math.fsum((hi.value, -lo.value, -last))
-    err = (
-        hi.abs_error_estimate
-        + lo.abs_error_estimate
-        + _EPS * (abs(hi.value) + abs(lo.value) + 2.0 * abs(last))
-    )
-    return value, err, last
-
-
 def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     """Exact n-th derivative of the gap, the gap itself at n = 0:
 
@@ -238,10 +223,17 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     the polygamma order and alternates the sign of the power term.  The
     three terms are added with one final rounding (math.fsum), so at n = 0,
     x = 1 this is the direct route to the endpoint constant C(a, k) in
-    polycm.bounds, whose bound rows are built on the same gap.
+    polycm.bounds.  _gap_block gives the same bits over arrays of samples.
     """
     n = _check_derivative(p.k, n)
-    value, err, _ = _gap(p, n, _check_x(x))
+    x = _check_x(x)
+    m = p.k + n
+    hi = polygamma(m, x + p.a)
+    lo = polygamma(m, x)
+    last = (1.0 if n % 2 == 0 else -1.0) * p.a * factorial_over_power(m, x)
+    value = math.fsum((hi.value, -lo.value, -last))
+    err = (hi.abs_error_estimate + lo.abs_error_estimate
+           + _EPS * (abs(hi.value) + abs(lo.value) + 2.0 * abs(last)))
     return _result(value, err)
 
 
@@ -250,15 +242,15 @@ _COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
 _FACTORIALS = np.array(_FACTORIAL_FLOATS)
 _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 
-#: numpy's power never raises, and its SIMD loops can differ from libm's
-#: pow by an ulp (on 5% of random powers on an AVX-512 Xeon, numpy 2.4).
-#: CPython's ** raises OverflowError where the power overflows, and returns
-#: a subnormal power with its precision cut short; so an element with an
+#: The kernel's powers are np.float_power's, which calls libm's pow for
+#: each element as CPython's ** does, so they have the scalar engine's bits
+#: on every numpy CPU dispatch; but they never raise, where ** raises
+#: OverflowError on a power that overflows.  So an element with an
 #: infinite bar, or with y^-(n+2) below _TINY, goes back to the scalar
-#: engine, which raises or evaluates it as polygamma does.  The factor of
-#: two keeps an ulp between the two powers from splitting them at the edge.
-#: Every other power is then in range, as y >= 10 and a shifting x < 48
-#: (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~ 1e-69,
+#: engine, which raises or evaluates it as polygamma does; the factor of
+#: two only hands it a few more elements, which it evaluates with the same
+#: bits.  Every other power is then in range, as y >= 10 and a shifting
+#: x < 48 (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~ 1e-69,
 #: and above DBL_MAX/2 it puts n! acc there too, so 8 |total| is inf;
 #: y^-n >= 100 y^-(n+2); and y^(n+1) > DBL_MAX/2 puts y^-(n+2) below
 #: (2/DBL_MAX)^((n+2)/(n+1)) < 1e-315.
@@ -277,13 +269,15 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     scalar fold stops at the first term that leaves its sum unchanged: the
     terms strictly decrease and rounding is monotone, so each later term
     leaves the kernel's running total unchanged too, and both folds end on
-    the same bits (see the fold comment in polygamma).  Values can differ
-    from the scalar ones by the last-ulp differences between numpy's power
-    and libm's.  Every n = 0 element, and every element whose bar is not
+    the same bits (see the fold comment in polygamma).  Its powers are
+    np.float_power's, libm's pow per element, the pow behind CPython's **,
+    so every value and bar is polygamma's bit for bit on every numpy CPU
+    dispatch.  Every n = 0 element, and every element whose bar is not
     finite or whose head power y^-(n+2) is below _TINY (no other power
     needs a screen; see _TINY), is evaluated by polygamma itself, looked up
-    in this module as _gap looks it up, in index order; so the first one
-    that raises raises what [polygamma(*e) for e in zip(n, x)] would raise.
+    in this module as shift_gap_derivative looks it up, in index order; so
+    the outcome, values or the first raise, is that of
+    [polygamma(*e) for e in zip(n, x)].
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
@@ -302,7 +296,7 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         below = np.flatnonzero(count > 0)
         if below.size:
             steps = np.arange(count.max())[:, None]
-            terms = np.power(x[below] + steps, -(order[below] + 1.0))
+            terms = np.float_power(x[below] + steps, -(order[below] + 1.0))
             terms[steps >= count[below]] = 0.0
             if below.size > 1:
                 acc[below] = np.add.reduce(terms, axis=0)
@@ -314,10 +308,10 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         y = x + count
         inv2 = 1.0 / (y * y)
         fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
-        half_power = np.power(y, order + 1.0)
-        power = np.power(y, -(order + 2.0))
+        half_power = np.float_power(y, order + 1.0)
+        power = np.float_power(y, -(order + 2.0))
         ok = (n > 0) & (power >= _TINY)
-        value = fact_nm1 * np.power(y, -order) + fact_nm1 * order / (2.0 * half_power)
+        value = fact_nm1 * np.float_power(y, -order) + fact_nm1 * order / (2.0 * half_power)
         budget = value.copy()
 
         coefficients = _COEFFICIENT_ARRAY[n]
@@ -367,19 +361,22 @@ def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return th + v
 
 
-def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """shift_gap_derivative(p, n[i], x[i]) for every i, as (values, error bars).
+def _gap_block(
+    p: ShiftParams, n: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """shift_gap_derivative(p, n[i], x[i]) for every i, as (values, error
+    bars, power terms (-1)^n a (k+n)!/x^(k+n+1)).
 
     The two polygamma values of every sample come from one array-kernel
     call, interleaved as x[i] + a, x[i] in sample order, so the kernel
-    raises what shift_gap_derivative would raise first.  The power term and
-    the three-term sum (_fsum3) run as array code with no per-sample Python
-    loop, and both give shift_gap_derivative's bits given the kernel's hi
-    and lo; so does the bar, which is its formula.  The power term is
-    factorial_over_power's plain branch m!/x**(m+1), with CPython's float
-    pow (libm's, which numpy's power can miss by an ulp) and an IEEE
-    division, and every sample that gets here would take that branch.  A
-    finite bar on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as its budget
+    raises what shift_gap_derivative would raise first, and its values
+    and bars are polygamma's bits.  The power term and the three-term sum
+    (_fsum3) run as array code with no per-sample Python loop, and both
+    give shift_gap_derivative's bits; so does the bar, which is its
+    formula.  The power term is factorial_over_power's plain branch
+    m!/x**(m+1), with libm's pow (np.float_power) and an IEEE division,
+    and every sample that gets here would take that branch.  A finite bar
+    on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as its budget
     (the kernel's, or polygamma's for m = 0) holds it as the first shift
     step below the threshold, and x >= 10 above it.  x^(m+1) overflows, or
     m!/x^(m+1) < e^-745, only for m >= 1 and x^-(m+2) below _TINY; so the
@@ -395,11 +392,10 @@ def _gap_block(p: ShiftParams, n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     pairs[1::2] = x
     values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
-    powers = np.fromiter(map(pow, x.tolist(), (m + 1.0).tolist()), float, x.size)
-    last = np.where(n % 2 == 0, p.a, -p.a) * (_FACTORIALS[m] / powers)
+    last = np.where(n % 2 == 0, p.a, -p.a) * (_FACTORIALS[m] / np.float_power(x, m + 1.0))
     value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
-    return value, err
+    return value, err, last
 
 
 def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
@@ -426,7 +422,7 @@ def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
     for start in range(0, samples, _SCAN_BLOCK):
         n, i = np.divmod(np.arange(start, min(start + _SCAN_BLOCK, samples)), grid.points)
         x = xs[i]
-        value, err = _gap_block(p, n, x)
+        value, err, _ = _gap_block(p, n, x)
         # (-1)^n for the derivative order, times -1 again for odd k
         signed = np.where((p.k + n) % 2 == 0, value, -value)
         determinate = np.flatnonzero(np.abs(signed) >= SIGN_GUARD * err)

@@ -7,9 +7,11 @@ close the rest with an Euler-Maclaurin tail whose remainder bound
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate, both
 held as literal tables, so polycm neither imports numpy.polynomial nor
-calls LAPACK for them (numpy 1.x still imports numpy.polynomial itself); the
-truncated upper tail is covered by an exact closed-form bound, so the
-reported error is sound, not heuristic.  Bisection runs in rounds: each
+calls LAPACK for them (numpy 1.x still imports numpy.polynomial itself).
+The reported error has two parts: the truncated upper tail's, an exact
+closed-form bound, and the panels', |G15 - G7| summed over the panels,
+which is an estimate and not a proven bound (a bound of Bernstein-ellipse
+type would make it one).  Bisection runs in rounds: each
 round splits every panel whose discrepancy exceeds its equal share of the
 tolerance, and the integrand is called once per round on the nodes of both
 rules of all its panels.  Each panel estimate is a sequential sum in node

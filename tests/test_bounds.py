@@ -162,21 +162,18 @@ class TestBoundTable:
             bound_table(ShiftParams(a=0.5, k=2), GridSpec(lo=0.9, hi=10.0, points=5))
 
     def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
-        # two engine calls per row for the gap, plus two for C(a, k), which
-        # does not depend on x; rows and C alike go through cm's gap, so
-        # through cm's copy of the engine
-        calls = []
-        engine = polycm.bounds.polygamma
-
-        def counted(n, x):
-            calls.append((n, x))
-            return engine(n, x)
-
-        monkeypatch.setattr(polycm.bounds, "polygamma", counted)
-        monkeypatch.setattr(polycm.cm, "polygamma", counted)
-        grid = GridSpec(lo=1.5, hi=500.0, points=25)
-        bound_table(ShiftParams(a=0.3, k=1), grid)
-        assert len(calls) == 2 * grid.points + 2
+        # C(a, k) does not depend on x: one shift_gap_derivative call at
+        # x = 1 per table, and none per row, so the engine itself runs only
+        # for C's two values on a grid whose rows the kernel evaluates
+        gaps, calls = [], []
+        gap, engine = polycm.bounds.shift_gap_derivative, polycm.cm.polygamma
+        monkeypatch.setattr(polycm.bounds, "shift_gap_derivative",
+                            lambda *args: gaps.append(args) or gap(*args))
+        monkeypatch.setattr(polycm.cm, "polygamma", lambda *args: calls.append(args) or engine(*args))
+        p = ShiftParams(a=0.3, k=1)
+        bound_table(p, GridSpec(lo=1.5, hi=500.0, points=25))
+        assert gaps == [(p, 0, 1.0)]
+        assert calls == [(1, 1.3), (1, 1.0)]
 
     @pytest.mark.parametrize("a,k", [(0.3, 3), (0.3, 2), (0.5, 0), (0.9, 1), (0.05, 12)])
     def test_margins_are_the_gap(self, a, k):
@@ -190,20 +187,21 @@ class TestBoundTable:
             assert (r.lower_margin, r.upper_margin) == expected
 
     def test_engine_calls_per_table(self, monkeypatch):
-        # each row takes its gap from cm: two polygamma calls and one
-        # factorial_over_power call, and C(a, k) once more of each
-        calls = {"polygamma": 0, "factorial_over_power": 0}
-        for name in calls:
-            inner = getattr(polycm.cm, name)
-
-            def counted(m, x, name=name, inner=inner):
-                calls[name] += 1
-                return inner(m, x)
-
-            monkeypatch.setattr(polycm.cm, name, counted)
+        # the rows take their gaps from one _gap_block call per _SCAN_BLOCK
+        # rows, in grid order, at order 0; a block of 7 splits 37 rows into
+        # six calls, and the rows are those of one call
         grid = GridSpec(lo=1.001, hi=1e4, points=37)
         for p in (ShiftParams(a=0.3, k=2), ShiftParams(a=0.7, k=5)):
-            calls.update(polygamma=0, factorial_over_power=0)
-            bound_table(p, grid)
-            assert calls == {"polygamma": 2 * grid.points + 2,
-                             "factorial_over_power": grid.points + 1}
+            whole = bound_table(p, grid)
+            blocks, block = [], polycm.bounds._gap_block
+
+            def recorded(q, n, x, block=block):
+                blocks.append((n.tolist(), x.tolist()))
+                return block(q, n, x)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(polycm.bounds, "_gap_block", recorded)
+                mp.setattr(polycm.bounds, "_SCAN_BLOCK", 7)
+                assert bound_table(p, grid) == whole
+            xs = grid.generate().tolist()
+            assert blocks == [([0] * len(xs[i:i + 7]), xs[i:i + 7]) for i in range(0, 37, 7)]

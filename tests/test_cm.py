@@ -22,8 +22,7 @@ from polycm import (
     increasing_condition,
     shift_gap_derivative,
 )
-from polycm.cm import _fsum3, _gap_block, _polygamma_array
-from polycm.polygamma import _EPS
+from polycm.cm import SIGN_GUARD, CMScanReport, _fsum3, _gap_block
 
 
 def _mp_ratio(mpmath, alpha, beta, t):
@@ -408,19 +407,22 @@ class TestCMScan:
         assert rep.indeterminate_count > 0
 
 
-def scalar_scan(p, max_order, grid):
-    """cm_scan's verdict fields from one shift_gap_derivative call per point."""
+def scalar_scan(p, max_order, grid, gap=shift_gap_derivative):
+    """cm_scan's report from one gap(p, n, x) call per sample, order-major,
+    with ties for the minimum resolved to the first sample."""
+    orders = list(range(max_order + 1))
     best, witness, witness_err, indeterminate = math.inf, None, math.inf, 0
-    for n in range(max_order + 1):
+    for n in orders:
         sign = 1.0 if (p.k + n) % 2 == 0 else -1.0
         for x in grid.generate().tolist():
-            d = shift_gap_derivative(p, n, x)
+            d = gap(p, n, x)
             signed = sign * d.value
-            if abs(signed) < 1e3 * d.abs_error_estimate:
+            if abs(signed) < SIGN_GUARD * d.abs_error_estimate:
                 indeterminate += 1
             elif signed < best:
                 best, witness, witness_err = signed, (n, x), d.abs_error_estimate
-    return best, witness, witness_err, indeterminate, witness is not None and best > witness_err
+    passed = witness is not None and best > witness_err
+    return CMScanReport(p, orders, grid, best, witness, witness_err, indeterminate, passed)
 
 
 # the README's verify-cm example and two inputs of the verify benchmark; the
@@ -442,13 +444,7 @@ class TestBatchedScan:
         if block is not None:
             monkeypatch.setattr(polycm.cm, "_SCAN_BLOCK", block)
         p = ShiftParams(a=a, k=k)
-        rep = cm_scan(p, max_order, grid)
-        best, witness, witness_err, indeterminate, passed = scalar_scan(p, max_order, grid)
-        assert rep.passed is passed
-        assert rep.witness_point == witness
-        assert rep.indeterminate_count == indeterminate
-        assert abs(rep.min_signed_value - best) <= rep.witness_error
-        assert rep.witness_error == pytest.approx(witness_err, rel=1e-6)
+        assert cm_scan(p, max_order, grid) == scalar_scan(p, max_order, grid)
 
     def test_raises_where_the_scalar_scan_raises(self):
         # k + n = 32 at x ~ 4.4e10 leaves the binary64 range in the engine
@@ -463,7 +459,7 @@ class TestBatchedScan:
         # a signed value that is the same everywhere: the witness is the
         # first (n, x), also when it sits in an earlier block than a tie
         def flat(p, n, x):
-            return np.where((p.k + n) % 2 == 0, 1.0, -1.0), np.full(len(n), 1e-6)
+            return np.where((p.k + n) % 2 == 0, 1.0, -1.0), np.full(len(n), 1e-6), np.zeros(len(n))
 
         monkeypatch.setattr(polycm.cm, "_gap_block", flat)
         monkeypatch.setattr(polycm.cm, "_SCAN_BLOCK", 5)
@@ -541,15 +537,13 @@ class TestGapBlockBits:
         a, b, c = (np.array(v) for v in zip(*triples))
         assert hexes(_fsum3(a, b, c)) == hexes(math.fsum(t) for t in triples)
 
-    def test_power_term_matches_factorial_over_power(self, monkeypatch):
-        # the block's quotient m!/x**(m+1) on its reachable domain: x across
-        # the windows where ln x^(m+1) or ln(m!/x^(m+1)) lies between 700 and
-        # ln(DBL_MAX/2), next to factorial_over_power's other branches, at
-        # every x where the block returns; a = 1/2 scales the term exactly
-        # wherever it is normal
+    def test_power_term_matches_factorial_over_power(self):
+        # the block's power term m!/x**(m+1) on its reachable domain: x
+        # across the windows where ln x^(m+1) or ln(m!/x^(m+1)) lies between
+        # 700 and ln(DBL_MAX/2), next to factorial_over_power's other
+        # branches, at every x where the block returns; a = 1/2 scales the
+        # term exactly wherever it is normal
         lasts = []
-        monkeypatch.setattr(polycm.cm, "_fsum3",
-                            lambda a, b, c: lasts.append(-c) or _fsum3(a, b, c))
         p = ShiftParams(a=0.5, k=0)
         edge = math.log(sys.float_info.max / 2.0)
         returned = [0, 0, 0]
@@ -563,7 +557,7 @@ class TestGapBlockBits:
                         xs += [end + step * math.ulp(end), end - step * math.ulp(end)]
                 for x in xs:
                     try:
-                        _gap_block(p, np.array([m]), np.array([x]))
+                        lasts += _gap_block(p, np.array([m]), np.array([x]))[2].tolist()
                     except OverflowError:
                         continue
                     returned[w] += 1
@@ -571,26 +565,19 @@ class TestGapBlockBits:
             # one term per returning call, then the same x in one block
             sign = -1.0 if m % 2 else 1.0
             expected = [sign * p.a * factorial_over_power(m, x) for x in reached]
-            _gap_block(p, np.full(len(reached), m), np.array(reached))
-            assert hexes(np.concatenate(lasts)) == hexes(expected * 2), m
+            lasts += _gap_block(p, np.full(len(reached), m), np.array(reached))[2].tolist()
+            assert hexes(lasts) == hexes(expected * 2), m
             lasts.clear()
         assert min(returned) > 0, returned
 
     @pytest.mark.parametrize("a,k,max_order,grid", SCANS + FALLBACK_SCANS)
     def test_gap_block_matches_scalar_combination(self, a, k, max_order, grid):
+        # the block's values and bars are shift_gap_derivative's at every
+        # sample, bit for bit
         p = ShiftParams(a=a, k=k)
         n, i = np.divmod(np.arange((max_order + 1) * grid.points), grid.points)
         x = grid.generate()[i]
-        m = p.k + n
-        values, bars = _polygamma_array(np.repeat(m, 2), np.column_stack((x + p.a, x)).ravel())
-        ref_value, ref_err = [], []
-        for mi, ni, xi, hi, lo, hi_bar, lo_bar in zip(
-            m.tolist(), n.tolist(), x.tolist(), values[0::2].tolist(), values[1::2].tolist(),
-            bars[0::2].tolist(), bars[1::2].tolist(),
-        ):
-            last = (1.0 if ni % 2 == 0 else -1.0) * p.a * factorial_over_power(mi, xi)
-            ref_value.append(math.fsum((hi, -lo, -last)))
-            ref_err.append(hi_bar + lo_bar + _EPS * (abs(hi) + abs(lo) + 2.0 * abs(last)))
-        value, err = _gap_block(p, n, x)
-        assert hexes(value) == hexes(ref_value)
-        assert hexes(err) == hexes(ref_err)
+        value, err, _ = _gap_block(p, n, x)
+        expected = [shift_gap_derivative(p, *e) for e in zip(n.tolist(), x.tolist())]
+        assert hexes(value) == hexes(r.value for r in expected)
+        assert hexes(err) == hexes(r.abs_error_estimate for r in expected)

@@ -41,8 +41,8 @@ def test_bernoulli_exact_values():
 
 def test_bernoulli_literals_are_the_exact_values_rounded_once():
     # float(Fraction) rounds the exact quotient once, to nearest
-    exact = _bernoulli_exact(60)
-    assert len(_BERNOULLI) == len(exact) == 61
+    exact = _bernoulli_exact(42)
+    assert len(_BERNOULLI) == len(exact) == 43
     for m, (stored, b) in enumerate(zip(_BERNOULLI, exact)):
         assert stored.hex() == float(b).hex(), m
 

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -332,6 +333,92 @@ def test_factorial_over_power_extremes():
         factorial_over_power(2, 0.0)
     with pytest.raises(ValueError):
         factorial_over_power(-1, 1.0)
+
+
+def _edge(e, target):
+    """The least double x > 0 at which libm's x^e (math.pow, the kernel's
+    power, with an overflow taken as inf) has reached target."""
+    lo, hi = 0, 0x7FEFFFFFFFFFFFFF  # the bit patterns of 0.0 and DBL_MAX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            p = math.pow(float(np.int64(mid).view(np.float64)), e)
+        except OverflowError:
+            p = math.inf
+        lo, hi = (lo, mid) if (p >= target if e > 0 else p <= target) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def range_edges(n):
+    """Arguments within 4 ulps of order n's range edges: the first shift term
+    x^-(n+1) at DBL_MAX/2 and where 8 n! x^-(n+1) overflows; the head powers
+    y^-n and y^-(n+2) at 2 DBL_MIN, and y^(n+1) at DBL_MAX/2 and DBL_MAX."""
+    huge = sys.float_info.max
+    tiny = 2.0 * sys.float_info.min
+    edges = [(-(n + 1.0), huge / 2.0), (-(n + 1.0), huge / (8.0 * math.factorial(n))),
+             (-(n + 2.0), tiny), (n + 1.0, huge / 2.0), (n + 1.0, huge)]
+    if n:
+        edges.append((-float(n), tiny))
+    xs = []
+    for e, target in edges:
+        up = down = _edge(e, target)
+        xs.append(up)
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            xs += [up, down]
+    return sorted(x for x in set(xs) if 0.0 < x < math.inf)
+
+
+def _engine_outcome(n, x):
+    """[polygamma(*e) for e in zip(n, x)] as the hex of each value and bar,
+    or the type and message of the first exception."""
+    try:
+        results = [polygamma(*e) for e in zip(n, x)]
+    except OverflowError as e:
+        return type(e).__name__, str(e)
+    return [(r.value.hex(), r.abs_error_estimate.hex()) for r in results]
+
+
+def _kernel_outcome(n, x):
+    """_polygamma_array(n, x) in _engine_outcome's form."""
+    try:
+        values, bars = _polygamma_array(np.array(n, dtype=np.intp), np.array(x, dtype=float))
+    except OverflowError as e:
+        return type(e).__name__, str(e)
+    return [(v.hex(), b.hex()) for v, b in zip(values.tolist(), bars.tolist())]
+
+
+def test_array_kernel_has_the_scalar_engines_bits():
+    # the kernel's outcome is polygamma's, bit for bit and on every numpy
+    # CPU dispatch: for every order, on the mpmath referee's grid, log grids
+    # to 1e14 and to 1e300, at every shift count and within 4 ulps of the
+    # range edges, plus points where numpy's AVX-512 log differs from
+    # libm's by an ulp.  Each order's points run in one block, which raises
+    # what the first raising point raises, and in one block of those that
+    # return; every seventh point and every edge run alone; and the
+    # returning points of all orders run in one shuffled block
+    returning = []
+    for n in range(MAX_ORDER + 1):
+        t = shift_threshold(n)
+        xs = [*np.geomspace(1e-3, 1e6, 40).tolist(), *np.geomspace(1e-3, 1e14, 60).tolist(),
+              *(10.0 ** (-3.0 + 303.0 * i / 399) for i in range(400)),
+              *(t - count + u for count in range(int(t) + 1) for u in (1e-3, 0.5, 0.999)),
+              1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
+              17.89970295332177, 17.643684916268207]
+        edges = range_edges(n)
+        xs += edges
+        alone = {x: _engine_outcome([n], [x]) for x in xs}
+        for x in xs[::7] + edges:
+            assert _kernel_outcome([n], [x]) == alone[x], (n, x)
+        ok = [x for x in xs if isinstance(alone[x], list)]
+        for block in (xs, ok):
+            orders = [n] * len(block)
+            assert _kernel_outcome(orders, block) == _engine_outcome(orders, block), n
+        # both outcomes occur at every order, the range edges' raises included
+        assert 0 < len(ok) < len(xs), n
+        returning += [(n, x) for x in ok]
+    n, x = zip(*(returning[i] for i in np.random.default_rng(30).permutation(len(returning))))
+    assert _kernel_outcome(n, x) == _engine_outcome(n, x)
 
 
 def test_array_kernel_matches_scalar_engine():

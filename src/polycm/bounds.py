@@ -80,8 +80,9 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     endpoint_constants cross-checks that same value by quadrature.
 
     Each row is built on the gap g(x), taken _SCAN_BLOCK rows at a time
-    from _gap_block, which has shift_gap_derivative's bits.  The base term
-    a k!/x^(k+1) is the gap's own power term and the middle is base + g.
+    from _gap_block, which has shift_gap_derivative's bits; each column of
+    a block is one array, whose float64 arithmetic is Python's.  The base
+    term a k!/x^(k+1) is the gap's own power term and the middle is base + g.
     The margins are the gap itself: (g, C - g) for even k, where C joins
     the upper side, and (g - C, -g) for odd k, where it joins the lower
     one.  Each margin's bar is g's, plus C's on the side that has C, plus
@@ -93,22 +94,19 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     c, c_err = endpoint.value, endpoint.abs_error_estimate
     even = p.k % 2 == 0
     xs = grid.generate()
-    gaps = []
+    rows = []
     for start in range(0, xs.size, _SCAN_BLOCK):
         x = xs[start:start + _SCAN_BLOCK]
-        gaps += zip(x.tolist(), *(a.tolist() for a in _gap_block(p, np.zeros(x.size, np.intp), x)))
-    rows = []
-    for x, g, g_err, base in gaps:
+        g, g_err, base = _gap_block(p, np.zeros(x.size, np.intp), x)
         if even:
             lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
             lower_err, upper_err = g_err, g_err + c_err
         else:
             lower, upper, lower_margin, upper_margin = base + c, base, g - c, -g
             lower_err, upper_err = g_err + c_err, g_err
-        # positional: BoundCheck's fields in order, cheaper than keywords
-        rows.append(BoundCheck(
-            x, lower, base + g, upper, lower_margin, upper_margin,
-            lower_err + _EPS * abs(lower_margin), upper_err + _EPS * abs(upper_margin),
-            lower_margin > 0.0 and upper_margin > 0.0,
-        ))
+        # BoundCheck's fields in order, as columns of Python floats and bools
+        columns = (x, lower, base + g, upper, lower_margin, upper_margin,
+                   lower_err + _EPS * np.abs(lower_margin), upper_err + _EPS * np.abs(upper_margin),
+                   (lower_margin > 0.0) & (upper_margin > 0.0))
+        rows += map(BoundCheck, *(column.tolist() for column in columns))
     return rows

@@ -24,7 +24,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -97,25 +96,21 @@ class GridSpec:
         """Strictly increasing points spanning [lo, hi] exactly.
 
         lo, then 10^(i*step + log10(lo)) for 0 < i < points - 1, then hi,
-        with step = (log10(hi) - log10(lo)) / (points - 1).  The logs and
-        powers are libm's (math.log10, math.pow), not numpy's SIMD loops,
-        so every host builds the same bits; the ends are never raised to a
-        power, as 10^log10(hi) overflows for hi near DBL_MAX.  Raises
-        ValueError when [lo, hi] holds too few doubles for that many
-        distinct points.
+        with step = (log10(hi) - log10(lo)) / (points - 1).  The logs are
+        libm's (math.log10), and so are the powers (np.float_power), not
+        numpy's SIMD loops, so every host builds the same bits; the ends are
+        never raised to a power, as 10^log10(hi) overflows for hi near
+        DBL_MAX, and an interior power that does is inf.  Raises ValueError
+        when [lo, hi] holds too few doubles for that many distinct points.
         """
         log_lo = math.log10(self.lo)
         step = (math.log10(self.hi) - log_lo) / (self.points - 1)
         # the exponents first: a grid larger than memory raises MemoryError
         # before any per-point work
         inner = np.arange(1, self.points - 1) * step + log_lo
-        try:
-            xs = np.fromiter(chain((self.lo,), map(math.pow, repeat(10.0), inner), (self.hi,)),
-                             float, self.points)
-        except OverflowError:
-            # an interior power beyond DBL_MAX cannot lie below hi
-            xs = None
-        if xs is None or not (xs[1:] > xs[:-1]).all():
+        with np.errstate(over="ignore"):
+            xs = np.concatenate(([self.lo], np.float_power(10.0, inner), [self.hi]))
+        if not (xs[1:] > xs[:-1]).all():
             raise ValueError(
                 f"[{self.lo!r}, {self.hi!r}] is too narrow for {self.points} distinct "
                 "logarithmic points"

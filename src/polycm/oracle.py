@@ -1,7 +1,7 @@
 """Deliberately simple evaluators used to cross-check the fast engine.
 
 Series forms sum their first max_terms terms with one exactly rounded
-math.fsum, which reads each numpy chunk of terms through a memoryview, and
+math.fsum, which reads the numpy array of terms through a memoryview, and
 close the rest with an Euler-Maclaurin tail whose remainder bound
 (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
@@ -53,7 +53,6 @@ _SMALL_T_DIFF = 0.05   # switch to the series form of r(t) - r(at)
 _EM_COEFFICIENTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 # 2 zeta(8)/(2 pi)^8 = |B_8|/8! = 8.27e-7, rounded up
 _EM_REMAINDER = 8.4e-7
-_SERIES_CHUNK = 1 << 16  # series terms formed per numpy call
 
 #: The 15- and 7-point Gauss-Legendre rules on [-1, 1], written out: bit for
 #: bit what numpy 2.4.6's leggauss(15) and leggauss(7) return, so polycm
@@ -112,7 +111,8 @@ class SeriesSpec:
     _em_terms(n, K + x) for polygamma_series, rem from _em_terms(0, K) for
     digamma_series.  The worst case, 3.2e-8 of the bar, is at n = 40,
     x ~ 1283; at K = 128 it is 8.2e-6.  From the minimum of 100 terms on
-    the remainder stays below the bar's 32 eps rounding floor.
+    the remainder stays below the bar's 32 eps rounding floor.  All
+    max_terms terms are held at once, 8 bytes each.
     """
 
     max_terms: int = 256
@@ -154,18 +154,14 @@ def _fsum_series(
 ) -> float:
     """math.fsum of term(k) for k = first..count-1 and of tail, one exact rounding.
 
-    The terms are formed _SERIES_CHUNK at a time, so a long sum never holds
-    more than one chunk of them, and math.fsum reads each chunk's buffer
-    through a memoryview, with no list of Python floats in between; the tail
-    follows as one more part of the same flat chain.  A term that overflows
-    does so silently, as in _run_integral.
+    The terms are formed as one array, and math.fsum reads its buffer
+    through a memoryview, with no list of Python floats in between; the
+    tail follows in the same call.  A term that overflows does so silently,
+    as in _run_integral.
     """
-    chunks = (
-        memoryview(term(np.arange(lo, min(lo + _SERIES_CHUNK, count), dtype=float)))
-        for lo in range(first, count, _SERIES_CHUNK)
-    )
     with np.errstate(over="ignore"):
-        return math.fsum(itertools.chain.from_iterable(itertools.chain(chunks, [tail])))
+        terms = term(np.arange(first, count, dtype=float))
+    return math.fsum(itertools.chain(memoryview(terms), tail))
 
 
 def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:

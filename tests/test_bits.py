@@ -5,14 +5,10 @@ directory and imported as a second package, _polycm_base (the package uses
 only relative imports, so the copy runs unchanged).  Each corpus family runs
 through both trees in this process, on this host's libm, numpy dispatch and
 interpreter, and every outcome must agree: the hex of each value and bar,
-or the type and message of each exception.  Where this tree runs the
-array kernel (the kernel families, cm_scan and its gap block), BASE's
-values and raises come from its scalar route, which the kernel matches
-bit for bit on every numpy CPU dispatch; only the points the kernel hands
-to polygamma are compared with BASE's kernel.  Some inputs are chosen
+or the type and message of each exception.  Some inputs are chosen
 with BASE's engine; others come from this tree: the orders up to its
 MAX_ORDER and the case lists of test_cm.py, test_oracle.py and
-test_polygamma.py (SCANS, FALLBACK_SCANS, scalar_scan, small_t_cases,
+test_polygamma.py (SCANS, FALLBACK_SCANS, small_t_cases,
 plain_formula_cases, libm_grids, TestBatchedPanels._cases, range_edges),
 imported as sibling modules under pytest's default import mode.  Editing
 those changes the corpus of both trees alike, so it moves no outcome and
@@ -47,7 +43,7 @@ import test_polygamma
 from polycm import MAX_ORDER
 
 #: The commit whose package every outcome is compared with (full sha).
-BASE = "d397a8458da70006d429ed0c35f6a59fa35a3dcd"
+BASE = "95af0f13609092cdccdb4535a0dc5e310b57160f"
 
 #: Outcomes this tree means to move against BASE, each one
 #: (family, order, key, outcome at BASE, outcome here) as the failure
@@ -128,13 +124,10 @@ def _items(out, key, outcome, labels):
                    for i, (label, item) in enumerate(zip(labels, outcome)))
 
 
-def _kernel_blocks(tree, blocks, base):
+def _kernel_blocks(tree, blocks):
     """For each block (name, n, x): the kernel's hex value and bar of each
     element, or what it raises, and under (name, "handed") the (n, x) it
-    hands to its module's polygamma past its screens.  For BASE the values
-    and the raise are its scalar engine's, one polygamma call per element
-    with the first raise winning, which the kernel must match on every
-    numpy CPU dispatch; only the handed records come from its kernel."""
+    hands to its module's polygamma past its screens."""
     out, handed, engine = {}, [], tree.cm.polygamma
 
     def recorded(m, x):
@@ -147,8 +140,6 @@ def _kernel_blocks(tree, blocks, base):
             handed.clear()
             outcome = _outcome(lambda: list(zip(*tree.cm._polygamma_array(
                 np.array(n, dtype=np.intp), np.array(x, dtype=float)))))
-            if tree is base:
-                outcome = _outcome(lambda: [engine(*e) for e in zip(n, x)])
             _items(out, (name,), outcome, zip(n, x))
             out[name, "handed"] = tuple(handed)
     return out
@@ -206,7 +197,7 @@ def _kernel(tree, n, base):
     blocks = [("fine", [x for x in xs if _returns(base, n, x)]), ("all", xs),
               *((("alone", x), [x]) for x in xs[::7]), *((("edge", x), [x]) for x in edges),
               ("edges", [x for x in edges if _returns(base, n, x)])]
-    return _kernel_blocks(tree, [(name, [n] * len(x), x) for name, x in blocks], base)
+    return _kernel_blocks(tree, [(name, [n] * len(x), x) for name, x in blocks])
 
 
 def _kernel_shapes(tree, _, base):
@@ -229,7 +220,7 @@ def _kernel_shapes(tree, _, base):
     for m, xm in ((28, 122322200237.42154), (40, 1e-8), (40, 1e-7), (0, 1e-310)):
         blocks += [(("raising", m, xm), [3, 0, m, 40], [2.5, 0.25, xm, 1e-7]),
                    (("raising alone", m, xm), [m], [xm])]
-    return _kernel_blocks(tree, blocks, base)
+    return _kernel_blocks(tree, blocks)
 
 
 def _quadrature(tree, _, base):
@@ -249,12 +240,12 @@ SERIES_XS = [10.0 ** (-3.0 + 9.0 * i / 120) for i in range(121)]
 
 
 def _series(tree, n, base):
-    # the log grid, and at a few orders a sum read in three chunks, so
-    # across two chunk edges
+    # the log grid, and at a few orders a sum of 131,079 terms, which
+    # trees that formed its terms 65,536 at a time read in three chunks
     f = partial(tree.oracle.polygamma_series, n) if n else tree.oracle.digamma_series
     out = {x: _outcome(f, x) for x in SERIES_XS}
     if n in (0, 1, 5, 40):
-        spec = tree.oracle.SeriesSpec(max_terms=2 * tree.oracle._SERIES_CHUNK + 7)
+        spec = tree.oracle.SeriesSpec(max_terms=2 * 65536 + 7)
         out.update(((x, "chunks"), _outcome(f, x, spec)) for x in (1e-3, 0.5, 1.3, 2.0, 30.0))
     return out
 
@@ -278,22 +269,15 @@ def _endpoint_constants(tree, k, base):
 
 def _scans(tree, _, base):
     # every field of the report, and the gap block's values and bars on all
-    # of a scan's samples at once; for BASE both come from its scalar
-    # shift_gap_derivative, a scan of one call per sample and the list of
-    # those calls, which the block must match on every numpy CPU dispatch
+    # of a scan's samples at once
     out = {}
     for i, (a, k, max_order, g) in enumerate(test_cm.SCANS + test_cm.FALLBACK_SCANS):
         p = tree.cm.ShiftParams(a=a, k=k)
         grid = tree.cm.GridSpec(g.lo, g.hi, g.points)
         n, j = np.divmod(np.arange((max_order + 1) * g.points), g.points)
         x = grid.generate()[j]
-        if tree is base:
-            gap = tree.cm.shift_gap_derivative
-            out[i, "cm_scan"] = _outcome(test_cm.scalar_scan, p, max_order, grid, gap)
-            block = _outcome(lambda: [gap(p, *e) for e in zip(n.tolist(), x.tolist())])
-        else:
-            out[i, "cm_scan"] = _outcome(tree.cm.cm_scan, p, max_order, grid)
-            block = _outcome(lambda: list(zip(*tree.cm._gap_block(p, n, x)[:2])))
+        out[i, "cm_scan"] = _outcome(tree.cm.cm_scan, p, max_order, grid)
+        block = _outcome(lambda: list(zip(*tree.cm._gap_block(p, n, x)[:2])))
         _items(out, (i, "_gap_block"), block, zip(n.tolist(), x.tolist()))
     return out
 
@@ -384,7 +368,7 @@ def test_range_edges_fall_on_both_sides_of_the_kernel_screens(base_tree):
     # orders n >= 1: the kernel hands every n = 0 element to polygamma
     for n in ORDERS[1:]:
         edges = test_polygamma.range_edges(n)
-        out = _kernel_blocks(base_tree, [(x, [n], [x]) for x in edges], None)
+        out = _kernel_blocks(base_tree, [(x, [n], [x]) for x in edges])
         handed = sum(bool(out[x, "handed"]) for x in edges)
         assert 0 < handed < len(edges), (n, handed, len(edges))
 

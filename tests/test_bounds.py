@@ -145,6 +145,9 @@ class TestBoundTable:
             assert len(rows) == 40
             assert all(b.x > a.x for a, b in zip(rows, rows[1:]))
             for r in rows:
+                # plain Python types, as verify-bounds --format json needs:
+                # json.dumps rejects numpy's bool
+                assert [type(v) for v in vars(r).values()] == [float] * 8 + [bool]
                 assert r.passed
                 assert r.lower < r.middle < r.upper
                 assert r.lower_margin > 10.0 * r.lower_margin_error

@@ -407,15 +407,15 @@ class TestCMScan:
         assert rep.indeterminate_count > 0
 
 
-def scalar_scan(p, max_order, grid, gap=shift_gap_derivative):
-    """cm_scan's report from one gap(p, n, x) call per sample, order-major,
-    with ties for the minimum resolved to the first sample."""
+def scalar_scan(p, max_order, grid):
+    """cm_scan's report from one shift_gap_derivative call per sample,
+    order-major, with ties for the minimum resolved to the first sample."""
     orders = list(range(max_order + 1))
     best, witness, witness_err, indeterminate = math.inf, None, math.inf, 0
     for n in orders:
         sign = 1.0 if (p.k + n) % 2 == 0 else -1.0
         for x in grid.generate().tolist():
-            d = gap(p, n, x)
+            d = shift_gap_derivative(p, n, x)
             signed = sign * d.value
             if abs(signed) < SIGN_GUARD * d.abs_error_estimate:
                 indeterminate += 1

@@ -142,27 +142,6 @@ class TestSeries:
         assert worst_share(SeriesSpec()) <= 2.0**-24
         assert worst_share(SeriesSpec(max_terms=k // 2)) > 2.0**-24
 
-    def test_chunked_sum_matches_one_list(self, monkeypatch):
-        # past two chunk edges, the sum read chunk by chunk keeps the bits of
-        # one math.fsum over every term and the tail in one Python list
-        def one_list(term, first, count, tail):
-            terms = []
-            for lo in range(first, count, oracle._SERIES_CHUNK):
-                hi = min(lo + oracle._SERIES_CHUNK, count)
-                terms.extend(term(np.arange(lo, hi, dtype=float)).tolist())
-            return math.fsum(terms + tail)
-
-        spec = SeriesSpec(max_terms=2 * oracle._SERIES_CHUNK + 7)
-        calls = [(digamma_series, (x, spec)) for x in (1e-3, 0.5, 30.0)]
-        calls += [(polygamma_series, (n, x, spec)) for n, x in ((1, 0.5), (5, 1.3), (40, 2.0))]
-        for fn, args in calls:
-            chunked = fn(*args)
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_fsum_series", one_list)
-                reference = fn(*args)
-            assert chunked.value.hex() == reference.value.hex(), (fn.__name__, args)
-            assert chunked.abs_error_estimate.hex() == reference.abs_error_estimate.hex()
-
 
 class TestQuadrature:
     def test_digamma_at_one_is_minus_gamma(self):

@@ -142,6 +142,30 @@ class TestSeries:
         assert worst_share(SeriesSpec()) <= 2.0**-24
         assert worst_share(SeriesSpec(max_terms=k // 2)) > 2.0**-24
 
+    def test_chunked_sum_matches_one_list(self, monkeypatch):
+        # past two edges of 65,536-term chunks, the sum of the terms formed
+        # as one array keeps the bits of one math.fsum over every term,
+        # formed a chunk at a time, and the tail in one Python list
+        chunk = 1 << 16
+
+        def one_list(term, first, count, tail):
+            terms = []
+            for lo in range(first, count, chunk):
+                hi = min(lo + chunk, count)
+                terms.extend(term(np.arange(lo, hi, dtype=float)).tolist())
+            return math.fsum(terms + tail)
+
+        spec = SeriesSpec(max_terms=2 * chunk + 7)
+        calls = [(digamma_series, (x, spec)) for x in (1e-3, 0.5, 30.0)]
+        calls += [(polygamma_series, (n, x, spec)) for n, x in ((1, 0.5), (5, 1.3), (40, 2.0))]
+        for fn, args in calls:
+            whole = fn(*args)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_fsum_series", one_list)
+                reference = fn(*args)
+            assert whole.value.hex() == reference.value.hex(), (fn.__name__, args)
+            assert whole.abs_error_estimate.hex() == reference.abs_error_estimate.hex()
+
 
 class TestQuadrature:
     def test_digamma_at_one_is_minus_gamma(self):

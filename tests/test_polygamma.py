@@ -421,6 +421,38 @@ def test_array_kernel_has_the_scalar_engines_bits():
     assert _kernel_outcome(n, x) == _engine_outcome(n, x)
 
 
+def test_array_kernel_matches_scalar_engine():
+    # every element within the two bars of the scalar value, over every
+    # input of n = 0..40 x 60 log points in [1e-3, 1e14] plus x = 1e300
+    # on which the scalar engine does not raise, range edges included
+    pairs = []
+    for n in range(MAX_ORDER + 1):
+        for x in [*np.geomspace(1e-3, 1e14, 60).tolist(), 1e300]:
+            try:
+                pairs.append((n, x, polygamma(n, x)))
+            except (OverflowError, ValueError):
+                pass
+    values, bars = _polygamma_array(np.array([n for n, _, _ in pairs]),
+                                    np.array([x for _, x, _ in pairs]))
+    for (n, x, r), v, b in zip(pairs, values.tolist(), bars.tolist()):
+        assert abs(v - r.value) <= b + r.abs_error_estimate, (n, x)
+        assert b == pytest.approx(r.abs_error_estimate, rel=1e-6), (n, x)
+
+
+def test_array_kernel_order_zero_has_the_scalar_engines_bits():
+    # order 0 goes to the scalar engine whole, so its values and bars are
+    # polygamma's bit for bit: on a log grid, and at points where numpy's
+    # AVX-512 log differs from libm's by an ulp
+    xs = np.geomspace(1e-3, 1e300, 400).tolist() + [
+        1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
+        17.89970295332177, 17.643684916268207,
+    ]
+    values, bars = _polygamma_array(np.zeros(len(xs), dtype=np.intp), np.array(xs))
+    for x, v, b in zip(xs, values.tolist(), bars.tolist()):
+        r = polygamma(0, x)
+        assert (v.hex(), b.hex()) == (r.value.hex(), r.abs_error_estimate.hex()), x
+
+
 def test_array_kernel_raises_where_the_engine_raises():
     # a subnormal head power (28, 1.2e11), an overflowing shift term
     # (40, 1e-8), an infinite value and bar (40, 1e-7) and an infinite

@@ -33,6 +33,7 @@ from .polygamma import (
     _FACTORIAL_FLOATS,
     _MAX_ASYMPTOTIC_TERMS,
     _THRESHOLD_FLOATS,
+    MAX_ORDER,
     EvalResult,
     _as_float,
     _check_derivative,
@@ -52,8 +53,9 @@ SIGN_GUARD = 1e3
 
 #: Samples per _gap_block call in cm_scan, and rows per call in
 #: polycm.bounds.bound_table; bounds their working memory whatever the
-#: number of grid points: the kernel's shift pass holds at most 48 steps of
-#: 2 x _SCAN_BLOCK elements.
+#: number of grid points: the kernel's shift pass holds a block of at most
+#: 48 steps (its largest capped count) by 2 x _SCAN_BLOCK elements, and the
+#: mask of its live cells.
 _SCAN_BLOCK = 4096
 
 @dataclass(frozen=True)
@@ -236,6 +238,9 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
 _COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
 _FACTORIALS = np.array(_FACTORIAL_FLOATS)
 _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
+#: 2^(54/(n+1)) - 1 for every order n, the kernel's shift cap (see the cap
+#: comment in polygamma).
+_SHIFT_CAP = np.array([2.0 ** (54.0 / (n + 1)) - 1.0 for n in range(MAX_ORDER + 1)])
 
 #: The kernel's powers are np.float_power's, which calls libm's pow for
 #: each element as CPython's ** does, so they have the scalar engine's bits
@@ -255,44 +260,67 @@ _TINY = 2.0 * sys.float_info.min
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """polygamma(n[i], x[i]) for every i, as (values, error bars).
 
-    Orders and arguments must already be valid.  The kernel evaluates
-    orders n >= 1, where polygamma sums positive terms, through polygamma's
-    steps: its own shift count, the same head, the same series and the same
-    error bar.  It runs all 20 series terms; the scalar engine stops once a
-    term is negligible, with the bits of the full sum (see the series
-    comment in polygamma).  Likewise it adds every shift step, where the
-    scalar fold stops at the first term that leaves its sum unchanged: the
-    terms strictly decrease and rounding is monotone, so each later term
-    leaves the kernel's running total unchanged too, and both folds end on
-    the same bits (see the fold comment in polygamma).  Its powers are
-    np.float_power's, libm's pow per element, the pow behind CPython's **,
-    so every value and bar is polygamma's bit for bit on every numpy CPU
-    dispatch.  Every n = 0 element, and every element whose bar is not
-    finite or whose head power y^-(n+2) is below _TINY (no other power
-    needs a screen; see _TINY), is evaluated by polygamma itself, looked up
-    in this module as shift_gap_derivative looks it up, in index order; so
+    Orders and arguments must already be valid.  _positive_orders evaluates
+    the n >= 1 elements; polygamma itself, looked up in this module as
+    shift_gap_derivative looks it up, evaluates the rest in index order, so
     the outcome, values or the first raise, is that of
     [polygamma(*e) for e in zip(n, x)].
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
+    values = np.empty_like(x)
+    bars = np.empty_like(x)
+    scalar = n == 0
+    kernel = np.flatnonzero(~scalar)
+    if kernel.size:
+        values[kernel], bars[kernel], returned = _positive_orders(n[kernel], x[kernel])
+        scalar[kernel] = ~returned
+    for i in np.flatnonzero(scalar):
+        r = polygamma(int(n[i]), float(x[i]))
+        values[i], bars[i] = r.value, r.abs_error_estimate
+    return values, bars
+
+
+def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """polygamma(n[i], x[i]) for orders n >= 1, as (values, error bars,
+    which elements are returned), through polygamma's steps: its own shift
+    count, the same head, the same series and the same error bar.
+
+    It runs all 20 series terms, where the scalar engine stops at a
+    negligible term with the full sum's bits (see the series comment in
+    polygamma).  Its shift pass forms the steps j < floor(x _SHIFT_CAP[n]) + 2
+    within the shift count: every step the scalar fold adds is among them,
+    and each of them after the fold's stop leaves the running total
+    unchanged (see the cap and fold comments in polygamma), so both folds
+    end on the same bits.  Its powers are np.float_power's, libm's pow per
+    element, the pow behind CPython's **, so every value and bar returned
+    is polygamma's bit for bit on every numpy CPU dispatch.  An element
+    whose bar is not finite, or whose head power y^-(n+2) is below _TINY
+    (no other power needs a screen; see _TINY), is not returned.
+    """
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
     acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
         # shift pass: (x+j)^-(n+1), one row per step j and one column per
-        # element below its threshold.  Cells past the element's own count
-        # are set to 0.0, so adding the rows from 0.0 in order of j is the
-        # scalar engine's acc += term.  numpy pairs terms up only along the
-        # axis that is fast in memory (see the notes of np.sum); reducing this
-        # C-ordered block over its slow axis, the steps, adds them in order of
-        # j, column by column.  A single column is itself the fast axis, which
-        # np.add.reduce would sum pairwise, so it keeps the row loop.
+        # element below its threshold, columns by capped count, largest first.
+        # So each row's live cells, the steps before the cap, are a prefix of
+        # it, float_power forms only those, and the others stay 0.0: adding
+        # the rows from 0.0 in order of j is the scalar engine's acc += term.
+        # numpy pairs terms up only along the axis that is fast in memory (see
+        # the notes of np.sum); reducing this C-ordered block over its slow
+        # axis, the steps, adds them in order of j, column by column.  A
+        # single column is itself the fast axis, which np.add.reduce would sum
+        # pairwise, so it keeps the row loop.
         below = np.flatnonzero(count > 0)
         if below.size:
-            steps = np.arange(count.max())[:, None]
-            terms = np.float_power(x[below] + steps, -(order[below] + 1.0))
-            terms[steps >= count[below]] = 0.0
+            capped = np.minimum(count[below], np.floor(x[below] * _SHIFT_CAP[n[below]]) + 2.0)
+            rank = np.argsort(-capped, kind="stable")
+            below, capped = below[rank], capped[rank]
+            steps = np.arange(capped[0])[:, None]
+            live = steps < capped
+            terms = np.float_power(x[below] + steps, -(order[below] + 1.0),
+                                   out=np.zeros(live.shape), where=live)
             if below.size > 1:
                 acc[below] = np.add.reduce(terms, axis=0)
             else:
@@ -302,10 +330,10 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # head: (n-1)!/y^n + n!/(2 y^(n+1))
         y = x + count
         inv2 = 1.0 / (y * y)
-        fact_nm1 = _FACTORIALS[np.maximum(n - 1, 0)]
+        fact_nm1 = _FACTORIALS[n - 1]
         half_power = np.float_power(y, order + 1.0)
         power = np.float_power(y, -(order + 2.0))
-        ok = (n > 0) & (power >= _TINY)
+        returned = power >= _TINY
         value = fact_nm1 * np.float_power(y, -order) + fact_nm1 * order / (2.0 * half_power)
         budget = value.copy()
 
@@ -321,11 +349,8 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         total = value + shift
         budget += shift
         bars = trunc + _EPS * (2.0 * budget + 8.0 * total)
-    values = np.where(n % 2 == 1, total, -total)
-    for i in np.flatnonzero(~(ok & np.isfinite(bars))):
-        r = polygamma(int(n[i]), float(x[i]))
-        values[i], bars[i] = r.value, r.abs_error_estimate
-    return values, bars
+    returned &= np.isfinite(bars)
+    return np.where(n % 2 == 1, total, -total), bars, returned
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

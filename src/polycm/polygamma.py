@@ -28,7 +28,10 @@ Python and imports no numpy.  polygamma is the scalar reference for the
 array kernel in polycm.cm, which runs the same steps and the same
 error-bar formula over whole arrays of orders n >= 1 and arguments at
 once, and hands its order-0 elements back to polygamma; cm_scan
-evaluates its grids through it.
+evaluates its grids through it.  The kernel's shift pass forms only the
+recurrence terms before a per-element cap, 2^(54/(n+1)) - 1 times x plus
+two steps, from which on no term can change the sum (see the cap comment
+in polygamma), so it holds every term this fold adds.
 """
 
 import math
@@ -306,6 +309,25 @@ def polygamma(n: int, x: float) -> EvalResult:
         # the same arguments raise.  The n = 0 fold above runs every step:
         # for x above about 1e-15 each of its 1/(x + j) moves the sum, so a
         # stop test there would only cost time.
+        #
+        # The cap: this fold stops no later than step c = floor(x r) + 2,
+        # where r = 2^(54/(n+1)) - 1 (polycm.cm's _SHIFT_CAP), so the array
+        # kernel forms only the steps j < c.  Its x r is fl(x fl(r)), within
+        # 2^-47 of x r relatively (54/(n+1), pow and - 1 round r, and the
+        # product rounds once), and x r < 48 * 2^27 = 1.5 * 2^32 for a
+        # shifting x (below a threshold, so under 48) and n >= 1; so the
+        # rounding moves it by under 2^-14, and x + c exceeds
+        # R = x 2^(54/(n+1)) < 1.5 * 2^32 by more than 1 - 2^-14 > 2^-33 R.
+        # fl(x + c) is within 2^-53 of x + c relatively, so it exceeds
+        # R (1 + 2^-34), and (fl(x + c)/x)^-(n+1) < 2^-54 / (1 + 2^-34).
+        # libm's pow is within an ulp (2^-52 relatively), both here and in
+        # the j = 0 term t0 = x^-(n+1) (the margin 2^-34 covers up to 2^17
+        # ulps each), so the term at c is below 2^-54 t0 <= 2^-54 acc.  A
+        # finite acc >= t0 > 48^-41 is normal (an infinite t0 gives the kernel
+        # an infinite bar), so half an ulp of acc exceeds 2^-54 acc, and
+        # acc + the term at c rounds to acc.  At c = floor(x r) + 1 the
+        # rounding of x r could leave x + c at R or below it, with no
+        # margin; hence the + 2.
         acc = 0.0
         for j in range(shift_count):
             total = acc + (x + j) ** neg_n_plus_1

@@ -426,12 +426,14 @@ def scalar_scan(p, max_order, grid):
 
 
 # the README's verify-cm example and two inputs of the verify benchmark; the
-# second crosses the range edge of the powers without raising
+# second crosses the range edge of the powers without raising.  The last
+# shifts every kernel element, where the kernel's shift cap binds hardest
 SCANS = [
     (0.5, 2, 6, GridSpec(lo=0.1, hi=100.0, points=40)),
     (0.5, 2, 8, GridSpec(lo=0.1, hi=100.0, points=60)),
     (0.1205486384174355, 21, 8, GridSpec(0.012903826342736593, 9634438981.757809, 60)),
     (0.5, 4, 2, GridSpec(lo=1.0, hi=1e13, points=12)),
+    (0.5, 32, 8, GridSpec(1e-3, 5.0, 455)),
 ]
 
 

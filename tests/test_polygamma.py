@@ -18,7 +18,7 @@ from polycm import (
     factorial_over_power,
     polygamma,
 )
-from polycm.cm import _polygamma_array
+from polycm.cm import _SHIFT_CAP, _polygamma_array
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import (
     _COEFFICIENTS,
@@ -465,6 +465,54 @@ def test_array_kernel_raises_where_the_engine_raises():
             polygamma(n, x)
         with pytest.raises(OverflowError, match=match):
             _polygamma_array(np.array([3, n, 40]), np.array([2.5, x, 1e-7]))
+
+
+def _fold_stop(n, x):
+    """The step at which polygamma's fold for order n >= 1 stops at x: the
+    first j whose term leaves the running sum unchanged, or the shift count."""
+    count = math.ceil(shift_threshold(n) - x)
+    acc = 0.0
+    for j in range(count):
+        total = acc + (x + j) ** -(n + 1.0)
+        if total == acc:
+            return j
+        acc = total
+    return count
+
+
+def test_shift_cap_holds_every_step_the_fold_adds():
+    # the kernel forms the steps j < floor(x _SHIFT_CAP[n]) + 2 of its shift
+    # count; wherever that cap binds, the scalar fold must have stopped by
+    # then.  Points below every threshold: a log grid from where x^-(n+1)
+    # nears overflow, a linear grid, and each x at which the cap steps up,
+    # with its 3-ulp neighbours; at those, in one block per order, the
+    # kernel's values and bars are also polygamma's, bit for bit
+    checked = 0
+    for n in range(1, MAX_ORDER + 1):
+        t = shift_threshold(n)
+        ups = []
+        for m in range(1, int(t)):
+            up = down = m / float(_SHIFT_CAP[n])
+            ups.append(up)
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                ups += [up, down]
+        xs = np.concatenate((np.geomspace(10.0 ** (-300.0 / (n + 1)), t, 4000)[:-1],
+                             np.linspace(0.0, t, 4000)[1:-1], ups))
+        caps = np.floor(xs * _SHIFT_CAP[n]) + 2.0
+        binds = caps < np.ceil(t - xs)
+        for x, cap in zip(xs[binds].tolist(), caps[binds].tolist()):
+            try:
+                stop = _fold_stop(n, x)
+            except OverflowError:
+                continue
+            assert stop <= cap, (n, x, stop, cap)
+            checked += 1
+        edge = [x for x, b in zip(ups, binds[-len(ups):].tolist())
+                if b and isinstance(_engine_outcome([n], [x]), list)]
+        assert edge, n
+        assert _kernel_outcome([n] * len(edge), edge) == _engine_outcome([n] * len(edge), edge), n
+    assert checked > 100_000
 
 
 def test_series_terms_shrink_from_the_shift_threshold_on():

@@ -72,16 +72,44 @@ def endpoint_constants(p: ShiftParams) -> EvalResult:
     return gap
 
 
+#: _row's builtins, bound once, as polygamma binds _result's.
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _row(x, lower, middle, upper, lower_margin, upper_margin,
+         lower_margin_error, upper_margin_error, passed) -> BoundCheck:
+    """BoundCheck(*fields), built as polygamma._result builds an
+    EvalResult: the frozen dataclass's generated __init__ sets the same
+    fields in the same order through object.__setattr__, and this skips
+    its call overhead.  Setting them, not writing row.__dict__, keeps the
+    rows' key-sharing dicts unmaterialised.
+    """
+    row = _new(BoundCheck)
+    _setattr(row, "x", x)
+    _setattr(row, "lower", lower)
+    _setattr(row, "middle", middle)
+    _setattr(row, "upper", upper)
+    _setattr(row, "lower_margin", lower_margin)
+    _setattr(row, "upper_margin", upper_margin)
+    _setattr(row, "lower_margin_error", lower_margin_error)
+    _setattr(row, "upper_margin_error", upper_margin_error)
+    _setattr(row, "passed", passed)
+    return row
+
+
 def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """Evaluate the parity-appropriate two-sided bound at every grid point.
 
     The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
-    so it is evaluated once for the whole table, as the gap at x = 1;
-    endpoint_constants cross-checks that same value by quadrature.
+    so it is evaluated once for the whole table, as the gap at x = 1, which
+    heads the first block; endpoint_constants cross-checks that same value
+    by quadrature.
 
     Each row is built on the gap g(x), taken _SCAN_BLOCK rows at a time
-    from _gap_block, which has shift_gap_derivative's bits; each column of
-    a block is one array, whose float64 arithmetic is Python's.  The base
+    from _gap_block, which has shift_gap_derivative's bits, so C is
+    shift_gap_derivative(p, 0, 1.0)'s value and bar; each column of a
+    block is one array, whose float64 arithmetic is Python's.  The base
     term a k!/x^(k+1) is the gap's own power term and the middle is base + g.
     The margins are the gap itself: (g, C - g) for even k, where C joins
     the upper side, and (g - C, -g) for odd k, where it joins the lower
@@ -90,14 +118,18 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """
     if not grid.lo > 1.0:
         raise ValueError(f"bounds hold on x > 1 only, got x={grid.lo!r}")
-    endpoint = shift_gap_derivative(p, 0, 1.0)
-    c, c_err = endpoint.value, endpoint.abs_error_estimate
     even = p.k % 2 == 0
     xs = grid.generate()
     rows = []
     for start in range(0, xs.size, _SCAN_BLOCK):
         x = xs[start:start + _SCAN_BLOCK]
-        g, g_err, base = _gap_block(p, np.zeros(x.size, np.intp), x)
+        if start:
+            g, g_err, base = _gap_block(p, np.zeros(x.size, np.intp), x)
+        else:
+            g, g_err, base = _gap_block(p, np.zeros(x.size + 1, np.intp),
+                                        np.concatenate(([1.0], x)))
+            c, c_err = g[0], g_err[0]
+            g, g_err, base = g[1:], g_err[1:], base[1:]
         if even:
             lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
             lower_err, upper_err = g_err, g_err + c_err
@@ -108,5 +140,5 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
         columns = (x, lower, base + g, upper, lower_margin, upper_margin,
                    lower_err + _EPS * np.abs(lower_margin), upper_err + _EPS * np.abs(upper_margin),
                    (lower_margin > 0.0) & (upper_margin > 0.0))
-        rows += map(BoundCheck, *(column.tolist() for column in columns))
+        rows += map(_row, *(column.tolist() for column in columns))
     return rows

@@ -11,7 +11,7 @@ reports the worst margin found together with where it happened.  It takes
 its samples, and polycm.bounds its table rows, from _gap_block, which runs
 the engine's numpy array kernel, _polygamma_array.  The kernel lives here,
 beside its one caller, so that polycm.polygamma stays pure Python; its
-powers are libm's, so it returns polygamma's bits on every host.
+powers and logs are libm's, so it returns polygamma's bits on every host.
 
 The module also carries the elementary ratio behind those facts,
 (e^-alpha t - e^-beta t)/(1 - e^-t), with its exact monotonicity criterion;
@@ -234,8 +234,10 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
     return _result(value, err)
 
 
-# The array kernel's copies of polycm.polygamma's tables.
-_COEFFICIENT_ARRAY = np.array(_COEFFICIENTS)
+# The array kernel's copies of polycm.polygamma's tables; the series
+# coefficients one row per term, so each term's column of orders is
+# contiguous.
+_COEFFICIENT_TERMS = np.array(_COEFFICIENTS).T.copy()
 _FACTORIALS = np.array(_FACTORIAL_FLOATS)
 _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 #: 2^(54/(n+1)) - 1 for every order n, the kernel's shift cap (see the cap
@@ -260,25 +262,104 @@ _TINY = 2.0 * sys.float_info.min
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """polygamma(n[i], x[i]) for every i, as (values, error bars).
 
-    Orders and arguments must already be valid.  _positive_orders evaluates
-    the n >= 1 elements; polygamma itself, looked up in this module as
-    shift_gap_derivative looks it up, evaluates the rest in index order, so
-    the outcome, values or the first raise, is that of
-    [polygamma(*e) for e in zip(n, x)].
+    Orders and arguments must already be valid.  _order_zero evaluates the
+    n = 0 elements and _positive_orders the others, a block of one kind
+    whole; polygamma itself, looked up in this module as
+    shift_gap_derivative looks it up, evaluates the elements they do not
+    return, in index order, so the outcome, values or the first raise, is
+    that of [polygamma(*e) for e in zip(n, x)].
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
-    values = np.empty_like(x)
-    bars = np.empty_like(x)
-    scalar = n == 0
-    kernel = np.flatnonzero(~scalar)
-    if kernel.size:
-        values[kernel], bars[kernel], returned = _positive_orders(n[kernel], x[kernel])
-        scalar[kernel] = ~returned
-    for i in np.flatnonzero(scalar):
+    zero = n == 0
+    if not zero.any():
+        values, bars, returned = _positive_orders(n, x)
+    elif zero.all():
+        values, bars, returned = _order_zero(x)
+    else:
+        values, bars, returned = np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool)
+        zeros, positive = np.flatnonzero(zero), np.flatnonzero(n)
+        values[zeros], bars[zeros], returned[zeros] = _order_zero(x[zeros])
+        values[positive], bars[positive], returned[positive] = _positive_orders(
+            n[positive], x[positive])
+    for i in np.flatnonzero(~returned):
         r = polygamma(int(n[i]), float(x[i]))
         values[i], bars[i] = r.value, r.abs_error_estimate
     return values, bars
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """The sum of each column of the step-major block terms, its rows added
+    in order from 0.0, as the scalar engine's fold adds its steps.
+
+    numpy pairs terms up only along the axis that is fast in memory (see
+    the notes of np.sum); reducing this C-ordered block over its slow axis,
+    the steps, adds them in order, column by column.  A single column is
+    itself the fast axis, which np.add.reduce would sum pairwise, so it
+    takes a row loop.
+    """
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    acc = np.zeros(1)
+    for row in terms:
+        acc += row
+    return acc
+
+
+def _series(
+    coefficients: np.ndarray, value: np.ndarray, budget: np.ndarray, power: np.ndarray,
+    inv2: np.ndarray,
+) -> np.ndarray:
+    """polygamma's asymptotic series: adds its 20 terms c_j power inv2^j
+    to value, and their sizes to budget, in place, and returns the
+    truncation bound, the size of the 21st.  coefficients holds one row
+    per term, each a column of orders or one order's coefficient.
+
+    It runs all 20 terms, where the scalar engine stops at a negligible
+    term with the full sum's bits (see the series comment in polygamma).
+    """
+    term = np.empty_like(power)
+    for c in coefficients[:_MAX_ASYMPTOTIC_TERMS]:
+        np.multiply(c, power, out=term)
+        value += term
+        budget += np.abs(term, out=term)
+        power *= inv2
+    return np.abs(coefficients[_MAX_ASYMPTOTIC_TERMS] * power)
+
+
+def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """polygamma(0, x[i]) for every i, as (values, error bars, which
+    elements are returned), through polygamma's n = 0 steps: its shift
+    count, the head ln y - 1/(2y) with libm's log per element (math.log,
+    not numpy's SIMD log, which can differ by an ulp), the same series,
+    the fold of 1/(x+j) over every step and the same error bar.  So every
+    value and bar returned is polygamma's bit for bit.  An element whose
+    value or bar is not finite (1/x overflows below about 5.6e-309) is not
+    returned.
+    """
+    count = np.maximum(0.0, np.ceil(_THRESHOLDS[0] - x))
+    shift = np.zeros_like(x)
+    with np.errstate(over="ignore", under="ignore"):
+        # shift pass: 1/(x+j), one row per step j and one column per element
+        # below the threshold; the steps past an element's count stay 0.0
+        below = np.flatnonzero(count > 0)
+        if below.size:
+            steps = np.arange(count[below].max())[:, None]
+            live = steps < count[below]
+            terms = np.divide(1.0, x[below] + steps, out=np.zeros(live.shape), where=live)
+            shift[below] = _fold(terms)
+
+        # head: ln y - 1/(2y), with the budget |head| + 1/y
+        y = x + count
+        inv2 = 1.0 / (y * y)
+        value = np.fromiter(map(math.log, y.tolist()), float, y.size) - 0.5 / y
+        budget = np.abs(value) + 1.0 / y
+        trunc = _series(_COEFFICIENT_TERMS[:, 0], value, budget, inv2.copy(), inv2)
+
+        value -= shift
+        budget += shift
+        bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(value))
+    return value, bars, np.isfinite(value) & np.isfinite(bars)
 
 
 def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,17 +367,15 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     which elements are returned), through polygamma's steps: its own shift
     count, the same head, the same series and the same error bar.
 
-    It runs all 20 series terms, where the scalar engine stops at a
-    negligible term with the full sum's bits (see the series comment in
-    polygamma).  Its shift pass forms the steps j < floor(x _SHIFT_CAP[n]) + 2
-    within the shift count: every step the scalar fold adds is among them,
-    and each of them after the fold's stop leaves the running total
-    unchanged (see the cap and fold comments in polygamma), so both folds
-    end on the same bits.  Its powers are np.float_power's, libm's pow per
-    element, the pow behind CPython's **, so every value and bar returned
-    is polygamma's bit for bit on every numpy CPU dispatch.  An element
-    whose bar is not finite, or whose head power y^-(n+2) is below _TINY
-    (no other power needs a screen; see _TINY), is not returned.
+    Its shift pass forms the steps j < floor(x _SHIFT_CAP[n]) + 2 within
+    the shift count: every step the scalar fold adds is among them, and
+    each of them after the fold's stop leaves the running total unchanged
+    (see the cap and fold comments in polygamma), so both folds end on the
+    same bits.  Its powers are np.float_power's, libm's pow per element,
+    the pow behind CPython's **, so every value and bar returned is
+    polygamma's bit for bit on every numpy CPU dispatch.  An element whose
+    bar is not finite, or whose head power y^-(n+2) is below _TINY (no
+    other power needs a screen; see _TINY), is not returned.
     """
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
@@ -305,13 +384,8 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # shift pass: (x+j)^-(n+1), one row per step j and one column per
         # element below its threshold, columns by capped count, largest first.
         # So each row's live cells, the steps before the cap, are a prefix of
-        # it, float_power forms only those, and the others stay 0.0: adding
-        # the rows from 0.0 in order of j is the scalar engine's acc += term.
-        # numpy pairs terms up only along the axis that is fast in memory (see
-        # the notes of np.sum); reducing this C-ordered block over its slow
-        # axis, the steps, adds them in order of j, column by column.  A
-        # single column is itself the fast axis, which np.add.reduce would sum
-        # pairwise, so it keeps the row loop.
+        # it, float_power forms only those, and the others stay 0.0, which
+        # leaves the fold's sums unchanged.
         below = np.flatnonzero(count > 0)
         if below.size:
             capped = np.minimum(count[below], np.floor(x[below] * _SHIFT_CAP[n[below]]) + 2.0)
@@ -321,11 +395,7 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             live = steps < capped
             terms = np.float_power(x[below] + steps, -(order[below] + 1.0),
                                    out=np.zeros(live.shape), where=live)
-            if below.size > 1:
-                acc[below] = np.add.reduce(terms, axis=0)
-            else:
-                for row in terms:
-                    acc[below] += row
+            acc[below] = _fold(terms)
 
         # head: (n-1)!/y^n + n!/(2 y^(n+1))
         y = x + count
@@ -336,14 +406,7 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         returned = power >= _TINY
         value = fact_nm1 * np.float_power(y, -order) + fact_nm1 * order / (2.0 * half_power)
         budget = value.copy()
-
-        coefficients = _COEFFICIENT_ARRAY[n]
-        for j in range(_MAX_ASYMPTOTIC_TERMS):
-            term = coefficients[:, j] * power
-            value += term
-            budget += np.abs(term)
-            power *= inv2
-        trunc = np.abs(coefficients[:, _MAX_ASYMPTOTIC_TERMS] * power)
+        trunc = _series(_COEFFICIENT_TERMS[:, n], value, budget, power, inv2)
 
         shift = _FACTORIALS[n] * acc
         total = value + shift

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ import polycm.bounds
 import polycm.cm
 import polycm.oracle
 from polycm import (
+    BoundCheck,
     EvalResult,
     GridSpec,
     SeriesSpec,
@@ -153,6 +155,24 @@ class TestBoundTable:
                 assert r.lower_margin > 10.0 * r.lower_margin_error
                 assert r.upper_margin > 10.0 * r.upper_margin_error
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_are_bound_checks(self, k):
+        # rows are built field by field, not through BoundCheck's generated
+        # __init__, and must keep what it gives: every field set, in
+        # declaration order, so that they compare, hash, print and convert
+        # as constructed instances do, and stay frozen
+        names = [f.name for f in dataclasses.fields(BoundCheck)]
+        for r in bound_table(ShiftParams(a=0.3, k=k), GridSpec(lo=1.001, hi=1e6, points=20)):
+            assert type(r) is BoundCheck
+            assert list(vars(r)) == names
+            assert list(dataclasses.asdict(r)) == names
+            made = BoundCheck(**vars(r))
+            assert r == made and made == r
+            assert hash(r) == hash(made)
+            assert repr(r) == repr(made)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.lower = 0.0
+
     def test_upper_margin_collapses_toward_one(self):
         # the even chain degenerates to equality at x = 1, so just above it
         # the margin is positive but tiny
@@ -165,18 +185,23 @@ class TestBoundTable:
             bound_table(ShiftParams(a=0.5, k=2), GridSpec(lo=0.9, hi=10.0, points=5))
 
     def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
-        # C(a, k) does not depend on x: one shift_gap_derivative call at
-        # x = 1 per table, and none per row, so the engine itself runs only
-        # for C's two values on a grid whose rows the kernel evaluates
-        gaps, calls = [], []
-        gap, engine = polycm.bounds.shift_gap_derivative, polycm.cm.polygamma
+        # C(a, k) does not depend on x: it is the gap at x = 1, which heads
+        # the table's first gap block, so a table at k >= 1 makes no
+        # shift_gap_derivative call and runs the scalar engine nowhere
+        gaps, calls, blocks = [], [], []
+        gap, engine, block = (polycm.bounds.shift_gap_derivative, polycm.cm.polygamma,
+                              polycm.bounds._gap_block)
         monkeypatch.setattr(polycm.bounds, "shift_gap_derivative",
                             lambda *args: gaps.append(args) or gap(*args))
         monkeypatch.setattr(polycm.cm, "polygamma", lambda *args: calls.append(args) or engine(*args))
+        monkeypatch.setattr(polycm.bounds, "_gap_block",
+                            lambda q, n, x: blocks.append(x.tolist()) or block(q, n, x))
         p = ShiftParams(a=0.3, k=1)
-        bound_table(p, GridSpec(lo=1.5, hi=500.0, points=25))
-        assert gaps == [(p, 0, 1.0)]
-        assert calls == [(1, 1.3), (1, 1.0)]
+        grid = GridSpec(lo=1.5, hi=500.0, points=25)
+        bound_table(p, grid)
+        assert gaps == []
+        assert calls == []
+        assert blocks == [[1.0, *grid.generate().tolist()]]
 
     @pytest.mark.parametrize("a,k", [(0.3, 3), (0.3, 2), (0.5, 0), (0.9, 1), (0.05, 12)])
     def test_margins_are_the_gap(self, a, k):
@@ -191,8 +216,9 @@ class TestBoundTable:
 
     def test_engine_calls_per_table(self, monkeypatch):
         # the rows take their gaps from one _gap_block call per _SCAN_BLOCK
-        # rows, in grid order, at order 0; a block of 7 splits 37 rows into
-        # six calls, and the rows are those of one call
+        # rows, in grid order, at order 0, with x = 1.0 (for C) ahead of the
+        # first block's rows; a block of 7 splits 37 rows into six calls,
+        # and the rows are those of one call
         grid = GridSpec(lo=1.001, hi=1e4, points=37)
         for p in (ShiftParams(a=0.3, k=2), ShiftParams(a=0.7, k=5)):
             whole = bound_table(p, grid)
@@ -207,4 +233,5 @@ class TestBoundTable:
                 mp.setattr(polycm.bounds, "_SCAN_BLOCK", 7)
                 assert bound_table(p, grid) == whole
             xs = grid.generate().tolist()
-            assert blocks == [([0] * len(xs[i:i + 7]), xs[i:i + 7]) for i in range(0, 37, 7)]
+            assert blocks[0] == ([0] * 8, [1.0, *xs[:7]])
+            assert blocks[1:] == [([0] * len(xs[i:i + 7]), xs[i:i + 7]) for i in range(7, 37, 7)]

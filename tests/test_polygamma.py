@@ -440,17 +440,42 @@ def test_array_kernel_matches_scalar_engine():
 
 
 def test_array_kernel_order_zero_has_the_scalar_engines_bits():
-    # order 0 goes to the scalar engine whole, so its values and bars are
-    # polygamma's bit for bit: on a log grid, and at points where numpy's
-    # AVX-512 log differs from libm's by an ulp
+    # order 0 runs polygamma's n = 0 steps over whole arrays, with libm's
+    # log, so its values and bars are polygamma's bit for bit: on a log
+    # grid, at points where numpy's AVX-512 log differs from libm's by an
+    # ulp, at 10 - ulp and within 2 ulps of every integer shift boundary
     xs = np.geomspace(1e-3, 1e300, 400).tolist() + [
         1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
         17.89970295332177, 17.643684916268207,
     ]
+    for j in range(1, 11):
+        up = down = float(j)
+        xs.append(up)
+        for _ in range(2):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            xs += [up, down]
+    assert math.nextafter(10.0, 0.0) in xs
     values, bars = _polygamma_array(np.zeros(len(xs), dtype=np.intp), np.array(xs))
     for x, v, b in zip(xs, values.tolist(), bars.tolist()):
         r = polygamma(0, x)
         assert (v.hex(), b.hex()) == (r.value.hex(), r.abs_error_estimate.hex()), x
+    # around x = 1/DBL_MAX, below which 1/x overflows and polygamma raises,
+    # in blocks that mix n = 0 and n >= 1 elements: each raises what its
+    # first raising element raises, an order-0 one or the (40, 1e-8) shift
+    # term, or returns polygamma's bits
+    edge = up = down = 1.0 / sys.float_info.max
+    tiny = [edge, 5e-324, 1e-310, 1e-300]
+    for _ in range(4):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+        tiny += [up, down]
+    raising = [x for x in tiny if isinstance(_engine_outcome([0], [x]), tuple)]
+    assert 0 < len(raising) < len(tiny)
+    for x in tiny:
+        for block in (([0, 3, 0, 40, 0], [0.25, 2.5, x, 1e-8, 7.0]),
+                      ([3, 40, 0, 0], [2.5, 1e-8, x, 7.0]),
+                      ([1, 0, 0, 2], [0.5, 2.0 * x, x, 11.0]),
+                      ([0, 5], [x, 3.0])):
+            assert _kernel_outcome(*block) == _engine_outcome(*block), (x, block)
 
 
 def test_array_kernel_raises_where_the_engine_raises():

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,47 +243,38 @@ _THRESHOLDS = np.array(_THRESHOLD_FLOATS)
 #: comment in polygamma).
 _SHIFT_CAP = np.array([2.0 ** (54.0 / (n + 1)) - 1.0 for n in range(MAX_ORDER + 1)])
 
-#: The kernel's powers are np.float_power's, which calls libm's pow for
-#: each element as CPython's ** does, so they have the scalar engine's bits
-#: on every numpy CPU dispatch; but they never raise, where ** raises
-#: OverflowError on a power that overflows.  So an element with an
-#: infinite bar, or with y^-(n+2) below _TINY, goes back to the scalar
-#: engine, which raises or evaluates it as polygamma does; the factor of
-#: two only hands it a few more elements, which it evaluates with the same
-#: bits.  Every other power is then in range, as y >= 10 and a shifting
-#: x < 48 (the least and largest shift thresholds): x^-(n+1) > 48^-41 ~ 1e-69,
-#: and above DBL_MAX/2 it puts n! acc there too, so 8 |total| is inf;
-#: y^-n >= 100 y^-(n+2); and y^(n+1) > DBL_MAX/2 puts y^-(n+2) below
-#: (2/DBL_MAX)^((n+2)/(n+1)) < 1e-315.
-_TINY = 2.0 * sys.float_info.min
-
 
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """polygamma(n[i], x[i]) for every i, as (values, error bars).
 
     Orders and arguments must already be valid.  _order_zero evaluates the
     n = 0 elements and _positive_orders the others, a block of one kind
-    whole; polygamma itself, looked up in this module as
-    shift_gap_derivative looks it up, evaluates the elements they do not
-    return, in index order, so the outcome, values or the first raise, is
-    that of [polygamma(*e) for e in zip(n, x)].
+    whole, each with polygamma's bits, and each gives an element a bar that
+    is not finite exactly where polygamma raises on it.  At the first such
+    element in index order, polygamma itself, looked up in this module as
+    shift_gap_derivative looks it up, raises its own message; so the
+    outcome, values or the first raise, is that of
+    [polygamma(*e) for e in zip(n, x)].
     """
     n = np.asarray(n, dtype=np.intp)
     x = np.asarray(x, dtype=float)
     zero = n == 0
     if not zero.any():
-        values, bars, returned = _positive_orders(n, x)
+        values, bars = _positive_orders(n, x)
     elif zero.all():
-        values, bars, returned = _order_zero(x)
+        values, bars = _order_zero(x)
     else:
-        values, bars, returned = np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool)
+        values, bars = np.empty_like(x), np.empty_like(x)
         zeros, positive = np.flatnonzero(zero), np.flatnonzero(n)
-        values[zeros], bars[zeros], returned[zeros] = _order_zero(x[zeros])
-        values[positive], bars[positive], returned[positive] = _positive_orders(
-            n[positive], x[positive])
-    for i in np.flatnonzero(~returned):
-        r = polygamma(int(n[i]), float(x[i]))
-        values[i], bars[i] = r.value, r.abs_error_estimate
+        values[zeros], bars[zeros] = _order_zero(x[zeros])
+        values[positive], bars[positive] = _positive_orders(n[positive], x[positive])
+    finite = np.isfinite(bars)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        m, xi = int(n[i]), float(x[i])
+        polygamma(m, xi)
+        raise AssertionError(f"polygamma({m}, {xi!r}) returned where the array kernel's bar is "
+                             f"{float(bars[i])!r}")
     return values, bars
 
 
@@ -327,15 +317,15 @@ def _series(
     return np.abs(coefficients[_MAX_ASYMPTOTIC_TERMS] * power)
 
 
-def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """polygamma(0, x[i]) for every i, as (values, error bars, which
-    elements are returned), through polygamma's n = 0 steps: its shift
-    count, the head ln y - 1/(2y) with libm's log per element (math.log,
-    not numpy's SIMD log, which can differ by an ulp), the same series,
-    the fold of 1/(x+j) over every step and the same error bar.  So every
-    value and bar returned is polygamma's bit for bit.  An element whose
-    value or bar is not finite (1/x overflows below about 5.6e-309) is not
-    returned.
+def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """polygamma(0, x[i]) for every i, as (values, error bars), through
+    polygamma's n = 0 steps: its shift count, the head ln y - 1/(2y) with
+    libm's log per element (math.log, not numpy's SIMD log, which can
+    differ by an ulp), the same series, the fold of 1/(x+j) over every step
+    and the same error bar.  So every finite bar, and its value, is
+    polygamma's bit for bit.  polygamma raises only where its value or bar
+    is not finite (1/x overflows below about 5.6e-309), and the bar here,
+    which adds 8 |value|, is not finite there either.
     """
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[0] - x))
     shift = np.zeros_like(x)
@@ -359,23 +349,27 @@ def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         value -= shift
         budget += shift
         bars = trunc + _EPS * (2.0 * budget + 8.0 * np.abs(value))
-    return value, bars, np.isfinite(value) & np.isfinite(bars)
+    return value, bars
 
 
-def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """polygamma(n[i], x[i]) for orders n >= 1, as (values, error bars,
-    which elements are returned), through polygamma's steps: its own shift
-    count, the same head, the same series and the same error bar.
+def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """polygamma(n[i], x[i]) for orders n >= 1, as (values, error bars),
+    through polygamma's steps: its own shift count, the same head, the same
+    series and the same error bar.
 
     Its shift pass forms the steps j < floor(x _SHIFT_CAP[n]) + 2 within
     the shift count: every step the scalar fold adds is among them, and
     each of them after the fold's stop leaves the running total unchanged
     (see the cap and fold comments in polygamma), so both folds end on the
     same bits.  Its powers are np.float_power's, libm's pow per element,
-    the pow behind CPython's **, so every value and bar returned is
-    polygamma's bit for bit on every numpy CPU dispatch.  An element whose
-    bar is not finite, or whose head power y^-(n+2) is below _TINY (no
-    other power needs a screen; see _TINY), is not returned.
+    the pow behind CPython's **, so wherever polygamma returns, the value
+    and bar here are its bits on every numpy CPU dispatch.  float_power
+    never raises, where ** raises OverflowError on a power that overflows;
+    of polygamma's powers only two can (the others have negative exponents
+    and y >= 10): the j = 0 shift term x^-(n+1), which makes the bar here
+    inf too, and the head's y^(n+1), which here would only drop the head's
+    second term, so the bar is set to inf where it is inf.  So the bar is
+    not finite exactly where polygamma raises, there or in _result.
     """
     order = n.astype(float)
     count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
@@ -403,7 +397,6 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         fact_nm1 = _FACTORIALS[n - 1]
         half_power = np.float_power(y, order + 1.0)
         power = np.float_power(y, -(order + 2.0))
-        returned = power >= _TINY
         value = fact_nm1 * np.float_power(y, -order) + fact_nm1 * order / (2.0 * half_power)
         budget = value.copy()
         trunc = _series(_COEFFICIENT_TERMS[:, n], value, budget, power, inv2)
@@ -412,8 +405,8 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         total = value + shift
         budget += shift
         bars = trunc + _EPS * (2.0 * budget + 8.0 * total)
-    returned &= np.isfinite(bars)
-    return np.where(n % 2 == 1, total, -total), bars, returned
+    bars[half_power == np.inf] = np.inf
+    return np.where(n % 2 == 1, total, -total), bars
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -459,11 +452,11 @@ def _gap_block(
     formula.  The power term is factorial_over_power's plain branch
     m!/x**(m+1), with libm's pow (np.float_power) and an IEEE division,
     and every sample that gets here would take that branch.  A finite bar
-    on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as its budget
-    (the kernel's, or polygamma's for m = 0) holds it as the first shift
-    step below the threshold, and x >= 10 above it.  x^(m+1) overflows, or
-    m!/x^(m+1) < e^-745, only for m >= 1 and x^-(m+2) below _TINY; so the
-    kernel sent x to polygamma, which raised.
+    on psi_m(x) keeps m!/x^(m+1) under DBL_MAX/2, as its budget holds it as
+    the first shift step below the threshold, and x >= 10 above it.  And a
+    sample on which polygamma returns has x^(m+1) finite (at m >= 1 above
+    the threshold polygamma forms it, and raises where it overflows), so
+    m!/x^(m+1) >= m!/DBL_MAX > e^-745.
     Finite polygamma bars keep |hi|, |lo| and |last| (which |lo| or its
     1/x shift term exceeds) under an eighth of the binary64 range, so the
     sum and the bar are finite too and raise nowhere that

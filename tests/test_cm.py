@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from polycm import (
     MAX_ORDER,
     GridSpec,
     ShiftParams,
+    bound_table,
     cm_scan,
     cm_weight,
     exp_diff_ratio,
@@ -382,8 +384,8 @@ class TestCMScan:
         assert rep.min_signed_value > 0.0
 
     def test_non_finite_samples_raise_overflow(self):
-        # the kernel hands the overflowing samples to the scalar engine,
-        # which raises OverflowError for them
+        # the kernel passes its first overflowing sample to the scalar
+        # engine, which raises OverflowError for it
         with pytest.raises(OverflowError, match="binary64"):
             cm_scan(ShiftParams(a=0.5, k=32), 8, GridSpec(lo=1e-7, hi=1.0, points=10))
 
@@ -449,13 +451,23 @@ class TestBatchedScan:
         assert cm_scan(p, max_order, grid) == scalar_scan(p, max_order, grid)
 
     def test_raises_where_the_scalar_scan_raises(self):
-        # k + n = 32 at x ~ 4.4e10 leaves the binary64 range in the engine
+        # k + n = 32 at x ~ 4.4e10 leaves the binary64 range in the engine:
+        # cm_scan raises the scalar scan's first message, and so does
+        # bound_table at k = 32 that of its first shift_gap_derivative
+        # call, C's at x = 1 first
         p = ShiftParams(a=0.1682812440157647, k=24)
         grid = GridSpec(0.015672469339977946, 44487609651.509514, 60)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError) as scalar:
             scalar_scan(p, 8, grid)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^" + re.escape(str(scalar.value)) + "$"):
             cm_scan(p, 8, grid)
+        p = ShiftParams(a=p.a, k=32)
+        grid = GridSpec(1.001, grid.hi, 60)
+        with pytest.raises(OverflowError) as scalar:
+            for x in [1.0, *grid.generate().tolist()]:
+                shift_gap_derivative(p, 0, x)
+        with pytest.raises(OverflowError, match="^" + re.escape(str(scalar.value)) + "$"):
+            bound_table(p, grid)
 
     def test_ties_resolve_to_the_first_point(self, monkeypatch):
         # a signed value that is the same everywhere: the witness is the

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import polycm.cm
 from polycm import (
     MAX_ORDER,
     EvalResult,
@@ -479,8 +480,8 @@ def test_array_kernel_order_zero_has_the_scalar_engines_bits():
 
 
 def test_array_kernel_raises_where_the_engine_raises():
-    # a subnormal head power (28, 1.2e11), an overflowing shift term
-    # (40, 1e-8), an infinite value and bar (40, 1e-7) and an infinite
+    # an overflowing head power y^(n+1) (28, 1.2e11), an overflowing shift
+    # term (40, 1e-8), an infinite value and bar (40, 1e-7) and an infinite
     # digamma shift term (0, 1e-310): the scalar engine raises OverflowError
     # for each, naming its own n and x, and the kernel raises the first of
     # them in index order: its message, not that of the (40, 1e-7) after it
@@ -490,6 +491,105 @@ def test_array_kernel_raises_where_the_engine_raises():
             polygamma(n, x)
         with pytest.raises(OverflowError, match=match):
             _polygamma_array(np.array([3, n, 40]), np.array([2.5, x, 1e-7]))
+
+
+def _recorded_kernel(monkeypatch, n, x):
+    """_kernel_outcome(n, x), and the (n, x) of each call it makes to
+    polygamma, which the kernel looks up in polycm.cm."""
+    calls = []
+    monkeypatch.setattr(polycm.cm, "polygamma",
+                        lambda m, xm: calls.append((m, xm)) or polygamma(m, xm))
+    return _kernel_outcome(n, x), calls
+
+
+def test_array_kernel_calls_polygamma_only_on_its_first_raising_element(monkeypatch):
+    # blocks of one order and blocks that mix n = 0 and n >= 1 elements: a
+    # block whose elements all return makes no scalar call, and a raising
+    # block makes one, on its first raising element, whose message it raises
+    returning = [([5], [3.0]), ([0] * 3, [1e-3, 10.0, 1e300]),
+                 ([0, 3, 40, 0, 28], [0.25, 2.5, 32768107.6, 1e300, 4e10]),
+                 ([28, 0, 40], [4e10, 1e-300, 1e-3])]
+    raising = [(([0, 3, 0, 40, 0], [0.25, 2.5, 1e-310, 1e-8, 7.0]), (0, 1e-310)),
+               (([3, 40, 0, 0], [2.5, 1e-8, 1e-310, 7.0]), (40, 1e-8)),
+               (([1, 0, 28, 0], [0.5, 2.0, 122322200237.42154, 1e-310]),
+                (28, 122322200237.42154)),
+               (([40] * 3, [1e-3, 1e-7, 1e-8]), (40, 1e-7))]
+    for n, x in returning:
+        outcome, calls = _recorded_kernel(monkeypatch, n, x)
+        assert outcome == _engine_outcome(n, x) and isinstance(outcome, list), (n, x)
+        assert calls == [], (n, x)
+    for (n, x), first in raising:
+        outcome, calls = _recorded_kernel(monkeypatch, n, x)
+        assert outcome == ("OverflowError", f"psi_{first[0]}({first[1]!r}) left the binary64 range")
+        assert outcome == _engine_outcome(n, x)
+        assert calls == [first], (n, x)
+
+
+def test_array_kernel_asserts_when_polygamma_returns_on_an_infinite_bar(monkeypatch):
+    # the kernel's bar is not finite only where polygamma raises; should
+    # polygamma return there, the kernel names the element
+    positive_orders = polycm.cm._positive_orders
+
+    def broken(n, x):
+        values, bars = positive_orders(n, x)
+        bars[1] = math.inf
+        return values, bars
+
+    monkeypatch.setattr(polycm.cm, "_positive_orders", broken)
+    match = "^" + re.escape("polygamma(3, 2.5) returned where the array kernel's bar is inf") + "$"
+    with pytest.raises(AssertionError, match=match):
+        _polygamma_array(np.array([0, 5, 3, 40]), np.array([1.0, 2.0, 2.5, 1e-8]))
+
+
+def _power_edge(n):
+    """The largest double x at which x ** (n + 1) does not overflow."""
+    def overflows(x):
+        try:
+            x ** (n + 1.0)
+        except OverflowError:
+            return True
+        return False
+
+    x = 2.0 ** (1024.0 / (n + 1))
+    while overflows(x):
+        x = math.nextafter(x, 0.0)
+    while not overflows(math.nextafter(x, math.inf)):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def test_array_kernel_returns_up_to_the_head_powers_overflow(monkeypatch):
+    # for every n >= 1, x in (2^(1021/(n+2)), the last x at which y^(n+1)
+    # is finite]: y^-(n+2) is below 2 DBL_MIN, even below 2^-1023 from
+    # 2^(1023/(n+2)) on, and polygamma returns.  At both ends and at
+    # 2^(1023/(n+2)), within 3 ulps, and at 16 log points between, each
+    # alone and those that return in one block, the kernel gives
+    # polygamma's bits with no scalar call; the next double above the
+    # window raises polygamma's message.  (40, 32768107.6), whose head
+    # term drops out and whose value is far outside its bar, is among
+    # them: the kernel returns polygamma's bits there too
+    for n in range(1, MAX_ORDER + 1):
+        low, top = 2.0 ** (1021.0 / (n + 2)), _power_edge(n)
+        xs = [low * (top / low) ** (i / 17) for i in range(1, 17)]
+        for centre in (low, 2.0 ** (1023.0 / (n + 2)), top):
+            up = down = centre
+            xs.append(centre)
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                xs += [up, down]
+        if n == 40:
+            xs.append(32768107.6)
+        inside = [x for x in xs if low < x <= top]
+        for x in xs:
+            outcome, calls = _recorded_kernel(monkeypatch, [n], [x])
+            assert outcome == _engine_outcome([n], [x]), (n, x)
+            assert isinstance(outcome, list) == (x <= top), (n, x)
+            assert calls == ([] if x <= top else [(n, x)]), (n, x)
+        outcome, calls = _recorded_kernel(monkeypatch, [n] * len(inside), inside)
+        assert outcome == _engine_outcome([n] * len(inside), inside) and calls == [], n
+        above = math.nextafter(top, math.inf)
+        assert _kernel_outcome([n], [above]) == (
+            "OverflowError", f"psi_{n}({above!r}) left the binary64 range"), n
 
 
 def _fold_stop(n, x):

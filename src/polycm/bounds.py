@@ -84,6 +84,14 @@ def _row(x, lower, middle, upper, lower_margin, upper_margin,
     fields in the same order through object.__setattr__, and this skips
     its call overhead.  Setting them, not writing row.__dict__, keeps the
     rows' key-sharing dicts unmaterialised.
+
+    Every faster build measured materialises the instance dict (CPython
+    3.11, 50-row columns): item stores into row.__dict__ took 2.3x less
+    time and 63 B more per row, and assigning a dict literal to __dict__
+    2-3x less time and 175 B more per row (tracemalloc).  With the literal,
+    a `verify` bench run's peak_rss_mb rose 4.3% (40.8 to 42.5 MB on seed
+    5), as the bench keeps the first pass's tables.  So the rows stay
+    unmaterialised.
     """
     row = _new(BoundCheck)
     _setattr(row, "x", x)

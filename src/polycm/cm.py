@@ -12,6 +12,10 @@ its samples, and polycm.bounds its table rows, from _gap_block, which runs
 the engine's numpy array kernel, _polygamma_array.  The kernel lives here,
 beside its one caller, so that polycm.polygamma stays pure Python; its
 powers and logs are libm's, so it returns polygamma's bits on every host.
+It is built to make few numpy calls on blocks of about a thousand
+elements, where each call's fixed cost is most of its time: a block of
+orders n >= 1 gathers all its per-order constants, polygamma's own floats,
+in one call, and the asymptotic series takes four calls per term.
 
 The module also carries the elementary ratio behind those facts,
 (e^-alpha t - e^-beta t)/(1 - e^-t), with its exact monotonicity criterion;
@@ -31,8 +35,8 @@ from .polygamma import (
     _EPS,
     _FACTORIAL_FLOATS,
     _MAX_ASYMPTOTIC_TERMS,
+    _ORDERS,
     _THRESHOLD_FLOATS,
-    MAX_ORDER,
     EvalResult,
     _as_float,
     _check_derivative,
@@ -109,8 +113,10 @@ class GridSpec:
         # the exponents first: a grid larger than memory raises MemoryError
         # before any per-point work
         inner = np.arange(1, self.points - 1) * step + log_lo
+        xs = np.empty(self.points)
+        xs[0], xs[-1] = self.lo, self.hi
         with np.errstate(over="ignore"):
-            xs = np.concatenate(([self.lo], np.float_power(10.0, inner), [self.hi]))
+            np.float_power(10.0, inner, out=xs[1:-1])
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(
                 f"[{self.lo!r}, {self.hi!r}] is too narrow for {self.points} distinct "
@@ -237,11 +243,28 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
 # coefficients one row per term, so each term's column of orders is
 # contiguous.
 _COEFFICIENT_TERMS = np.array(_COEFFICIENTS).T.copy()
-_FACTORIALS = np.array(_FACTORIAL_FLOATS)
-_THRESHOLDS = np.array(_THRESHOLD_FLOATS)
-#: 2^(54/(n+1)) - 1 for every order n, the kernel's shift cap (see the cap
-#: comment in polygamma).
-_SHIFT_CAP = np.array([2.0 ** (54.0 / (n + 1)) - 1.0 for n in range(MAX_ORDER + 1)])
+#: One column per order n and one row per constant the n >= 1 kernel reads,
+#: so that a block gathers all of them in one call, _ORDER_ROWS[:, n]: the
+#: shift threshold, the shift cap 2^(54/(n+1)) - 1 (see the cap comment in
+#: polygamma), the exponents -(n+1), n+1, -(n+2) and -n, (n-1)!, (n-1)! n,
+#: n! and the sign (-1)^(n+1), each the scalar engine's own float.
+_ORDER_ROWS = np.array([
+    (_THRESHOLD_FLOATS[n], 2.0 ** (54.0 / (n + 1)) - 1.0, neg_n_plus_1, n_plus_1, neg_n_plus_2,
+     neg_n, fact_nm1, fact_nm1_n, _FACTORIAL_FLOATS[n], -1.0 if n % 2 == 0 else 1.0)
+    for n, (neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n) in enumerate(_ORDERS)
+]).T.copy()
+_THRESHOLDS, _SHIFT_CAP, _FACTORIALS = _ORDER_ROWS[0], _ORDER_ROWS[1], _ORDER_ROWS[8]
+#: (-1)^n for every order n, the sign of the gap's power term and the scan's.
+_ALTERNATING = -_ORDER_ROWS[9]
+#: How _series adds a term's size to the budget, per term: the term itself
+#: (np.add) where its coefficient is positive, its negation (np.subtract)
+#: where it is negative, so |term| is never formed and no bit moves.  The
+#: sign of c_j is that of B_2j at every order n >= 1, and the opposite at
+#: n = 0, whose coefficients carry digamma's minus sign.
+_POSITIVE_STEPS, _ZERO_STEPS = (
+    tuple(np.add if c > 0.0 else np.subtract for c in _COEFFICIENTS[n][:_MAX_ASYMPTOTIC_TERMS])
+    for n in (1, 0)
+)
 
 
 def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,21 +321,25 @@ def _fold(terms: np.ndarray) -> np.ndarray:
 
 def _series(
     coefficients: np.ndarray, value: np.ndarray, budget: np.ndarray, power: np.ndarray,
-    inv2: np.ndarray,
+    inv2: np.ndarray, steps: tuple[np.ufunc, ...],
 ) -> np.ndarray:
     """polygamma's asymptotic series: adds its 20 terms c_j power inv2^j
     to value, and their sizes to budget, in place, and returns the
     truncation bound, the size of the 21st.  coefficients holds one row
-    per term, each a column of orders or one order's coefficient.
+    per term, each a column of orders or one order's coefficient, and
+    steps one ufunc per term, _POSITIVE_STEPS or _ZERO_STEPS: each term's
+    coefficient has one sign over the whole column, and power is never
+    negative, so budget + |t| is budget + t or budget - t, the same
+    rounding of the same exact sum.  Four numpy calls per term.
 
     It runs all 20 terms, where the scalar engine stops at a negligible
     term with the full sum's bits (see the series comment in polygamma).
     """
     term = np.empty_like(power)
-    for c in coefficients[:_MAX_ASYMPTOTIC_TERMS]:
+    for c, step in zip(coefficients, steps):
         np.multiply(c, power, out=term)
         value += term
-        budget += np.abs(term, out=term)
+        step(budget, term, out=budget)
         power *= inv2
     return np.abs(coefficients[_MAX_ASYMPTOTIC_TERMS] * power)
 
@@ -344,7 +371,7 @@ def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inv2 = 1.0 / (y * y)
         value = np.fromiter(map(math.log, y.tolist()), float, y.size) - 0.5 / y
         budget = np.abs(value) + 1.0 / y
-        trunc = _series(_COEFFICIENT_TERMS[:, 0], value, budget, inv2.copy(), inv2)
+        trunc = _series(_COEFFICIENT_TERMS[:, 0], value, budget, inv2.copy(), inv2, _ZERO_STEPS)
 
         value -= shift
         budget += shift
@@ -355,24 +382,28 @@ def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """polygamma(n[i], x[i]) for orders n >= 1, as (values, error bars),
     through polygamma's steps: its own shift count, the same head, the same
-    series and the same error bar.
+    series and the same error bar.  Every per-order constant, the shift
+    cap r = 2^(54/(n+1)) - 1 among them, comes from one gather of
+    _ORDER_ROWS, which holds the scalar engine's own floats, and the sign
+    (-1)^(n+1) goes on as a factor of +-1, an exact product.
 
-    Its shift pass forms the steps j < floor(x _SHIFT_CAP[n]) + 2 within
-    the shift count: every step the scalar fold adds is among them, and
-    each of them after the fold's stop leaves the running total unchanged
-    (see the cap and fold comments in polygamma), so both folds end on the
-    same bits.  Its powers are np.float_power's, libm's pow per element,
-    the pow behind CPython's **, so wherever polygamma returns, the value
-    and bar here are its bits on every numpy CPU dispatch.  float_power
-    never raises, where ** raises OverflowError on a power that overflows;
-    of polygamma's powers only two can (the others have negative exponents
-    and y >= 10): the j = 0 shift term x^-(n+1), which makes the bar here
-    inf too, and the head's y^(n+1), which here would only drop the head's
-    second term, so the bar is set to inf where it is inf.  So the bar is
-    not finite exactly where polygamma raises, there or in _result.
+    Its shift pass forms the steps j < floor(x r) + 2 within the shift
+    count: every step the scalar fold adds is among them, and each of them
+    after the fold's stop leaves the running total unchanged (see the cap
+    and fold comments in polygamma), so both folds end on the same bits.
+    Its powers are np.float_power's, libm's pow per element, the pow behind
+    CPython's **, so wherever polygamma returns, the value and bar here are
+    its bits on every numpy CPU dispatch.  float_power never raises, where
+    ** raises OverflowError on a power that overflows; of polygamma's
+    powers only two can (the others have negative exponents and y >= 10):
+    the j = 0 shift term x^-(n+1), which makes the bar here inf too, and
+    the head's y^(n+1), which here would only drop the head's second term,
+    so the bar is set to inf where it is inf.  So the bar is not finite
+    exactly where polygamma raises, there or in _result.
     """
-    order = n.astype(float)
-    count = np.maximum(0.0, np.ceil(_THRESHOLDS[n] - x))
+    (threshold, cap, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_nm1_n, fact_n,
+     sign) = _ORDER_ROWS[:, n]
+    count = np.maximum(0.0, np.ceil(threshold - x))
     acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
         # shift pass: (x+j)^-(n+1), one row per step j and one column per
@@ -382,31 +413,30 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # leaves the fold's sums unchanged.
         below = np.flatnonzero(count > 0)
         if below.size:
-            capped = np.minimum(count[below], np.floor(x[below] * _SHIFT_CAP[n[below]]) + 2.0)
+            capped = np.minimum(count[below], np.floor(x[below] * cap[below]) + 2.0)
             rank = np.argsort(-capped, kind="stable")
             below, capped = below[rank], capped[rank]
             steps = np.arange(capped[0])[:, None]
             live = steps < capped
-            terms = np.float_power(x[below] + steps, -(order[below] + 1.0),
+            terms = np.float_power(x[below] + steps, neg_n_plus_1[below],
                                    out=np.zeros(live.shape), where=live)
             acc[below] = _fold(terms)
 
         # head: (n-1)!/y^n + n!/(2 y^(n+1))
         y = x + count
         inv2 = 1.0 / (y * y)
-        fact_nm1 = _FACTORIALS[n - 1]
-        half_power = np.float_power(y, order + 1.0)
-        power = np.float_power(y, -(order + 2.0))
-        value = fact_nm1 * np.float_power(y, -order) + fact_nm1 * order / (2.0 * half_power)
+        half_power = np.float_power(y, n_plus_1)
+        power = np.float_power(y, neg_n_plus_2)
+        value = fact_nm1 * np.float_power(y, neg_n) + fact_nm1_n / (2.0 * half_power)
         budget = value.copy()
-        trunc = _series(_COEFFICIENT_TERMS[:, n], value, budget, power, inv2)
+        trunc = _series(_COEFFICIENT_TERMS[:, n], value, budget, power, inv2, _POSITIVE_STEPS)
 
-        shift = _FACTORIALS[n] * acc
+        shift = fact_n * acc
         total = value + shift
         budget += shift
         bars = trunc + _EPS * (2.0 * budget + 8.0 * total)
     bars[half_power == np.inf] = np.inf
-    return np.where(n % 2 == 1, total, -total), bars
+    return total * sign, bars
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +498,7 @@ def _gap_block(
     pairs[1::2] = x
     values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
-    last = np.where(n % 2 == 0, p.a, -p.a) * (_FACTORIALS[m] / np.float_power(x, m + 1.0))
+    last = _ALTERNATING[n] * p.a * (_FACTORIALS[m] / np.float_power(x, m + 1.0))
     value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
     return value, err, last
@@ -500,7 +530,7 @@ def cm_scan(p: ShiftParams, max_order: int, grid: GridSpec) -> CMScanReport:
         x = xs[i]
         value, err, _ = _gap_block(p, n, x)
         # (-1)^n for the derivative order, times -1 again for odd k
-        signed = np.where((p.k + n) % 2 == 0, value, -value)
+        signed = value * _ALTERNATING[p.k + n]
         determinate = np.flatnonzero(np.abs(signed) >= SIGN_GUARD * err)
         indeterminate += len(n) - len(determinate)
         if len(determinate) == 0:

@@ -27,9 +27,10 @@ fold inline, and a result validated once by _result.  The module is pure
 Python and imports no numpy.  polygamma is the scalar reference for the
 array kernel in polycm.cm, which runs the same steps and the same
 error-bar formula over whole arrays of orders and arguments at once, with
-libm's log for order 0, and calls polygamma only to raise its message at
-the first element on which it raises; cm_scan evaluates its grids through
-it.
+this module's per-order floats (_THRESHOLD_FLOATS, _ORDERS,
+_FACTORIAL_FLOATS) gathered into one table and libm's log for order 0,
+and calls polygamma only to raise its message at the first element on
+which it raises; cm_scan evaluates its grids through it.
 The kernel's shift pass for n >= 1 forms only the recurrence terms before
 a per-element cap, 2^(54/(n+1)) - 1 times x plus two steps, from which on
 no term can change the sum (see the cap comment in polygamma), so it holds

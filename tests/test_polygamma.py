@@ -19,7 +19,16 @@ from polycm import (
     factorial_over_power,
     polygamma,
 )
-from polycm.cm import _SHIFT_CAP, _polygamma_array
+from polycm.cm import (
+    _ALTERNATING,
+    _FACTORIALS,
+    _ORDER_ROWS,
+    _POSITIVE_STEPS,
+    _SHIFT_CAP,
+    _THRESHOLDS,
+    _ZERO_STEPS,
+    _polygamma_array,
+)
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import (
     _COEFFICIENTS,
@@ -648,3 +657,32 @@ def test_series_terms_shrink_from_the_shift_threshold_on():
         for j in range(20):
             ratio = abs(row[j + 1] / row[j]) / shift_threshold(n) ** 2
             assert ratio < 0.4575, (n, j, ratio)
+
+
+def test_series_coefficient_signs_depend_only_on_the_term():
+    # the premise of the kernel's four-call series step: budget + |t| is
+    # budget + t or budget - t by the sign of t's coefficient, which one
+    # step tuple fixes per term for every order n >= 1 and another for
+    # n = 0, where digamma's minus sign flips every coefficient
+    for n, row in enumerate(_COEFFICIENTS):
+        steps = _ZERO_STEPS if n == 0 else _POSITIVE_STEPS
+        assert len(steps) == 20
+        for j, step in enumerate(steps):
+            same = (row[j] > 0.0) == (_COEFFICIENTS[1][j] > 0.0)
+            assert same == (n >= 1), (n, j)
+            assert step is (np.add if row[j] > 0.0 else np.subtract), (n, j)
+
+
+def test_order_rows_hold_the_scalar_engines_constants():
+    # the n >= 1 kernel gathers every per-order constant from one column of
+    # _ORDER_ROWS; each must be the float polygamma itself uses, bit for bit
+    for n in range(MAX_ORDER + 1):
+        fact_nm1 = float(math.factorial(n - 1)) if n else 0.0
+        expected = [shift_threshold(n), 2.0 ** (54.0 / (n + 1)) - 1.0, -(n + 1), n + 1,
+                    -(n + 2), -n, fact_nm1, fact_nm1 * n, float(math.factorial(n)),
+                    (-1) ** (n + 1)]
+        assert [v.hex() for v in _ORDER_ROWS[:, n].tolist()] == [
+            float(e).hex() for e in expected], n
+        assert _ALTERNATING[n] == (-1) ** n
+    for row in (_THRESHOLDS, _SHIFT_CAP, _FACTORIALS):
+        assert row.base is _ORDER_ROWS

@@ -110,43 +110,36 @@ def bound_table(p: ShiftParams, grid: GridSpec) -> list[BoundCheck]:
     """Evaluate the parity-appropriate two-sided bound at every grid point.
 
     The grid must sit strictly above x = 1.  C(a, k) does not depend on x,
-    so it is evaluated once for the whole table, as the gap at x = 1, which
-    heads the first block; endpoint_constants cross-checks that same value
-    by quadrature.
+    so it is evaluated once for the whole table, as the gap at x = 1:
+    element 0 of the table's one x array, [1.0, *grid].
+    endpoint_constants cross-checks that same value by quadrature.
 
-    Each row is built on the gap g(x), taken _SCAN_BLOCK rows at a time
-    from _gap_block, which has shift_gap_derivative's bits, so C is
-    shift_gap_derivative(p, 0, 1.0)'s value and bar; each column of a
-    block is one array, whose float64 arithmetic is Python's.  The base
-    term a k!/x^(k+1) is the gap's own power term and the middle is base + g.
-    The margins are the gap itself: (g, C - g) for even k, where C joins
-    the upper side, and (g - C, -g) for odd k, where it joins the lower
-    one.  Each margin's bar is g's, plus C's on the side that has C, plus
-    the rounding of the margin itself.
+    The gaps come from _gap_block, _SCAN_BLOCK elements of that array at a
+    time, with shift_gap_derivative's bits, so C is shift_gap_derivative(p,
+    0, 1.0)'s value and bar; each column of the table is then one array,
+    whose float64 arithmetic is Python's.  The base term a k!/x^(k+1) is
+    the gap's own power term and the middle is base + g.  The margins are
+    the gap itself: (g, C - g) for even k, where C joins the upper side,
+    and (g - C, -g) for odd k, where it joins the lower one.  Each margin's
+    bar is g's, plus C's on the side that has C, plus the rounding of the
+    margin itself.
     """
     if not grid.lo > 1.0:
         raise ValueError(f"bounds hold on x > 1 only, got x={grid.lo!r}")
-    even = p.k % 2 == 0
-    xs = grid.generate()
-    rows = []
-    for start in range(0, xs.size, _SCAN_BLOCK):
-        x = xs[start:start + _SCAN_BLOCK]
-        if start:
-            g, g_err, base = _gap_block(p, np.zeros(x.size, np.intp), x)
-        else:
-            g, g_err, base = _gap_block(p, np.zeros(x.size + 1, np.intp),
-                                        np.concatenate(([1.0], x)))
-            c, c_err = g[0], g_err[0]
-            g, g_err, base = g[1:], g_err[1:], base[1:]
-        if even:
-            lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
-            lower_err, upper_err = g_err, g_err + c_err
-        else:
-            lower, upper, lower_margin, upper_margin = base + c, base, g - c, -g
-            lower_err, upper_err = g_err + c_err, g_err
-        # BoundCheck's fields in order, as columns of Python floats and bools
-        columns = (x, lower, base + g, upper, lower_margin, upper_margin,
-                   lower_err + _EPS * np.abs(lower_margin), upper_err + _EPS * np.abs(upper_margin),
-                   (lower_margin > 0.0) & (upper_margin > 0.0))
-        rows += map(_row, *(column.tolist() for column in columns))
-    return rows
+    xs = np.concatenate(([1.0], grid.generate()))
+    blocks = (xs[start:start + _SCAN_BLOCK] for start in range(0, xs.size, _SCAN_BLOCK))
+    g, g_err, base = map(np.concatenate,
+                         zip(*(_gap_block(p, np.zeros(x.size, np.intp), x) for x in blocks)))
+    c, c_err = g[0], g_err[0]
+    x, g, g_err, base = xs[1:], g[1:], g_err[1:], base[1:]
+    if p.k % 2 == 0:
+        lower, upper, lower_margin, upper_margin = base, base + c, g, c - g
+        lower_err, upper_err = g_err, g_err + c_err
+    else:
+        lower, upper, lower_margin, upper_margin = base + c, base, g - c, -g
+        lower_err, upper_err = g_err + c_err, g_err
+    # BoundCheck's fields in order, as columns of Python floats and bools
+    columns = (x, lower, base + g, upper, lower_margin, upper_margin,
+               lower_err + _EPS * np.abs(lower_margin), upper_err + _EPS * np.abs(upper_margin),
+               (lower_margin > 0.0) & (upper_margin > 0.0))
+    return list(map(_row, *(column.tolist() for column in columns)))

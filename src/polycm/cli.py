@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from operator import attrgetter
 
 from .bounds import bound_table, endpoint_constants
 from .cm import CMScanReport, GridSpec, ShiftParams, cm_scan
@@ -102,18 +103,10 @@ def _emit_rows_csv(rows, out) -> None:
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
+    fields = attrgetter(*_CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [
-                _g(r.x),
-                _g(r.lower),
-                _g(r.middle),
-                _g(r.upper),
-                _g(r.lower_margin),
-                _g(r.upper_margin),
-                "true" if r.passed else "false",
-            ]
-        )
+        *values, passed = fields(r)
+        writer.writerow([*map(_g, values), "true" if passed else "false"])
 
 
 def _report_dict(report: CMScanReport) -> dict:

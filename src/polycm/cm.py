@@ -14,8 +14,9 @@ beside its one caller, so that polycm.polygamma stays pure Python; its
 powers and logs are libm's, so it returns polygamma's bits on every host.
 It is built to make few numpy calls on blocks of about a thousand
 elements, where each call's fixed cost is most of its time: a block of
-orders n >= 1 gathers all its per-order constants, polygamma's own floats,
-in one call, and the asymptotic series takes four calls per term.
+orders n >= 1 gathers all its per-order constants in one call from
+polygamma's one per-order table, _ORDERS, and the asymptotic series takes
+four calls per term.
 
 The module also carries the elementary ratio behind those facts,
 (e^-alpha t - e^-beta t)/(1 - e^-t), with its exact monotonicity criterion;
@@ -33,10 +34,8 @@ import numpy as np
 from .polygamma import (
     _COEFFICIENTS,
     _EPS,
-    _FACTORIAL_FLOATS,
     _MAX_ASYMPTOTIC_TERMS,
     _ORDERS,
-    _THRESHOLD_FLOATS,
     EvalResult,
     _as_float,
     _check_derivative,
@@ -243,17 +242,10 @@ def shift_gap_derivative(p: ShiftParams, n: int, x: float) -> EvalResult:
 # coefficients one row per term, so each term's column of orders is
 # contiguous.
 _COEFFICIENT_TERMS = np.array(_COEFFICIENTS).T.copy()
-#: One column per order n and one row per constant the n >= 1 kernel reads,
-#: so that a block gathers all of them in one call, _ORDER_ROWS[:, n]: the
-#: shift threshold, the shift cap 2^(54/(n+1)) - 1 (see the cap comment in
-#: polygamma), the exponents -(n+1), n+1, -(n+2) and -n, (n-1)!, (n-1)! n,
-#: n! and the sign (-1)^(n+1), each the scalar engine's own float.
-_ORDER_ROWS = np.array([
-    (_THRESHOLD_FLOATS[n], 2.0 ** (54.0 / (n + 1)) - 1.0, neg_n_plus_1, n_plus_1, neg_n_plus_2,
-     neg_n, fact_nm1, fact_nm1_n, _FACTORIAL_FLOATS[n], -1.0 if n % 2 == 0 else 1.0)
-    for n, (neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n) in enumerate(_ORDERS)
-]).T.copy()
-_THRESHOLDS, _SHIFT_CAP, _FACTORIALS = _ORDER_ROWS[0], _ORDER_ROWS[1], _ORDER_ROWS[8]
+#: polygamma's per-order table transposed, one column per order n and one
+#: row per constant, so that a block of orders gathers all of them in one
+#: call, _ORDER_ROWS[:, n].
+_ORDER_ROWS = np.array(_ORDERS).T.copy()
 #: (-1)^n for every order n, the sign of the gap's power term and the scan's.
 _ALTERNATING = -_ORDER_ROWS[9]
 #: How _series adds a term's size to the budget, per term: the term itself
@@ -354,7 +346,7 @@ def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is not finite (1/x overflows below about 5.6e-309), and the bar here,
     which adds 8 |value|, is not finite there either.
     """
-    count = np.maximum(0.0, np.ceil(_THRESHOLDS[0] - x))
+    count = np.maximum(0.0, np.ceil(_ORDER_ROWS[0, 0] - x))  # order 0's threshold
     shift = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
         # shift pass: 1/(x+j), one row per step j and one column per element
@@ -384,13 +376,14 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     through polygamma's steps: its own shift count, the same head, the same
     series and the same error bar.  Every per-order constant, the shift
     cap r = 2^(54/(n+1)) - 1 among them, comes from one gather of
-    _ORDER_ROWS, which holds the scalar engine's own floats, and the sign
+    _ORDER_ROWS, the scalar engine's own table, and the sign
     (-1)^(n+1) goes on as a factor of +-1, an exact product.
 
     Its shift pass forms the steps j < floor(x r) + 2 within the shift
     count: every step the scalar fold adds is among them, and each of them
     after the fold's stop leaves the running total unchanged (see the cap
-    and fold comments in polygamma), so both folds end on the same bits.
+    comment at polygamma._ORDERS and the fold comment in polygamma), so
+    both folds end on the same bits.
     Its powers are np.float_power's, libm's pow per element, the pow behind
     CPython's **, so wherever polygamma returns, the value and bar here are
     its bits on every numpy CPU dispatch.  float_power never raises, where
@@ -498,7 +491,7 @@ def _gap_block(
     pairs[1::2] = x
     values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
-    last = _ALTERNATING[n] * p.a * (_FACTORIALS[m] / np.float_power(x, m + 1.0))
+    last = _ALTERNATING[n] * p.a * (_ORDER_ROWS[8, m] / np.float_power(x, m + 1.0))  # m!
     value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
     return value, err, last

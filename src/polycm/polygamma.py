@@ -27,14 +27,13 @@ fold inline, and a result validated once by _result.  The module is pure
 Python and imports no numpy.  polygamma is the scalar reference for the
 array kernel in polycm.cm, which runs the same steps and the same
 error-bar formula over whole arrays of orders and arguments at once, with
-this module's per-order floats (_THRESHOLD_FLOATS, _ORDERS,
-_FACTORIAL_FLOATS) gathered into one table and libm's log for order 0,
-and calls polygamma only to raise its message at the first element on
-which it raises; cm_scan evaluates its grids through it.
-The kernel's shift pass for n >= 1 forms only the recurrence terms before
-a per-element cap, 2^(54/(n+1)) - 1 times x plus two steps, from which on
-no term can change the sum (see the cap comment in polygamma), so it holds
-every term this fold adds.
+this module's one per-order table, _ORDERS, gathered whole as its
+transpose and libm's log for order 0, and calls polygamma only to raise
+its message at the first element on which it raises; cm_scan evaluates
+its grids through it.  The kernel's shift pass for n >= 1 forms only the
+recurrence terms before a per-element cap, 2^(54/(n+1)) - 1 times x plus
+two steps, from which on no term can change the sum (see the cap comment
+at _ORDERS), so it holds every term this fold adds.
 """
 
 import math
@@ -54,8 +53,6 @@ _MAX_ASYMPTOTIC_TERMS = 20
 #: The series stops before a term below this fraction of the head's
 #: magnitude budget; see polygamma for why no bit moves.
 _NEGLIGIBLE = 2.0**-106
-#: n! for every order as Python floats, so scalar results stay plain floats.
-_FACTORIAL_FLOATS = tuple(float(math.factorial(n)) for n in range(MAX_ORDER + 1))
 
 
 class EvalResult:
@@ -141,17 +138,39 @@ def shift_threshold(n: int) -> float:
     return float(max(10, n + 8))
 
 
-#: shift_threshold(n) and ln n! for every order.
-_THRESHOLD_FLOATS = tuple(shift_threshold(n) for n in range(MAX_ORDER + 1))
+#: ln n! for every order, factorial_over_power's log-space branch.
 _LOG_FACTORIAL_FLOATS = tuple(math.lgamma(n + 1) for n in range(MAX_ORDER + 1))
-#: Row n holds order n's float constants, formed once here rather than on
-#: every call: the exponents -n, n + 1, -(n + 2) and -(n + 1), then (n-1)!
-#: and (n-1)!*n for the head (0.0 at n = 0, which has no such head).
+
+# The cap: polygamma's n >= 1 fold stops no later than step c = floor(x r)
+# + 2, where r = 2^(54/(n+1)) - 1 (column 1 of _ORDERS), so the array
+# kernel forms only the steps j < c.  Its x r is fl(x fl(r)), within 2^-47
+# of x r relatively (54/(n+1), pow and - 1 round r, and the product rounds
+# once), and x r < 48 * 2^27 = 1.5 * 2^32 for a shifting x (below a
+# threshold, so under 48) and n >= 1; so the rounding moves it by under
+# 2^-14, and x + c exceeds R = x 2^(54/(n+1)) < 1.5 * 2^32 by more than
+# 1 - 2^-14 > 2^-33 R.  fl(x + c) is within 2^-53 of x + c relatively, so
+# it exceeds R (1 + 2^-34), and (fl(x + c)/x)^-(n+1) < 2^-54 / (1 + 2^-34).
+# libm's pow is within an ulp (2^-52 relatively), both in the fold and in
+# its j = 0 term t0 = x^-(n+1) (the margin 2^-34 covers up to 2^17 ulps
+# each), so the term at c is below 2^-54 t0 <= 2^-54 acc.  A finite acc >=
+# t0 > 48^-41 is normal (an infinite t0 gives the kernel an infinite bar),
+# so half an ulp of acc exceeds 2^-54 acc, and acc + the term at c rounds
+# to acc.  At c = floor(x r) + 1 the rounding of x r could leave x + c at R
+# or below it, with no margin; hence the + 2.
+#: The one per-order table: row n holds every float that polygamma and the
+#: array kernel in polycm.cm read for order n, formed once here rather than
+#: on every call, in the kernel's column order (its _ORDER_ROWS is this
+#: table transposed): shift_threshold(n), the shift cap 2^(54/(n+1)) - 1,
+#: the exponents -(n+1), n+1, -(n+2) and -n, then (n-1)! and (n-1)! n for
+#: the head (0.0 at n = 0, which has no such head), n! and the sign
+#: (-1)^(n+1).
 _ORDERS = tuple(
     (
-        float(-n), float(n + 1), float(-(n + 2)), float(-(n + 1)),
-        _FACTORIAL_FLOATS[n - 1] if n else 0.0,
-        _FACTORIAL_FLOATS[n - 1] * n if n else 0.0,
+        shift_threshold(n), 2.0 ** (54.0 / (n + 1)) - 1.0,
+        float(-(n + 1)), float(n + 1), float(-(n + 2)), float(-n),
+        float(math.factorial(n - 1)) if n else 0.0,
+        float(math.factorial(n - 1)) * n if n else 0.0,
+        float(math.factorial(n)), 1.0 if n % 2 else -1.0,
     )
     for n in range(MAX_ORDER + 1)
 )
@@ -242,7 +261,8 @@ def polygamma(n: int, x: float) -> EvalResult:
     # value or its bar did (a division overflows to inf silently): one
     # message for either
     try:
-        threshold = _THRESHOLD_FLOATS[n]
+        (threshold, _, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_nm1_n, fact_n,
+         sign) = _ORDERS[n]
         shift_count = math.ceil(threshold - x) if x < threshold else 0
         y = x + shift_count
 
@@ -268,7 +288,6 @@ def polygamma(n: int, x: float) -> EvalResult:
         # truncation bound and for the full sum's, a later and smaller term.
         # E is a normal number unless y^-(n+2) underflowed to 0, and then every
         # term and both bounds are 0.
-        neg_n, n_plus_1, neg_n_plus_2, neg_n_plus_1, fact_nm1, fact_nm1_n = _ORDERS[n]
         inv2 = 1.0 / (y * y)
         # inv2 and y ** -(n + 2) round differently, so each head keeps its own power
         if n == 0:
@@ -311,37 +330,20 @@ def polygamma(n: int, x: float) -> EvalResult:
         # one that can overflow, is the j = 0 term, which is always formed, so
         # the same arguments raise.  The n = 0 fold above runs every step:
         # for x above about 1e-15 each of its 1/(x + j) moves the sum, so a
-        # stop test there would only cost time.
-        #
-        # The cap: this fold stops no later than step c = floor(x r) + 2,
-        # where r = 2^(54/(n+1)) - 1 (polycm.cm's _SHIFT_CAP), so the array
-        # kernel forms only the steps j < c.  Its x r is fl(x fl(r)), within
-        # 2^-47 of x r relatively (54/(n+1), pow and - 1 round r, and the
-        # product rounds once), and x r < 48 * 2^27 = 1.5 * 2^32 for a
-        # shifting x (below a threshold, so under 48) and n >= 1; so the
-        # rounding moves it by under 2^-14, and x + c exceeds
-        # R = x 2^(54/(n+1)) < 1.5 * 2^32 by more than 1 - 2^-14 > 2^-33 R.
-        # fl(x + c) is within 2^-53 of x + c relatively, so it exceeds
-        # R (1 + 2^-34), and (fl(x + c)/x)^-(n+1) < 2^-54 / (1 + 2^-34).
-        # libm's pow is within an ulp (2^-52 relatively), both here and in
-        # the j = 0 term t0 = x^-(n+1) (the margin 2^-34 covers up to 2^17
-        # ulps each), so the term at c is below 2^-54 t0 <= 2^-54 acc.  A
-        # finite acc >= t0 > 48^-41 is normal (an infinite t0 gives the kernel
-        # an infinite bar), so half an ulp of acc exceeds 2^-54 acc, and
-        # acc + the term at c rounds to acc.  At c = floor(x r) + 1 the
-        # rounding of x r could leave x + c at R or below it, with no
-        # margin; hence the + 2.
+        # stop test there would only cost time.  The array kernel forms only
+        # the steps before a cap, which holds every step this fold adds (see
+        # the cap comment at _ORDERS).
         acc = 0.0
         for j in range(shift_count):
             total = acc + (x + j) ** neg_n_plus_1
             if total == acc:
                 break
             acc = total
-        fact_acc = _FACTORIAL_FLOATS[n] * acc
+        fact_acc = fact_n * acc
         value += fact_acc
         budget += fact_acc
         err = trunc + _EPS * (2.0 * budget + 8.0 * value)
-        return _result(value if n % 2 == 1 else -value, err)
+        return _result(sign * value, err)
     except OverflowError:
         raise OverflowError(f"psi_{n}({x!r}) left the binary64 range") from None
 
@@ -353,7 +355,8 @@ def factorial_over_power(n: int, x: float) -> float:
     """
     n = _check_order(n)
     x = _check_x(x)
-    exponent = _ORDERS[n][1]  # n + 1
+    row = _ORDERS[n]
+    exponent, fact_n = row[3], row[8]  # n + 1 and n!
     log_value = _LOG_FACTORIAL_FLOATS[n] - exponent * math.log(x)
     if log_value > _LOG_MAX:
         return math.inf
@@ -363,4 +366,4 @@ def factorial_over_power(n: int, x: float) -> float:
         p = x**exponent
     except OverflowError:
         return math.exp(log_value)
-    return _FACTORIAL_FLOATS[n] / p
+    return fact_n / p

@@ -186,7 +186,7 @@ class TestBoundTable:
 
     def test_endpoint_constant_is_computed_once_per_table(self, monkeypatch):
         # C(a, k) does not depend on x: it is the gap at x = 1, which heads
-        # the table's first gap block, so a table at k >= 1 makes no
+        # the table's one x array, so a table at k >= 1 makes no
         # shift_gap_derivative call and runs the scalar engine nowhere
         gaps, calls, blocks = [], [], []
         gap, engine, block = (polycm.bounds.shift_gap_derivative, polycm.cm.polygamma,
@@ -216,9 +216,9 @@ class TestBoundTable:
 
     def test_engine_calls_per_table(self, monkeypatch):
         # the rows take their gaps from one _gap_block call per _SCAN_BLOCK
-        # rows, in grid order, at order 0, with x = 1.0 (for C) ahead of the
-        # first block's rows; a block of 7 splits 37 rows into six calls,
-        # and the rows are those of one call
+        # elements of the one x array [1.0, *grid], in order, at order 0,
+        # with x = 1.0 for C; a block of 7 splits C and 37 rows into six
+        # calls, and the rows are those of one call
         grid = GridSpec(lo=1.001, hi=1e4, points=37)
         for p in (ShiftParams(a=0.3, k=2), ShiftParams(a=0.7, k=5)):
             whole = bound_table(p, grid)
@@ -232,6 +232,6 @@ class TestBoundTable:
                 mp.setattr(polycm.bounds, "_gap_block", recorded)
                 mp.setattr(polycm.bounds, "_SCAN_BLOCK", 7)
                 assert bound_table(p, grid) == whole
-            xs = grid.generate().tolist()
-            assert blocks[0] == ([0] * 8, [1.0, *xs[:7]])
-            assert blocks[1:] == [([0] * len(xs[i:i + 7]), xs[i:i + 7]) for i in range(7, 37, 7)]
+            xs = [1.0, *grid.generate().tolist()]
+            assert blocks == [([0] * len(xs[i:i + 7]), xs[i:i + 7]) for i in range(0, 38, 7)]
+            assert len(blocks) == 6

@@ -21,17 +21,15 @@ from polycm import (
 )
 from polycm.cm import (
     _ALTERNATING,
-    _FACTORIALS,
     _ORDER_ROWS,
     _POSITIVE_STEPS,
-    _SHIFT_CAP,
-    _THRESHOLDS,
     _ZERO_STEPS,
     _polygamma_array,
 )
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import (
     _COEFFICIENTS,
+    _ORDERS,
     _check_order,
     _check_x,
     _result,
@@ -615,7 +613,7 @@ def _fold_stop(n, x):
 
 
 def test_shift_cap_holds_every_step_the_fold_adds():
-    # the kernel forms the steps j < floor(x _SHIFT_CAP[n]) + 2 of its shift
+    # the kernel forms the steps j < floor(x r) + 2 of its shift
     # count; wherever that cap binds, the scalar fold must have stopped by
     # then.  Points below every threshold: a log grid from where x^-(n+1)
     # nears overflow, a linear grid, and each x at which the cap steps up,
@@ -624,16 +622,17 @@ def test_shift_cap_holds_every_step_the_fold_adds():
     checked = 0
     for n in range(1, MAX_ORDER + 1):
         t = shift_threshold(n)
+        cap_rate = _ORDERS[n][1]  # r = 2^(54/(n+1)) - 1, the kernel's own float
         ups = []
         for m in range(1, int(t)):
-            up = down = m / float(_SHIFT_CAP[n])
+            up = down = m / cap_rate
             ups.append(up)
             for _ in range(3):
                 up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
                 ups += [up, down]
         xs = np.concatenate((np.geomspace(10.0 ** (-300.0 / (n + 1)), t, 4000)[:-1],
                              np.linspace(0.0, t, 4000)[1:-1], ups))
-        caps = np.floor(xs * _SHIFT_CAP[n]) + 2.0
+        caps = np.floor(xs * cap_rate) + 2.0
         binds = caps < np.ceil(t - xs)
         for x, cap in zip(xs[binds].tolist(), caps[binds].tolist()):
             try:
@@ -673,16 +672,17 @@ def test_series_coefficient_signs_depend_only_on_the_term():
             assert step is (np.add if row[j] > 0.0 else np.subtract), (n, j)
 
 
-def test_order_rows_hold_the_scalar_engines_constants():
-    # the n >= 1 kernel gathers every per-order constant from one column of
-    # _ORDER_ROWS; each must be the float polygamma itself uses, bit for bit
+def test_order_table_columns_are_their_definitions():
+    # polygamma reads every per-order float from its row of _ORDERS and the
+    # n >= 1 kernel gathers each from one column of _ORDER_ROWS, that table
+    # transposed; each column is pinned here to its definition, bit for bit.
+    # (n-1)! and n! are exact integers rounded once; (n-1)! n is the product
+    # of the rounded (n-1)! and n, which is not n! at n = 28, 31 and 34
     for n in range(MAX_ORDER + 1):
         fact_nm1 = float(math.factorial(n - 1)) if n else 0.0
         expected = [shift_threshold(n), 2.0 ** (54.0 / (n + 1)) - 1.0, -(n + 1), n + 1,
-                    -(n + 2), -n, fact_nm1, fact_nm1 * n, float(math.factorial(n)),
-                    (-1) ** (n + 1)]
-        assert [v.hex() for v in _ORDER_ROWS[:, n].tolist()] == [
-            float(e).hex() for e in expected], n
+                    -(n + 2), -n, fact_nm1, fact_nm1 * n, math.factorial(n), (-1) ** (n + 1)]
+        assert [v.hex() for v in _ORDERS[n]] == [float(e).hex() for e in expected], n
+        assert [v.hex() for v in _ORDER_ROWS[:, n].tolist()] == [v.hex() for v in _ORDERS[n]], n
         assert _ALTERNATING[n] == (-1) ** n
-    for row in (_THRESHOLDS, _SHIFT_CAP, _FACTORIALS):
-        assert row.base is _ORDER_ROWS
+    assert _ORDER_ROWS.shape == (10, MAX_ORDER + 1)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,9 +56,9 @@ SIGN_GUARD = 1e3
 
 #: Samples per _gap_block call in cm_scan, and rows per call in
 #: polycm.bounds.bound_table; bounds their working memory whatever the
-#: number of grid points: the kernel's shift pass holds a block of at most
-#: 48 steps (its largest capped count) by 2 x _SCAN_BLOCK elements, and the
-#: mask of its live cells.
+#: number of grid points: the kernel's shift pass (_shift_sum) holds a block
+#: of at most 48 steps (its largest capped count) by at most 2 x _SCAN_BLOCK
+#: elements, and the mask of its live cells.
 _SCAN_BLOCK = 4096
 
 @dataclass(frozen=True)
@@ -293,22 +294,37 @@ def _polygamma_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values, bars
 
 
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """The sum of each column of the step-major block terms, its rows added
-    in order from 0.0, as the scalar engine's fold adds its steps.
+def _shift_sum(x: np.ndarray, steps: np.ndarray, form, *operands: np.ndarray) -> np.ndarray:
+    """The recurrence's shift sum of every element: its terms
+    form(x[i] + j, *(o[i] for o in operands)) for j < steps[i], added in
+    order of j from 0.0, as the scalar engine's fold adds them; 0.0 where
+    steps[i] is 0.
 
-    numpy pairs terms up only along the axis that is fast in memory (see
-    the notes of np.sum); reducing this C-ordered block over its slow axis,
-    the steps, adds them in order, column by column.  A single column is
-    itself the fast axis, which np.add.reduce would sum pairwise, so it
-    takes a row loop.
+    The elements with steps make the columns of one C-ordered block, in
+    their given order, with a row per step j; form(..., out=, where=) fills
+    only the live cells, j < steps[i], and the others stay 0.0, which adds
+    nothing.  numpy pairs terms up only along the axis that is fast in
+    memory (see the notes of np.sum); reducing over the slow axis, the
+    steps, adds each column's terms in order and on its own, whatever the
+    order of the columns.  A single column is itself the fast axis, which
+    np.add.reduce would sum pairwise, so it is added in a loop.
     """
-    if terms.shape[1] > 1:
-        return np.add.reduce(terms, axis=0)
-    acc = np.zeros(1)
-    for row in terms:
-        acc += row
-    return acc
+    total = np.zeros_like(x)
+    below = np.flatnonzero(steps)
+    if below.size:
+        steps = steps[below]
+        j = np.arange(steps.max())[:, None]
+        live = j < steps
+        terms = form(x[below] + j, *(o[below] for o in operands),
+                     out=np.zeros(live.shape), where=live)
+        if below.size > 1:
+            total[below] = np.add.reduce(terms, axis=0)
+        else:
+            acc = 0.0
+            for term in terms[:, 0].tolist():
+                acc += term
+            total[below] = acc
+    return total
 
 
 def _series(
@@ -341,22 +357,14 @@ def _order_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     polygamma's n = 0 steps: its shift count, the head ln y - 1/(2y) with
     libm's log per element (math.log, not numpy's SIMD log, which can
     differ by an ulp), the same series, the fold of 1/(x+j) over every step
-    and the same error bar.  So every finite bar, and its value, is
-    polygamma's bit for bit.  polygamma raises only where its value or bar
-    is not finite (1/x overflows below about 5.6e-309), and the bar here,
-    which adds 8 |value|, is not finite there either.
+    (_shift_sum) and the same error bar.  So every finite bar, and its
+    value, is polygamma's bit for bit.  polygamma raises only where its
+    value or bar is not finite (1/x overflows below about 5.6e-309), and
+    the bar here, which adds 8 |value|, is not finite there either.
     """
     count = np.maximum(0.0, np.ceil(_ORDER_ROWS[0, 0] - x))  # order 0's threshold
-    shift = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        # shift pass: 1/(x+j), one row per step j and one column per element
-        # below the threshold; the steps past an element's count stay 0.0
-        below = np.flatnonzero(count > 0)
-        if below.size:
-            steps = np.arange(count[below].max())[:, None]
-            live = steps < count[below]
-            terms = np.divide(1.0, x[below] + steps, out=np.zeros(live.shape), where=live)
-            shift[below] = _fold(terms)
+        shift = _shift_sum(x, count, partial(np.divide, 1.0))
 
         # head: ln y - 1/(2y), with the budget |head| + 1/y
         y = x + count
@@ -379,11 +387,11 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     _ORDER_ROWS, the scalar engine's own table, and the sign
     (-1)^(n+1) goes on as a factor of +-1, an exact product.
 
-    Its shift pass forms the steps j < floor(x r) + 2 within the shift
-    count: every step the scalar fold adds is among them, and each of them
-    after the fold's stop leaves the running total unchanged (see the cap
-    comment at polygamma._ORDERS and the fold comment in polygamma), so
-    both folds end on the same bits.
+    Its shift pass, _shift_sum, folds (x+j)^-(n+1) over the steps
+    j < floor(x r) + 2 within the shift count: every step the scalar fold
+    adds is among them, and each of them after the fold's stop leaves the
+    running total unchanged (see the cap comment at polygamma._ORDERS and
+    the fold comment in polygamma), so both folds end on the same bits.
     Its powers are np.float_power's, libm's pow per element, the pow behind
     CPython's **, so wherever polygamma returns, the value and bar here are
     its bits on every numpy CPU dispatch.  float_power never raises, where
@@ -397,23 +405,11 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (threshold, cap, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_nm1_n, fact_n,
      sign) = _ORDER_ROWS[:, n]
     count = np.maximum(0.0, np.ceil(threshold - x))
-    acc = np.zeros_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        # shift pass: (x+j)^-(n+1), one row per step j and one column per
-        # element below its threshold, columns by capped count, largest first.
-        # So each row's live cells, the steps before the cap, are a prefix of
-        # it, float_power forms only those, and the others stay 0.0, which
-        # leaves the fold's sums unchanged.
-        below = np.flatnonzero(count > 0)
-        if below.size:
-            capped = np.minimum(count[below], np.floor(x[below] * cap[below]) + 2.0)
-            rank = np.argsort(-capped, kind="stable")
-            below, capped = below[rank], capped[rank]
-            steps = np.arange(capped[0])[:, None]
-            live = steps < capped
-            terms = np.float_power(x[below] + steps, neg_n_plus_1[below],
-                                   out=np.zeros(live.shape), where=live)
-            acc[below] = _fold(terms)
+        # the steps up to the cap: a count of 0 stays 0, and an x r that
+        # overflows is inf, so the count bounds it
+        capped = np.minimum(count, np.floor(x * cap) + 2.0)
+        acc = _shift_sum(x, capped, np.float_power, neg_n_plus_1)
 
         # head: (n-1)!/y^n + n!/(2 y^(n+1))
         y = x + count

@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polycm.cm import (
     _POSITIVE_STEPS,
     _ZERO_STEPS,
     _polygamma_array,
+    _shift_sum,
 )
 from polycm.constants import GAMMA_EULER
 from polycm.polygamma import (
@@ -646,6 +648,43 @@ def test_shift_cap_holds_every_step_the_fold_adds():
         assert edge, n
         assert _kernel_outcome([n] * len(edge), edge) == _engine_outcome([n] * len(edge), edge), n
     assert checked > 100_000
+
+
+def _shift_blocks():
+    """(x, steps) blocks for the shift sum: 0, 1, 2 and many elements with
+    steps, 1 to 48 of them, among elements with none, the counts in
+    ascending, descending and shuffled order."""
+    rng = np.random.default_rng(20261020)
+    counts = np.arange(1.0, 49.0)
+    blocks = [np.zeros(0), np.zeros(3)]
+    for c in counts:
+        blocks += [np.array([c]), np.array([0.0, c, 0.0]), np.array([c, 49.0 - c])]
+    for order in (counts, counts[::-1], rng.permutation(counts)):
+        blocks.append(order)
+        blocks.append(np.insert(order, rng.integers(0, 49, 20), 0.0))
+    return [(rng.uniform(0.5, 20.0, steps.size), steps) for steps in blocks]
+
+
+def test_shift_sum_adds_each_elements_steps_in_order():
+    # the kernel's shift pass is the scalar fold, acc += term for j in
+    # order from 0.0, on every element, whatever the other elements of its
+    # block and their order, for both term forms: 1/(x+j) and
+    # (x+j)^-(n+1) with an exponent per element
+    divide = partial(np.divide, 1.0)
+    for x, steps in _shift_blocks():
+        exponent = -np.random.default_rng(steps.size).integers(2, 42, x.size).astype(float)
+        expected = {"divide": [], "power": []}
+        for xi, si, ei in zip(x.tolist(), steps.tolist(), exponent.tolist()):
+            ys = [xi + j for j in range(int(si))]
+            for form, terms in (("divide", [1.0 / y for y in ys]), ("power", [y**ei for y in ys])):
+                acc = 0.0
+                for term in terms:
+                    acc += term
+                expected[form].append(acc.hex())
+        got = {"divide": _shift_sum(x, steps, divide),
+               "power": _shift_sum(x, steps, np.float_power, exponent)}
+        for form, values in got.items():
+            assert [v.hex() for v in values.tolist()] == expected[form], (form, steps.tolist())
 
 
 def test_series_terms_shrink_from_the_shift_threshold_on():

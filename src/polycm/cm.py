@@ -248,7 +248,7 @@ _COEFFICIENT_TERMS = np.array(_COEFFICIENTS).T.copy()
 #: call, _ORDER_ROWS[:, n].
 _ORDER_ROWS = np.array(_ORDERS).T.copy()
 #: (-1)^n for every order n, the sign of the gap's power term and the scan's.
-_ALTERNATING = -_ORDER_ROWS[9]
+_ALTERNATING = -_ORDER_ROWS[8]
 #: How _series adds a term's size to the budget, per term: the term itself
 #: (np.add) where its coefficient is positive, its negation (np.subtract)
 #: where it is negative, so |term| is never formed and no bit moves.  The
@@ -383,9 +383,9 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """polygamma(n[i], x[i]) for orders n >= 1, as (values, error bars),
     through polygamma's steps: its own shift count, the same head, the same
     series and the same error bar.  Every per-order constant, the shift
-    cap r = 2^(54/(n+1)) - 1 among them, comes from one gather of
-    _ORDER_ROWS, the scalar engine's own table, and the sign
-    (-1)^(n+1) goes on as a factor of +-1, an exact product.
+    cap r = 2^(54/(n+1)) - 1 and the n! of the head and the shift sum among
+    them, comes from one gather of _ORDER_ROWS, the scalar engine's own
+    table, and the sign (-1)^(n+1) goes on as a factor of +-1, exactly.
 
     Its shift pass, _shift_sum, folds (x+j)^-(n+1) over the steps
     j < floor(x r) + 2 within the shift count: every step the scalar fold
@@ -402,7 +402,7 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     so the bar is set to inf where it is inf.  So the bar is not finite
     exactly where polygamma raises, there or in _result.
     """
-    (threshold, cap, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_nm1_n, fact_n,
+    (threshold, cap, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_n,
      sign) = _ORDER_ROWS[:, n]
     count = np.maximum(0.0, np.ceil(threshold - x))
     with np.errstate(over="ignore", under="ignore"):
@@ -416,7 +416,7 @@ def _positive_orders(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         inv2 = 1.0 / (y * y)
         half_power = np.float_power(y, n_plus_1)
         power = np.float_power(y, neg_n_plus_2)
-        value = fact_nm1 * np.float_power(y, neg_n) + fact_nm1_n / (2.0 * half_power)
+        value = fact_nm1 * np.float_power(y, neg_n) + fact_n / (2.0 * half_power)
         budget = value.copy()
         trunc = _series(_COEFFICIENT_TERMS[:, n], value, budget, power, inv2, _POSITIVE_STEPS)
 
@@ -487,7 +487,7 @@ def _gap_block(
     pairs[1::2] = x
     values, bars = _polygamma_array(np.repeat(m, 2), pairs)
     hi, lo = values[0::2], values[1::2]
-    last = _ALTERNATING[n] * p.a * (_ORDER_ROWS[8, m] / np.float_power(x, m + 1.0))  # m!
+    last = _ALTERNATING[n] * p.a * (_ORDER_ROWS[7, m] / np.float_power(x, m + 1.0))  # m!
     value = _fsum3(hi, -lo, -last)
     err = bars[0::2] + bars[1::2] + _EPS * (np.abs(hi) + np.abs(lo) + 2.0 * np.abs(last))
     return value, err, last

@@ -161,15 +161,14 @@ _LOG_FACTORIAL_FLOATS = tuple(math.lgamma(n + 1) for n in range(MAX_ORDER + 1))
 #: array kernel in polycm.cm read for order n, formed once here rather than
 #: on every call, in the kernel's column order (its _ORDER_ROWS is this
 #: table transposed): shift_threshold(n), the shift cap 2^(54/(n+1)) - 1,
-#: the exponents -(n+1), n+1, -(n+2) and -n, then (n-1)! and (n-1)! n for
-#: the head (0.0 at n = 0, which has no such head), n! and the sign
-#: (-1)^(n+1).
+#: the exponents -(n+1), n+1, -(n+2) and -n, (n-1)! (0.0 at n = 0, which
+#: has no n >= 1 head), n! (the head's half term, the fold's factor and
+#: factorial_over_power's numerator) and the sign (-1)^(n+1).
 _ORDERS = tuple(
     (
         shift_threshold(n), 2.0 ** (54.0 / (n + 1)) - 1.0,
         float(-(n + 1)), float(n + 1), float(-(n + 2)), float(-n),
         float(math.factorial(n - 1)) if n else 0.0,
-        float(math.factorial(n - 1)) * n if n else 0.0,
         float(math.factorial(n)), 1.0 if n % 2 else -1.0,
     )
     for n in range(MAX_ORDER + 1)
@@ -261,7 +260,7 @@ def polygamma(n: int, x: float) -> EvalResult:
     # value or its bar did (a division overflows to inf silently): one
     # message for either
     try:
-        (threshold, _, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_nm1_n, fact_n,
+        (threshold, _, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_n,
          sign) = _ORDERS[n]
         shift_count = math.ceil(threshold - x) if x < threshold else 0
         y = x + shift_count
@@ -272,7 +271,8 @@ def polygamma(n: int, x: float) -> EvalResult:
         #   |psi_n(y)| = (n-1)!/y^n + n!/(2 y^(n+1))
         #                + sum_j B_2j (2j+n-1)!/((2j)! y^(2j+n))
         #
-        # giving value, truncation bound trunc and magnitude budget.  trunc is
+        # giving value, truncation bound trunc and magnitude budget; (n-1)!
+        # and n! are _ORDERS's, each the exact factorial rounded once.  trunc is
         # the first term not added: the first below _NEGLIGIBLE times the
         # head's budget, or the one after the 20-term cap.  The terms never
         # grow again: at y >= shift_threshold(n) each term is at most 0.4575
@@ -296,7 +296,7 @@ def polygamma(n: int, x: float) -> EvalResult:
             power = inv2
         else:
             lead = fact_nm1 * y**neg_n
-            half = fact_nm1_n / (2.0 * y**n_plus_1)
+            half = fact_n / (2.0 * y**n_plus_1)
             value = budget = lead + half
             power = y**neg_n_plus_2
         negligible = _NEGLIGIBLE * budget
@@ -356,7 +356,7 @@ def factorial_over_power(n: int, x: float) -> float:
     n = _check_order(n)
     x = _check_x(x)
     row = _ORDERS[n]
-    exponent, fact_n = row[3], row[8]  # n + 1 and n!
+    exponent, fact_n = row[3], row[7]  # n + 1 and n!
     log_value = _LOG_FACTORIAL_FLOATS[n] - exponent * math.log(x)
     if log_value > _LOG_MAX:
         return math.inf

@@ -109,10 +109,13 @@ def test_error_estimate_contract():
 def test_error_estimate_covers_mpmath_referee():
     # the bar must over-bound the actual error over the whole documented
     # domain, n <= 40 and x in [1e-3, 1e6], judged by a 40-digit referee;
-    # the array kernel is held to the same referee on the same grid
+    # the array kernel is held to the same referee on the same grid.  The
+    # extra points are where the head's half term, which divides float(n!),
+    # would take other bits from the rounded (n-1)! n
     mpmath = pytest.importorskip("mpmath")
-    orders = np.repeat(np.arange(MAX_ORDER + 1), 40)
-    xs = np.tile(np.geomspace(1e-3, 1e6, 40), MAX_ORDER + 1)
+    moved = [(28, 35.999), (34, 39.25), (34, 41.999), (34, 42.00000000000001), (34, 63.0)]
+    orders = np.append(np.repeat(np.arange(MAX_ORDER + 1), 40), [n for n, _ in moved])
+    xs = np.append(np.tile(np.geomspace(1e-3, 1e6, 40), MAX_ORDER + 1), [x for _, x in moved])
     values, bars = _polygamma_array(orders, xs)
     with mpmath.workdps(40):
         for n, x, v, b in zip(orders.tolist(), xs.tolist(), values.tolist(), bars.tolist()):
@@ -405,12 +408,14 @@ def test_array_kernel_has_the_scalar_engines_bits():
     # range edges, plus points where numpy's AVX-512 log differs from
     # libm's by an ulp.  Each order's points run in one block, which raises
     # what the first raising point raises, and in one block of those that
-    # return; every seventh point and every edge run alone; and the
-    # returning points of all orders run in one shuffled block
-    returning = []
+    # return; every seventh point and every edge run alone; the returning
+    # points of all orders run in one shuffled block; and those of the
+    # 60-point grid to 1e14 plus x = 1e300 run in one order-major block
+    wide = np.geomspace(1e-3, 1e14, 60).tolist()
+    returning, grid = [], []
     for n in range(MAX_ORDER + 1):
         t = shift_threshold(n)
-        xs = [*np.geomspace(1e-3, 1e6, 40).tolist(), *np.geomspace(1e-3, 1e14, 60).tolist(),
+        xs = [*np.geomspace(1e-3, 1e6, 40).tolist(), *wide,
               *(10.0 ** (-3.0 + 303.0 * i / 399) for i in range(400)),
               *(t - count + u for count in range(int(t) + 1) for u in (1e-3, 0.5, 0.999)),
               1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
@@ -427,26 +432,11 @@ def test_array_kernel_has_the_scalar_engines_bits():
         # both outcomes occur at every order, the range edges' raises included
         assert 0 < len(ok) < len(xs), n
         returning += [(n, x) for x in ok]
+        grid += [(n, x) for x in [*wide, 1e300] if isinstance(alone[x], list)]
     n, x = zip(*(returning[i] for i in np.random.default_rng(30).permutation(len(returning))))
     assert _kernel_outcome(n, x) == _engine_outcome(n, x)
-
-
-def test_array_kernel_matches_scalar_engine():
-    # every element within the two bars of the scalar value, over every
-    # input of n = 0..40 x 60 log points in [1e-3, 1e14] plus x = 1e300
-    # on which the scalar engine does not raise, range edges included
-    pairs = []
-    for n in range(MAX_ORDER + 1):
-        for x in [*np.geomspace(1e-3, 1e14, 60).tolist(), 1e300]:
-            try:
-                pairs.append((n, x, polygamma(n, x)))
-            except (OverflowError, ValueError):
-                pass
-    values, bars = _polygamma_array(np.array([n for n, _, _ in pairs]),
-                                    np.array([x for _, x, _ in pairs]))
-    for (n, x, r), v, b in zip(pairs, values.tolist(), bars.tolist()):
-        assert abs(v - r.value) <= b + r.abs_error_estimate, (n, x)
-        assert b == pytest.approx(r.abs_error_estimate, rel=1e-6), (n, x)
+    n, x = zip(*grid)
+    assert _kernel_outcome(n, x) == _engine_outcome(n, x)
 
 
 def test_array_kernel_order_zero_has_the_scalar_engines_bits():
@@ -715,13 +705,14 @@ def test_order_table_columns_are_their_definitions():
     # polygamma reads every per-order float from its row of _ORDERS and the
     # n >= 1 kernel gathers each from one column of _ORDER_ROWS, that table
     # transposed; each column is pinned here to its definition, bit for bit.
-    # (n-1)! and n! are exact integers rounded once; (n-1)! n is the product
-    # of the rounded (n-1)! and n, which is not n! at n = 28, 31 and 34
+    # (n-1)! and n! are exact integers rounded once: the product of the
+    # rounded (n-1)! and n is not n! at n = 28, 31 and 34, so a head that
+    # formed its n! that way would differ there
     for n in range(MAX_ORDER + 1):
-        fact_nm1 = float(math.factorial(n - 1)) if n else 0.0
+        fact_nm1 = math.factorial(n - 1) if n else 0
         expected = [shift_threshold(n), 2.0 ** (54.0 / (n + 1)) - 1.0, -(n + 1), n + 1,
-                    -(n + 2), -n, fact_nm1, fact_nm1 * n, math.factorial(n), (-1) ** (n + 1)]
+                    -(n + 2), -n, fact_nm1, math.factorial(n), (-1) ** (n + 1)]
         assert [v.hex() for v in _ORDERS[n]] == [float(e).hex() for e in expected], n
         assert [v.hex() for v in _ORDER_ROWS[:, n].tolist()] == [v.hex() for v in _ORDERS[n]], n
         assert _ALTERNATING[n] == (-1) ** n
-    assert _ORDER_ROWS.shape == (10, MAX_ORDER + 1)
+    assert _ORDER_ROWS.shape == (9, MAX_ORDER + 1)

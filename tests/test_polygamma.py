@@ -408,14 +408,12 @@ def test_array_kernel_has_the_scalar_engines_bits():
     # range edges, plus points where numpy's AVX-512 log differs from
     # libm's by an ulp.  Each order's points run in one block, which raises
     # what the first raising point raises, and in one block of those that
-    # return; every seventh point and every edge run alone; the returning
-    # points of all orders run in one shuffled block; and those of the
-    # 60-point grid to 1e14 plus x = 1e300 run in one order-major block
-    wide = np.geomspace(1e-3, 1e14, 60).tolist()
-    returning, grid = [], []
+    # return; every seventh point and every edge run alone; and the
+    # returning points of all orders run in one shuffled block
+    returning = []
     for n in range(MAX_ORDER + 1):
         t = shift_threshold(n)
-        xs = [*np.geomspace(1e-3, 1e6, 40).tolist(), *wide,
+        xs = [*np.geomspace(1e-3, 1e6, 40).tolist(), *np.geomspace(1e-3, 1e14, 60).tolist(),
               *(10.0 ** (-3.0 + 303.0 * i / 399) for i in range(400)),
               *(t - count + u for count in range(int(t) + 1) for u in (1e-3, 0.5, 0.999)),
               1.0856984352915572e104, 0.23097000390556896, 10.507902391927525,
@@ -432,10 +430,20 @@ def test_array_kernel_has_the_scalar_engines_bits():
         # both outcomes occur at every order, the range edges' raises included
         assert 0 < len(ok) < len(xs), n
         returning += [(n, x) for x in ok]
-        grid += [(n, x) for x in [*wide, 1e300] if isinstance(alone[x], list)]
     n, x = zip(*(returning[i] for i in np.random.default_rng(30).permutation(len(returning))))
     assert _kernel_outcome(n, x) == _engine_outcome(n, x)
-    n, x = zip(*grid)
+
+
+def test_array_kernel_matches_scalar_engine():
+    # over every input of n = 0..40 x 60 log points in [1e-3, 1e14] plus
+    # x = 1e300 on which the scalar engine does not raise, range edges
+    # included, the kernel's values and bars in one order-major block are
+    # the engine's, hex for hex; so each value lies within the two bars of
+    # the scalar value, and each bar is the scalar bar
+    pairs = [(n, x) for n in range(MAX_ORDER + 1)
+             for x in [*np.geomspace(1e-3, 1e14, 60).tolist(), 1e300]
+             if isinstance(_engine_outcome([n], [x]), list)]
+    n, x = zip(*pairs)
     assert _kernel_outcome(n, x) == _engine_outcome(n, x)
 
 

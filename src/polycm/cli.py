@@ -4,8 +4,11 @@ Verbs:
   eval           engine value and error estimate for psi_n at one point
   verify-cm      grid scan of the complete-monotonicity sign pattern
   verify-bounds  two-sided bound check over a grid above x = 1
-  table          verify-bounds at --tol 0, emitted as csv or as json rows
+  table          verify-bounds' rows and exit code, as csv or as a json list
   constants      endpoint constants at a = 1/2 against four closed forms, rounded once
+
+Each verify verb's exit code is the library's verdict: CMScanReport.passed,
+or every BoundCheck.passed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a grid of
 more --points than memory holds is one: MemoryError), 3 numerical error: a
@@ -41,11 +44,10 @@ _REFERENCE_CONSTANTS = (
 )
 
 
-def _grid_verb(sub, verb, summary, lo, hi, points, formats, *, max_order=False, tol_help=None):
+def _grid_verb(sub, verb, summary, lo, hi, points, formats, *, max_order=False):
     """A verb over (a, k) on a grid: --a --k --lo --hi --points --format, with
-    this verb's grid defaults and formats (the first is the default).  --tol
-    is declared only with its tol_help; without one, tol is fixed at 0.0."""
-    p = sub.add_parser(verb, help=summary)
+    this verb's grid defaults and formats (the first is the default)."""
+    p = sub.add_parser(verb, help=summary, description=summary)
     p.add_argument("--a", type=float, required=True, help="shift in (0, 1)")
     p.add_argument("--k", type=int, required=True, help="base derivative order")
     if max_order:
@@ -53,10 +55,6 @@ def _grid_verb(sub, verb, summary, lo, hi, points, formats, *, max_order=False, 
     p.add_argument("--lo", type=float, default=lo)
     p.add_argument("--hi", type=float, default=hi)
     p.add_argument("--points", type=int, default=points)
-    if tol_help is None:
-        p.set_defaults(tol=0.0)
-    else:
-        p.add_argument("--tol", type=float, default=0.0, help=tol_help)
     p.add_argument("--format", choices=formats, default=formats[0])
 
 
@@ -72,25 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True, help="argument, x > 0")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
 
-    _grid_verb(sub, "verify-cm", "scan the sign pattern of the gap derivatives",
-               0.1, 100.0, 60, ("text", "json"), max_order=True,
-               tol_help="extra floor the minimum must clear")
-    _grid_verb(sub, "verify-bounds", "check the two-sided bounds on a grid",
-               1.001, 1000.0, 50, ("text", "json", "csv"), tol_help="margin floor, absolute")
-    # the verify-bounds handler at --tol 0; its json is the bare list of rows
-    _grid_verb(sub, "table", "emit the bound rows", 1.001, 1000.0, 50, ("csv", "json"))
+    _grid_verb(sub, "verify-cm", "scan the sign pattern of the gap derivatives; "
+               "exit 1 unless the scan passes", 0.1, 100.0, 60, ("text", "json"), max_order=True)
+    _grid_verb(sub, "verify-bounds", "check the two-sided bounds on a grid; "
+               "exit 1 if a row fails", 1.001, 1000.0, 50, ("text", "json", "csv"))
+    # the verify-bounds handler; its json is the bare list of rows
+    _grid_verb(sub, "table", "emit the bound rows of verify-bounds, with its exit code",
+               1.001, 1000.0, 50, ("csv", "json"))
 
     p_const = sub.add_parser("constants", help="reference endpoint constants at a = 1/2")
     p_const.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _check_tol(tol: float) -> float:
-    """--tol as given; nan is a usage error (ValueError)."""
-    if math.isnan(tol):
-        raise ValueError("--tol must be a number, got nan")
-    return tol
 
 
 def _g(v: float) -> str:
@@ -135,13 +126,10 @@ def _shift_grid(args) -> tuple[ShiftParams, GridSpec]:
 
 def _cmd_verify_cm(args) -> int:
     params, grid = _shift_grid(args)
-    tol = _check_tol(args.tol)
     report = cm_scan(params, args.max_order, grid)
-    ok = report.passed and report.min_signed_value > tol
     if args.format == "json":
         d = _report_dict(report)
-        d["tol"] = tol
-        d["ok"] = ok
+        d["ok"] = report.passed
         print(json.dumps(d))
     else:
         print(
@@ -157,24 +145,23 @@ def _cmd_verify_cm(args) -> int:
                 f"(error bar {report.witness_error:.3e}); "
                 f"{report.indeterminate_count} indeterminate points"
             )
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        print("PASS" if report.passed else "FAIL")
+    return 0 if report.passed else 1
 
 
 def _cmd_verify_bounds(args) -> int:
-    """verify-bounds, and table: the same rows and verdict at --tol 0."""
+    """verify-bounds, and table: the same rows and verdict."""
     params, grid = _shift_grid(args)
-    tol = _check_tol(args.tol)
     rows = bound_table(params, grid)
     worst = min(min(r.lower_margin, r.upper_margin) for r in rows)
-    ok = all(r.passed for r in rows) and worst > tol
+    ok = all(r.passed for r in rows)
     if args.format == "csv":
         _emit_rows_csv(rows, sys.stdout)
     elif args.format == "json":
         payload = [asdict(r) for r in rows]
         if args.verb != "table":
             payload = {"a": params.a, "k": params.k, "rows": payload,
-                       "worst_margin": worst, "tol": tol, "ok": ok}
+                       "worst_margin": worst, "ok": ok}
         print(json.dumps(payload))
     else:
         print(

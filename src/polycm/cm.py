@@ -82,14 +82,9 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _as_float(self.lo))
+        object.__setattr__(self, "lo", _check_x(self.lo, "lo"))
         object.__setattr__(self, "hi", _as_float(self.hi))
         object.__setattr__(self, "points", operator.index(self.points))
-        # nan and inf break finiteness, not the order rules; -inf breaks those
-        if not self.lo < math.inf:
-            raise ValueError(f"lo must be finite, got {self.lo!r}")
-        if not self.lo > 0.0:
-            raise ValueError(f"lo must be positive, got {self.lo!r}")
         if not self.hi < math.inf:
             raise ValueError(f"hi must be finite, got {self.hi!r}")
         if not self.hi > self.lo:

@@ -208,12 +208,12 @@ def _check_shift(a: float) -> float:
     return a
 
 
-def _check_x(x: float) -> float:
+def _check_x(x: float, name: str = "x") -> float:
     x = _as_float(x)
     if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+        raise ValueError(f"{name} must be finite, got {x!r}")
     if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x!r}")
+        raise ValueError(f"{name} must be positive, got {x!r}")
     return x
 
 

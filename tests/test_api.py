@@ -103,11 +103,25 @@ def fresh(code: str):
 
 
 def test_scalar_engine_loads_no_numpy():
-    assert fresh(
-        "import json, sys, polycm\n"
-        "polycm.polygamma(3, 0.5), polycm.factorial_over_power(2, 3.0)\n"
-        "print(json.dumps('numpy' in sys.modules))"
-    ) is False
+    # with numpy, dataclasses and inspect blocked, a stray import of one
+    # raises.  The calls read polygamma's per-order table on both of its
+    # paths (orders 0, 3 and 40), its n! in the head's half term at
+    # (28, 35.999), where the rounded (n-1)! n would give another bit, and
+    # factorial_over_power on both of its branches: the plain one at
+    # (3, 2.0) and the log-space one at (40, 1e8), where x^41 overflows
+    engine = [(3, 0.5), (0, 0.5), (40, 2.0), (28, 35.999)]
+    fop = [(3, 2.0), (40, 1e8)]
+    blocked = fresh(
+        "import json, sys\n"
+        "sys.modules.update(dict.fromkeys(['numpy', 'dataclasses', 'inspect']))\n"
+        "import polycm\n"
+        f"results = [polycm.polygamma(n, x) for n, x in {engine}]\n"
+        "print(json.dumps([[[r.value, r.abs_error_estimate] for r in results],\n"
+        f"                  [polycm.factorial_over_power(n, x) for n, x in {fop}]]))"
+    )
+    results = [polycm.polygamma(n, x) for n, x in engine]
+    assert blocked == [[[r.value, r.abs_error_estimate] for r in results],
+                       [polycm.factorial_over_power(n, x) for n, x in fop]]
 
 
 def test_import_adds_only_the_engine_and_its_constants():

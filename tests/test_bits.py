@@ -43,44 +43,12 @@ import test_polygamma
 from polycm import MAX_ORDER
 
 #: The commit whose package every outcome is compared with (full sha).
-BASE = "b578af8766d3898bec1d544733b44b86f1672fb7"
+BASE = "b2ae4f9c89cb4f84dc825808ef81901fda6f90a3"
 
 #: Outcomes this tree means to move against BASE, each one
 #: (family, order, key, outcome at BASE, outcome here) as the failure
 #: message prints it; None stands for an outcome one side does not have.
-MOVED = [
-    # the n >= 1 head's half term divides n!, not the rounded (n-1)! n, which
-    # differs from it at n = 28, 31 and 34: each polygamma value moves by one
-    # ulp; the gaps and margins built on them, which cancel, by at most one
-    # ulp of the polygamma value (up to 2^10 of their own); bars by one or
-    # two ulps; no passed field, verdict or raise
-    ('engine', 28, ('polygamma', 35.999), ('-0x1.dfea2eab24c28p-52', '0x1.2bf7e83c0dc43p-100'), ('-0x1.dfea2eab24c29p-52', '0x1.2bf7e83c0dc43p-100')),
-    ('engine', 34, ('polygamma', 39.25), ('-0x1.3529d9b1eb948p-57', '0x1.8275ce94336aep-106'), ('-0x1.3529d9b1eb949p-57', '0x1.8275ce94336afp-106')),
-    ('engine', 34, ('polygamma', 41.999), ('-0x1.e323ac596c01fp-61', '0x1.2dfc6cda845dcp-109'), ('-0x1.e323ac596c020p-61', '0x1.2dfc6cda845dcp-109')),
-    ('engine', 34, ('polygamma', 42.00000000000001), ('-0x1.e2be8d12172a3p-61', '0x1.2dc611e9855d3p-109'), ('-0x1.e2be8d12172a4p-61', '0x1.2dc611e9855d3p-109')),
-    ('kernel', 34, ('fine', 18, 34, 42.00000000000001), ('-0x1.e2be8d12172a3p-61', '0x1.2dc611e9855d3p-109'), ('-0x1.e2be8d12172a4p-61', '0x1.2dc611e9855d3p-109')),
-    ('kernel_shapes', None, ('no shifts', 103, 34, 63.0), ('-0x1.ce51ab311085ap-81', '0x1.20f63cb15aeffp-129'), ('-0x1.ce51ab311085bp-81', '0x1.20f63cb15aeffp-129')),
-    ('kernel_shapes', None, ('shuffled', 1161, 34, 41.999), ('-0x1.e323ac596c01fp-61', '0x1.2dfc6cda845dcp-109'), ('-0x1.e323ac596c020p-61', '0x1.2dfc6cda845dcp-109')),
-    ('kernel_shapes', None, ('shuffled', 768, 28, 35.999), ('-0x1.dfea2eab24c28p-52', '0x1.2bf7e83c0dc43p-100'), ('-0x1.dfea2eab24c29p-52', '0x1.2bf7e83c0dc43p-100')),
-    ('bound_table', 28, (0.01, 1000000.0, 5, 37.95484436999393), ('0x1.2fa38571ef263p+5', '0x1.1e100f7cf8413p-61', '0x1.9801070c97600p-61', '0x1.da2aba3c4cf2fp+95', '0x1.e7c3de3e7c7b4p-63', '0x1.da2aba3c4cf2fp+95', '0x1.25e3567cffe3fp-101', '0x1.2c36fa57ee02bp+50', True), ('0x1.2fa38571ef263p+5', '0x1.1e100f7cf8413p-61', '0x1.9801070c97680p-61', '0x1.da2aba3c4cf2fp+95', '0x1.e7c3de3e7c9b4p-63', '0x1.da2aba3c4cf2fp+95', '0x1.25e3567cffe40p-101', '0x1.2c36fa57ee02bp+50', True)),
-    ('bound_table', 28, (0.01, 60.0, 18, 48.37123643056748), ('0x1.82f84ace42f80p+5', '0x1.028345315fec8p-71', '0x1.56ebebd87a000p-71', '0x1.da2aba3c4cf2fp+95', '0x1.51a29a9c684e0p-73', '0x1.da2aba3c4cf2fp+95', '0x1.3b6d86215cb71p-111', '0x1.2c36fa57ee02bp+50', True), ('0x1.82f84ace42f80p+5', '0x1.028345315fec8p-71', '0x1.56ebebd879f80p-71', '0x1.da2aba3c4cf2fp+95', '0x1.51a29a9c682e0p-73', '0x1.da2aba3c4cf2fp+95', '0x1.3b6d86215cb71p-111', '0x1.2c36fa57ee02bp+50', True)),
-    ('bound_table', 28, (0.3, 1000000.0, 5, 37.95484436999393), ('0x1.2fa38571ef263p+5', '0x1.0c2f0e8528bd2p-56', '0x1.56d0d286c8524p-56', '0x1.588ea2fcaac59p+97', '0x1.2a8710067e548p-58', '0x1.588ea2fcaac59p+97', '0x1.0e1f76e1b3c69p-101', '0x1.7ad19b5dadaaep+49', True), ('0x1.2fa38571ef263p+5', '0x1.0c2f0e8528bd2p-56', '0x1.56d0d286c8528p-56', '0x1.588ea2fcaac59p+97', '0x1.2a8710067e558p-58', '0x1.588ea2fcaac59p+97', '0x1.0e1f76e1b3c6ap-101', '0x1.7ad19b5dadaaep+49', True)),
-    ('bound_table', 28, (0.5, 1000000.0, 5, 37.95484436999393), ('0x1.2fa38571ef263p+5', '0x1.bef9183343e5ep-56', '0x1.099cbd8885560p-55', '0x1.ec90e435b40cfp+96', '0x1.51018b771b188p-58', '0x1.ec90e435b40cfp+96', '0x1.00cc47e6708e9p-101', '0x1.80d35aa394caep+49', True), ('0x1.2fa38571ef263p+5', '0x1.bef9183343e5ep-56', '0x1.099cbd8885562p-55', '0x1.ec90e435b40cfp+96', '0x1.51018b771b198p-58', '0x1.ec90e435b40cfp+96', '0x1.00cc47e6708eap-101', '0x1.80d35aa394caep+49', True)),
-    ('bound_table', 28, (0.5, 60.0, 18, 48.37123643056748), ('0x1.82f84ace42f80p+5', '0x1.93ed1c1d25e19p-66', '0x1.cff8d000a3a90p-66', '0x1.ec90e435b40cfp+96', '0x1.e05d9f1bee3b8p-69', '0x1.ec90e435b40cfp+96', '0x1.1b1b85628fe0dp-111', '0x1.80d35aa394caep+49', True), ('0x1.82f84ace42f80p+5', '0x1.93ed1c1d25e19p-66', '0x1.cff8d000a3a8cp-66', '0x1.ec90e435b40cfp+96', '0x1.e05d9f1bee398p-69', '0x1.ec90e435b40cfp+96', '0x1.1b1b85628fe0ep-111', '0x1.80d35aa394caep+49', True)),
-    ('bound_table', 28, (0.5, 60.0, 19, 60.0), ('0x1.e000000000000p+5', '0x1.90245e2a2dddep-75', '0x1.c03bf6be2c554p-75', '0x1.ec90e435b40cfp+96', '0x1.80bcc49ff3bb0p-78', '0x1.ec90e435b40cfp+96', '0x1.512763a4a7c24p-120', '0x1.80d35aa394caep+49', True), ('0x1.e000000000000p+5', '0x1.90245e2a2dddep-75', '0x1.c03bf6be2c550p-75', '0x1.ec90e435b40cfp+96', '0x1.80bcc49ff3b90p-78', '0x1.ec90e435b40cfp+96', '0x1.512763a4a7c25p-120', '0x1.80d35aa394caep+49', True)),
-    ('bound_table', 28, (0.99, 1000000.0, 5, 37.95484436999393), ('0x1.2fa38571ef263p+5', '0x1.ba80d7f55004ep-55', '0x1.bbfa29d14a9b6p-55', '0x1.3b3f453f5c06ap+91', '0x1.7951dbfa96800p-63', '0x1.3b3f453f5c06ap+91', '0x1.d0b15a6134fb3p-102', '0x1.8fe883f253ac8p+49', True), ('0x1.2fa38571ef263p+5', '0x1.ba80d7f55004ep-55', '0x1.bbfa29d14a9b7p-55', '0x1.3b3f453f5c06ap+91', '0x1.7951dbfa96900p-63', '0x1.3b3f453f5c06ap+91', '0x1.d0b15a6134fb3p-102', '0x1.8fe883f253ac8p+49', True)),
-    ('bound_table', 28, (0.99, 60.0, 17, 38.996275230364326), ('0x1.37f85f25e1d65p+5', '0x1.93ab2ede68603p-56', '0x1.94fb7cc7876edp-56', '0x1.3b3f453f5c06ap+91', '0x1.504de91f0ea00p-64', '0x1.3b3f453f5c06ap+91', '0x1.b1e1927e3d4e2p-103', '0x1.8fe883f253ac8p+49', True), ('0x1.37f85f25e1d65p+5', '0x1.93ab2ede68603p-56', '0x1.94fb7cc7876ecp-56', '0x1.3b3f453f5c06ap+91', '0x1.504de91f0e900p-64', '0x1.3b3f453f5c06ap+91', '0x1.b1e1927e3d4e2p-103', '0x1.8fe883f253ac8p+49', True)),
-    ('bound_table', 31, (0.01, 60.0, 17, 38.996275230364326), ('0x1.37f85f25e1d65p+5', '-0x1.ca706d1e718c8p+110', '-0x1.5adeb48427480p-63', '0x1.dab966e0cca8dp-64', '0x1.ca706d1e718c8p+110', '0x1.241db3fa46ce3p-62', '0x1.e91c9273b31cbp+64', '0x1.d02c54b3dfee8p-104', True), ('0x1.37f85f25e1d65p+5', '-0x1.ca706d1e718c8p+110', '-0x1.5adeb48427500p-63', '0x1.dab966e0cca8dp-64', '0x1.ca706d1e718c8p+110', '0x1.241db3fa46d23p-62', '0x1.e91c9273b31cbp+64', '0x1.d02c54b3dfee7p-104', True)),
-    ('bound_table', 31, (0.5, 1000000.0, 5, 37.95484436999393), ('0x1.2fa38571ef263p+5', '-0x1.300ffdb6507dap+113', '-0x1.0a3575e20ad28p-56', '0x1.b8f3875c4d88dp-57', '0x1.300ffdb6507dap+113', '0x1.e6af39903196ep-56', '0x1.5612468ead95ep+64', '0x1.e145c86468d2dp-103', True), ('0x1.2fa38571ef263p+5', '-0x1.300ffdb6507dap+113', '-0x1.0a3575e20ad2ap-56', '0x1.b8f3875c4d88dp-57', '0x1.300ffdb6507dap+113', '0x1.e6af399031970p-56', '0x1.5612468ead95ep+64', '0x1.e145c86468d2cp-103', True)),
-    ('bound_table', 31, (0.5, 60.0, 18, 48.37123643056748), ('0x1.82f84ace42f80p+5', '-0x1.300ffdb6507dap+113', '-0x1.c0115ea4c3684p-68', '0x1.8104b151958eap-68', '0x1.300ffdb6507dap+113', '0x1.a08b07fb2c7b7p-67', '0x1.5612468ead95ep+64', '0x1.fbedc87f00c96p-114', True), ('0x1.82f84ace42f80p+5', '-0x1.300ffdb6507dap+113', '-0x1.c0115ea4c3688p-68', '0x1.8104b151958eap-68', '0x1.300ffdb6507dap+113', '0x1.a08b07fb2c7b9p-67', '0x1.5612468ead95ep+64', '0x1.fbedc87f00c95p-114', True)),
-    ('bound_table', 31, (0.99, 1000000.0, 6, 78.5296826640807), ('0x1.3a1e6521ddf06p+6', '-0x1.9363e18b2ce75p+113', '-0x1.2754612aa8fb8p-89', '0x1.26c52c24c9d64p-89', '0x1.9363e18b2ce75p+113', '0x1.270cc6a7b968ep-88', '0x1.7b5189f6b76a1p+64', '0x1.19979f1cfef73p-135', True), ('0x1.3a1e6521ddf06p+6', '-0x1.9363e18b2ce75p+113', '-0x1.2754612aa8fbap-89', '0x1.26c52c24c9d64p-89', '0x1.9363e18b2ce75p+113', '0x1.270cc6a7b968fp-88', '0x1.7b5189f6b76a1p+64', '0x1.19979f1cfef73p-135', True)),
-    ('bound_table', 31, (0.99, 60.0, 17, 38.996275230364326), ('0x1.37f85f25e1d65p+5', '-0x1.9363e18b2ce75p+113', '-0x1.707838698689fp-57', '0x1.6f2b6591de4a9p-57', '0x1.9363e18b2ce75p+113', '0x1.6fd1cefdb26a4p-56', '0x1.7b5189f6b76a1p+64', '0x1.80c5a9e484fe6p-104', True), ('0x1.37f85f25e1d65p+5', '-0x1.9363e18b2ce75p+113', '-0x1.707838698689fp-57', '0x1.6f2b6591de4a9p-57', '0x1.9363e18b2ce75p+113', '0x1.6fd1cefdb26a4p-56', '0x1.7b5189f6b76a1p+64', '0x1.80c5a9e484fe5p-104', True)),
-    ('bound_table', 34, (0.01, 60.0, 18, 48.37123643056748), ('0x1.82f84ace42f80p+5', '0x1.38ae8c3bf020cp-75', '0x1.b619098158980p-75', '0x1.f8c86c7878f04p+125', '0x1.f5a9f515a1dd0p-77', '0x1.f8c86c7878f04p+125', '0x1.4bfa337e8c50bp-115', '0x1.08b6b015c97acp+80', True), ('0x1.82f84ace42f80p+5', '0x1.38ae8c3bf020cp-75', '0x1.b619098158900p-75', '0x1.f8c86c7878f04p+125', '0x1.f5a9f515a1bd0p-77', '0x1.f8c86c7878f04p+125', '0x1.4bfa337e8c50cp-115', '0x1.08b6b015c97acp+80', True)),
-    ('bound_table', 34, (0.01, 60.0, 19, 60.0), ('0x1.e000000000000p+5', '0x1.542a66d6eeb9ep-86', '0x1.bfebb05d49a00p-86', '0x1.f8c86c7878f04p+125', '0x1.af0526196b988p-88', '0x1.f8c86c7878f04p+125', '0x1.a59cc2f7fa0aep-126', '0x1.08b6b015c97acp+80', True), ('0x1.e000000000000p+5', '0x1.542a66d6eeb9ep-86', '0x1.bfebb05d49900p-86', '0x1.f8c86c7878f04p+125', '0x1.af0526196b588p-88', '0x1.f8c86c7878f04p+125', '0x1.a59cc2f7fa0afp-126', '0x1.08b6b015c97acp+80', True)),
-    ('bound_table', 34, (0.5, 1000000.0, 6, 78.5296826640807), ('0x1.3a1e6521ddf06p+6', '0x1.6130e813d5128p-94', '0x1.885e5a0ff8f10p-94', '0x1.bc3761a730475p+126', '0x1.396b8fe11ef40p-97', '0x1.bc3761a730475p+126', '0x1.3dba3f8025c7ep-139', '0x1.5b0b7006990c1p+79', True), ('0x1.3a1e6521ddf06p+6', '0x1.6130e813d5128p-94', '0x1.885e5a0ff8f0cp-94', '0x1.bc3761a730475p+126', '0x1.396b8fe11ef20p-97', '0x1.bc3761a730475p+126', '0x1.3dba3f8025c7fp-139', '0x1.5b0b7006990c1p+79', True)),
-    ('bound_table', 34, (0.5, 1000000.0, 7, 162.48020935626897), ('0x1.44f5de0030d12p+7', '0x1.aecfcfe88aee2p-131', '0x1.c5fce02c26330p-131', '0x1.bc3761a730475p+126', '0x1.72d10439b44e0p-135', '0x1.bc3761a730475p+126', '0x1.782706274b2d0p-175', '0x1.5b0b7006990c1p+79', True), ('0x1.44f5de0030d12p+7', '0x1.aecfcfe88aee2p-131', '0x1.c5fce02c26320p-131', '0x1.bc3761a730475p+126', '0x1.72d10439b43e0p-135', '0x1.bc3761a730475p+126', '0x1.782706274b2d2p-175', '0x1.5b0b7006990c1p+79', True)),
-    ('cm_scan', None, (2, '_gap_block', 438, 7, 54.07824900651668), ('0x1.1460ab8f0aabap-71', '0x1.a60709d0ecde0p-116'), ('0x1.1460ab8f0aab2p-71', '0x1.a60709d0ecde0p-116')),
-]
+MOVED = []
 
 ORDERS = range(MAX_ORDER + 1)
 _ROOT = Path(__file__).resolve().parents[1]

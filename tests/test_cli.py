@@ -15,7 +15,7 @@ import pytest
 import polycm.bounds
 import polycm.cli
 import polycm.oracle
-from polycm import (EvalResult, GridSpec, QuadratureError, ShiftParams, bound_table,
+from polycm import (EvalResult, GridSpec, QuadratureError, ShiftParams, bound_table, cm_scan,
                     endpoint_constants, polygamma)
 from polycm.cli import main
 
@@ -144,15 +144,6 @@ class TestVerifyCM:
         assert payload["min_signed_value"] > 0.0
         assert len(payload["witness_point"]) == 2
 
-    def test_unreachable_tol_fails(self, capsys):
-        code, out, _ = run(
-            ["verify-cm", "--a", "0.5", "--k", "0", "--max-order", "1",
-             "--lo", "0.5", "--hi", "5", "--points", "6", "--tol", "1e6"],
-            capsys,
-        )
-        assert code == 1
-        assert out.strip().endswith("FAIL")
-
     # far out the gap cancels below every sample's bar, so no point is
     # determinate and the scan has no witness
     FAR = ["verify-cm", "--a", "0.5", "--k", "2", "--lo", "1e12", "--hi", "1e13", "--points", "5"]
@@ -198,19 +189,41 @@ class TestVerifyBounds:
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 7
 
-    def test_unreachable_tol_fails(self, capsys):
-        code, _, _ = run(
-            ["verify-bounds", "--a", "0.5", "--k", "2",
-             "--lo", "1.5", "--hi", "50", "--points", "6", "--tol", "1.0"],
-            capsys,
-        )
-        assert code == 1
-
     def test_infinite_bound_is_usage_error(self, capsys):
         code, out, err = run(["verify-bounds", "--a", "0.5", "--k", "1", "--hi", "inf"], capsys)
         assert code == 2
         assert out == ""
         assert err == "polycm: error: hi must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv,passed",
+    [
+        (["verify-cm", "--a", "0.5", "--k", "2", "--max-order", "3",
+          "--lo", "0.5", "--hi", "20", "--points", "12"], True),
+        (TestVerifyCM.FAR, False),
+        (["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5", "--hi", "50", "--points", "10"],
+         True),
+        # two far rows' lower margins, the cancelling gap itself, fall below
+        # zero: worst margin -5.57e-33
+        (["verify-bounds", "--a", "0.5", "--k", "2", "--hi", "1e9"], False),
+    ],
+    ids=["verify-cm-pass", "verify-cm-fail", "verify-bounds-pass", "verify-bounds-fail"],
+)
+def test_exit_code_is_the_library_verdict(capsys, argv, passed):
+    # the verb adds no rule of its own: it exits 0 exactly when the
+    # library's report passes, or every one of its rows does
+    args = polycm.cli.build_parser().parse_args(argv)
+    params = ShiftParams(a=args.a, k=args.k)
+    grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+    if args.verb == "verify-cm":
+        verdict = cm_scan(params, args.max_order, grid).passed
+    else:
+        verdict = all(r.passed for r in bound_table(params, grid))
+    assert verdict is passed
+    code, out, _ = run(argv, capsys)
+    assert code == (0 if passed else 1)
+    assert out.endswith("PASS\n" if passed else "FAIL\n")
 
 
 class TestTable:
@@ -253,7 +266,7 @@ class TestTable:
             (["--a", "0.034", "--k", "0", "--hi", "1.11e7"], 1),
         ],
     )
-    def test_is_verify_bounds_at_zero_tol(self, capsys, grid, code):
+    def test_is_verify_bounds(self, capsys, grid, code):
         table = run(["table"] + grid, capsys)
         assert table == run(["verify-bounds"] + grid + ["--format", "csv"], capsys)
         assert table[0] == code
@@ -335,21 +348,19 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify-cm", "--a", "0.5", "--k", "2", "--tol", "nan"],
-            ["verify-bounds", "--a", "0.5", "--k", "2", "--tol", "nan"],
+            ["eval", "--x", "1"],
+            ["verify-cm", "--a", "0.5", "--k", "2"],
+            ["verify-bounds", "--a", "0.5", "--k", "2"],
+            ["table", "--a", "0.5", "--k", "2"],
+            ["constants"],
         ],
+        ids=lambda argv: argv[0],
     )
-    def test_bad_tol_is_usage_error(self, capsys, argv):
-        code, out, err = run(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("polycm: error: --tol")
-
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_constants_takes_no_tol(self, capsys, tol):
-        # each row's tolerance is fixed: C's bar plus half an ulp
+    def test_takes_no_tol(self, capsys, argv):
+        # each verdict is the library's, and each constants row's tolerance
+        # is fixed: C's bar plus half an ulp
         with pytest.raises(SystemExit) as exc:
-            main(["constants", "--tol", tol])
+            main(argv + ["--tol", "1"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -273,10 +273,11 @@ class TestGridSpec:
         # an int beyond binary64 is rejected as the infinity of its sign
         with pytest.raises(ValueError, match=r"^hi must be finite, got inf$"):
             GridSpec(lo=1, hi=10**400, points=3)
-        with pytest.raises(ValueError, match=r"^lo must be positive, got -inf$"):
+        with pytest.raises(ValueError, match=r"^lo must be finite, got -inf$"):
             GridSpec(lo=-(10**400), hi=1, points=3)
-        # nan and inf break finiteness, named per bound; -inf breaks the
-        # order rules, checked lo first
+        # lo takes x's rule, under its own name: nan and either infinity
+        # break finiteness, checked first; hi's nan and inf break
+        # finiteness, and its -inf the order rule
         for lo, hi, message in [
             (math.nan, 2.0, "lo must be finite, got nan"),
             (math.inf, 2.0, "lo must be finite, got inf"),

@@ -103,21 +103,34 @@ def fresh(code: str):
 
 
 def test_scalar_engine_loads_no_numpy():
-    # with numpy, dataclasses and inspect blocked, a stray import of one
-    # raises.  The calls read polygamma's per-order table on both of its
-    # paths (orders 0, 3 and 40), its n! in the head's half term at
-    # (28, 35.999), where the rounded (n-1)! n would give another bit, and
+    # the calls read polygamma's per-order table on both of its paths
+    # (orders 0, 3 and 40), its n! in the head's half term at (28, 35.999),
+    # where the rounded (n-1)! n would give another bit, and
     # factorial_over_power on both of its branches: the plain one at
-    # (3, 2.0) and the log-space one at (40, 1e8), where x^41 overflows
+    # (3, 2.0) and the log-space one at (40, 1e8), where x^41 overflows.
+    # Unblocked, none of numpy, dataclasses or inspect is loaded after
+    # them; blocked, a stray import of one raises, and a guarded one would
+    # have to give the same bits
     engine = [(3, 0.5), (0, 0.5), (40, 2.0), (28, 35.999)]
     fop = [(3, 2.0), (40, 1e8)]
-    blocked = fresh(
-        "import json, sys\n"
-        "sys.modules.update(dict.fromkeys(['numpy', 'dataclasses', 'inspect']))\n"
+    banned = ["numpy", "dataclasses", "inspect"]
+    calls = (
         "import polycm\n"
         f"results = [polycm.polygamma(n, x) for n, x in {engine}]\n"
-        "print(json.dumps([[[r.value, r.abs_error_estimate] for r in results],\n"
-        f"                  [polycm.factorial_over_power(n, x) for n, x in {fop}]]))"
+        "outcome = [[[r.value, r.abs_error_estimate] for r in results],\n"
+        f"           [polycm.factorial_over_power(n, x) for n, x in {fop}]]\n"
+    )
+    loaded = fresh(
+        "import json, sys\n"
+        + calls
+        + f"print(json.dumps([name for name in {banned} if name in sys.modules]))"
+    )
+    assert loaded == []
+    blocked = fresh(
+        "import json, sys\n"
+        f"sys.modules.update(dict.fromkeys({banned}))\n"
+        + calls
+        + "print(json.dumps(outcome))"
     )
     results = [polycm.polygamma(n, x) for n, x in engine]
     assert blocked == [[[r.value, r.abs_error_estimate] for r in results],

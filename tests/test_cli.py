@@ -149,6 +149,10 @@ class TestVerifyCM:
     FAR = ["verify-cm", "--a", "0.5", "--k", "2", "--lo", "1e12", "--hi", "1e13", "--points", "5"]
 
     def test_no_determinate_points_fails(self, capsys):
+        args = polycm.cli.build_parser().parse_args(self.FAR)
+        report = cm_scan(ShiftParams(a=args.a, k=args.k), args.max_order,
+                         GridSpec(lo=args.lo, hi=args.hi, points=args.points))
+        assert report.passed is False
         code, out, _ = run(self.FAR, capsys)
         assert code == 1
         assert out.splitlines()[1:] == ["no determinate points; nothing to certify", "FAIL"]
@@ -201,18 +205,18 @@ class TestVerifyBounds:
     [
         (["verify-cm", "--a", "0.5", "--k", "2", "--max-order", "3",
           "--lo", "0.5", "--hi", "20", "--points", "12"], True),
-        (TestVerifyCM.FAR, False),
         (["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5", "--hi", "50", "--points", "10"],
          True),
         # two far rows' lower margins, the cancelling gap itself, fall below
         # zero: worst margin -5.57e-33
         (["verify-bounds", "--a", "0.5", "--k", "2", "--hi", "1e9"], False),
     ],
-    ids=["verify-cm-pass", "verify-cm-fail", "verify-bounds-pass", "verify-bounds-fail"],
+    ids=["verify-cm-pass", "verify-bounds-pass", "verify-bounds-fail"],
 )
 def test_exit_code_is_the_library_verdict(capsys, argv, passed):
     # the verb adds no rule of its own: it exits 0 exactly when the
-    # library's report passes, or every one of its rows does
+    # library's report passes, or every one of its rows does; verify-cm's
+    # failing grid is FAR, in TestVerifyCM.test_no_determinate_points_fails
     args = polycm.cli.build_parser().parse_args(argv)
     params = ShiftParams(a=args.a, k=args.k)
     grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)

@@ -293,7 +293,8 @@ def _shift_sum(x: np.ndarray, steps: np.ndarray, form, *operands: np.ndarray) ->
     """The recurrence's shift sum of every element: its terms
     form(x[i] + j, *(o[i] for o in operands)) for j < steps[i], added in
     order of j from 0.0, as the scalar engine's fold adds them; 0.0 where
-    steps[i] is 0.
+    steps[i] is 0, where the scalar engine forms no fold at all (the value
+    and budget it would add 0.0 to are never -0.0, so no bit differs).
 
     The elements with steps make the columns of one C-ordered block, in
     their given order, with a row per step j; form(..., out=, where=) fills

@@ -23,8 +23,10 @@ monotone, so no later term could change it either.
 
 polygamma runs in one pass: a range test on each argument (the _check_*
 helpers run only to raise their messages), the shift, the series and the
-fold inline, and a result validated once by _result.  The module is pure
-Python and imports no numpy.  polygamma is the scalar reference for the
+fold inline, and a result validated once by _result.  A call at or above
+shift_threshold(n) takes no shift step and forms no fold: it evaluates the
+series at x itself, where an empty fold would only add 0.0.  The module is
+pure Python and imports no numpy.  polygamma is the scalar reference for the
 array kernel in polycm.cm, which runs the same steps and the same
 error-bar formula over whole arrays of orders and arguments at once, with
 this module's one per-order table, _ORDERS, gathered whole as its
@@ -262,8 +264,14 @@ def polygamma(n: int, x: float) -> EvalResult:
     try:
         (threshold, _, neg_n_plus_1, n_plus_1, neg_n_plus_2, neg_n, fact_nm1, fact_n,
          sign) = _ORDERS[n]
-        shift_count = math.ceil(threshold - x) if x < threshold else 0
-        y = x + shift_count
+        # below the threshold the count is at least 1; at or above it the call
+        # takes no step and forms no fold (see the fold comment below)
+        if x < threshold:
+            shift_count = math.ceil(threshold - x)
+            y = x + shift_count
+        else:
+            shift_count = 0
+            y = x
 
         # The asymptotic series at y >= shift_threshold(n):
         #
@@ -313,11 +321,12 @@ def polygamma(n: int, x: float) -> EvalResult:
             trunc = abs(_COEFFICIENTS[n][_MAX_ASYMPTOTIC_TERMS] * power)
 
         if n == 0:
-            shift = 0.0
-            for j in range(shift_count):
-                shift += 1.0 / (x + j)
-            value -= shift
-            budget += shift
+            if shift_count:
+                shift = 0.0
+                for j in range(shift_count):
+                    shift += 1.0 / (x + j)
+                value -= shift
+                budget += shift
             err = trunc + _EPS * (2.0 * budget + 8.0 * abs(value))
             return _result(value, err)
         # for n >= 1, value is |psi_n| until the sign (-1)^(n+1) goes on at the end
@@ -327,21 +336,26 @@ def polygamma(n: int, x: float) -> EvalResult:
         # one before, far beyond the rounding of x + j and of the power.  And
         # rounding is monotone, so acc <= fl(acc + later term) <= fl(acc +
         # this term) == acc for every term after it.  The largest term, the
-        # one that can overflow, is the j = 0 term, which is always formed, so
-        # the same arguments raise.  The n = 0 fold above runs every step:
-        # for x above about 1e-15 each of its 1/(x + j) moves the sum, so a
-        # stop test there would only cost time.  The array kernel forms only
-        # the steps before a cap, which holds every step this fold adds (see
-        # the cap comment at _ORDERS).
-        acc = 0.0
-        for j in range(shift_count):
-            total = acc + (x + j) ** neg_n_plus_1
-            if total == acc:
-                break
-            acc = total
-        fact_acc = fact_n * acc
-        value += fact_acc
-        budget += fact_acc
+        # one that can overflow, is the j = 0 term, which every shift forms,
+        # so the same arguments raise.  The n = 0 fold above runs every step
+        # of a shift: for x above about 1e-15 each of its 1/(x + j) moves the
+        # sum, so a stop test there would only cost time.  A call at or above
+        # the threshold takes no step, and neither fold is formed: an empty
+        # fold would add exactly 0.0 (n! * 0.0 for n >= 1) to a value and a
+        # budget that are never -0.0, which leaves both bits as they are, and
+        # at x >= 10 no shift term could overflow.  The array kernel forms
+        # only the steps before a cap, which holds every step this fold adds
+        # (see the cap comment at _ORDERS).
+        if shift_count:
+            acc = 0.0
+            for j in range(shift_count):
+                total = acc + (x + j) ** neg_n_plus_1
+                if total == acc:
+                    break
+                acc = total
+            fact_acc = fact_n * acc
+            value += fact_acc
+            budget += fact_acc
         err = trunc + _EPS * (2.0 * budget + 8.0 * value)
         return _result(sign * value, err)
     except OverflowError:

@@ -108,10 +108,12 @@ def test_scalar_engine_loads_no_numpy():
     # where the rounded (n-1)! n would give another bit, and
     # factorial_over_power on both of its branches: the plain one at
     # (3, 2.0) and the log-space one at (40, 1e8), where x^41 overflows.
+    # (0, 1e3) and (5, 123.0) sit at or above their thresholds, so both
+    # kinds of order also run the branch that takes no shift step.
     # Unblocked, none of numpy, dataclasses or inspect is loaded after
     # them; blocked, a stray import of one raises, and a guarded one would
     # have to give the same bits
-    engine = [(3, 0.5), (0, 0.5), (40, 2.0), (28, 35.999)]
+    engine = [(3, 0.5), (0, 0.5), (40, 2.0), (28, 35.999), (0, 1e3), (5, 123.0)]
     fop = [(3, 2.0), (40, 1e8)]
     banned = ["numpy", "dataclasses", "inspect"]
     calls = (

@@ -310,13 +310,18 @@ def test_argument_checks_accept_what_the_checkers_accept():
     # the smallest subnormal passes the check; only the value overflows
     assert _raised(polygamma, 3, 5e-324)[0] is OverflowError
     assert factorial_over_power(3, 5e-324) == math.inf
+    # 2.0 shifts at every order; 123 is at or above every order's threshold,
+    # so the branch that takes no shift step gets the same arguments
     for f in (polygamma, factorial_over_power):
-        assert f(True, 2.0) == f(1, 2.0)
-        assert f(np.int64(3), 2.0) == f(3, 2.0)
-        assert f(3, np.float64(2.0)) == f(3, 2.0)
-    r = polygamma(3, np.float64(2.0))
-    assert type(r.value) is float and type(r.abs_error_estimate) is float
-    assert type(factorial_over_power(3, np.float64(2.0))) is float
+        for x in (2.0, 123.0):
+            assert f(True, x) == f(1, x)
+            assert f(np.int64(3), x) == f(3, x)
+            assert f(3, np.float64(x)) == f(3, x)
+        assert f(3, 123) == f(3, 123.0)
+    for x in (np.float64(2.0), np.float64(123.0), 123):
+        r = polygamma(3, x)
+        assert type(r.value) is float and type(r.abs_error_estimate) is float
+        assert type(factorial_over_power(3, x)) is float
 
 
 def test_factorial_over_power_basic():

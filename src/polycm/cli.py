@@ -11,10 +11,11 @@ Each verify verb's exit code is the library's verdict: CMScanReport.passed,
 or every BoundCheck.passed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a grid of
-more --points than memory holds is one: MemoryError), 3 numerical error: a
-result left the binary64 range, the endpoint constant's two routes
-disagreed (ArithmeticError), or a quadrature ran out of subdivisions
-(QuadratureError).
+more --points than memory holds is one: MemoryError), 3 numerical error,
+printed with the library's message: a result left the binary64 range
+("polycm: numerical error: psi_40(1e-07) left the binary64 range"), the
+endpoint constant's two routes disagreed (ArithmeticError), or a
+quadrature ran out of subdivisions (QuadratureError).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict
 from operator import attrgetter
 
 from .bounds import bound_table, endpoint_constants
-from .cm import CMScanReport, GridSpec, ShiftParams, cm_scan
+from .cm import GridSpec, ShiftParams, cm_scan
 from .oracle import QuadratureError
 from .polygamma import polygamma
 
@@ -44,10 +45,11 @@ _REFERENCE_CONSTANTS = (
 )
 
 
-def _grid_verb(sub, verb, summary, lo, hi, points, formats, *, max_order=False):
-    """A verb over (a, k) on a grid: --a --k --lo --hi --points --format, with
-    this verb's grid defaults and formats (the first is the default)."""
+def _grid_verb(sub, verb, summary, run, lo, hi, points, formats, *, max_order=False):
+    """A verb over (a, k) on a grid, handled by run: --a --k --lo --hi --points
+    --format, with this verb's grid defaults and formats (the first is the default)."""
     p = sub.add_parser(verb, help=summary, description=summary)
+    p.set_defaults(run=run)
     p.add_argument("--a", type=float, required=True, help="shift in (0, 1)")
     p.add_argument("--k", type=int, required=True, help="base derivative order")
     if max_order:
@@ -69,17 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, default=0, help="derivative order (default 0)")
     p_eval.add_argument("--x", type=float, required=True, help="argument, x > 0")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
+    p_eval.set_defaults(run=_cmd_eval)
 
     _grid_verb(sub, "verify-cm", "scan the sign pattern of the gap derivatives; "
-               "exit 1 unless the scan passes", 0.1, 100.0, 60, ("text", "json"), max_order=True)
+               "exit 1 unless the scan passes", _cmd_verify_cm,
+               0.1, 100.0, 60, ("text", "json"), max_order=True)
     _grid_verb(sub, "verify-bounds", "check the two-sided bounds on a grid; "
-               "exit 1 if a row fails", 1.001, 1000.0, 50, ("text", "json", "csv"))
+               "exit 1 if a row fails", _cmd_verify_bounds,
+               1.001, 1000.0, 50, ("text", "json", "csv"))
     # the verify-bounds handler; its json is the bare list of rows
     _grid_verb(sub, "table", "emit the bound rows of verify-bounds, with its exit code",
-               1.001, 1000.0, 50, ("csv", "json"))
+               _cmd_verify_bounds, 1.001, 1000.0, 50, ("csv", "json"))
 
     p_const = sub.add_parser("constants", help="reference endpoint constants at a = 1/2")
     p_const.add_argument("--format", choices=("text", "json"), default="text")
+    p_const.set_defaults(run=_cmd_constants)
 
     return parser
 
@@ -98,14 +104,6 @@ def _emit_rows_csv(rows, out) -> None:
     for r in rows:
         *values, passed = fields(r)
         writer.writerow([*map(_g, values), "true" if passed else "false"])
-
-
-def _report_dict(report: CMScanReport) -> dict:
-    d = asdict(report)
-    if not math.isfinite(report.witness_error):
-        d["witness_error"] = None
-        d["min_signed_value"] = None
-    return d
 
 
 def _cmd_eval(args) -> int:
@@ -128,7 +126,10 @@ def _cmd_verify_cm(args) -> int:
     params, grid = _shift_grid(args)
     report = cm_scan(params, args.max_order, grid)
     if args.format == "json":
-        d = _report_dict(report)
+        d = asdict(report)
+        if not math.isfinite(report.witness_error):
+            # with no witness both are inf, which JSON cannot hold
+            d["witness_error"] = d["min_signed_value"] = None
         d["ok"] = report.passed
         print(json.dumps(d))
     else:
@@ -199,20 +200,11 @@ def _cmd_constants(args) -> int:
     return 0 if ok else 1
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "verify-cm": _cmd_verify_cm,
-    "verify-bounds": _cmd_verify_bounds,
-    "table": _cmd_verify_bounds,
-    "constants": _cmd_constants,
-}
-
-
 def main(cli_args=None) -> int:
     parser = build_parser()
     args = parser.parse_args(cli_args)
     try:
-        return _DISPATCH[args.verb](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"polycm: error: {exc}", file=sys.stderr)
         return 2
@@ -221,9 +213,6 @@ def main(cli_args=None) -> int:
         # user's input, so a usage error, not a verdict (exit 1)
         print(f"polycm: error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except OverflowError:
-        print("polycm: numerical error: a result left the binary64 range", file=sys.stderr)
-        return 3
     except ArithmeticError as exc:
         print(f"polycm: numerical error: {exc}", file=sys.stderr)
         return 3

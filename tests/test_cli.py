@@ -6,9 +6,11 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from polycm import (EvalResult, GridSpec, QuadratureError, ShiftParams, bound_ta
 from polycm.cli import main
 
 CSV_COLUMNS = ["x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed"]
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def run(args, capsys):
@@ -54,12 +57,13 @@ class TestEval:
         assert "error" in err
 
     def test_overflow_is_a_numerical_error(self, capsys):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError) as exc:
             polygamma(40, 1e-8)
         code, out, err = run(["eval", "--n", "40", "--x", "1e-8"], capsys)
         assert code == 3
         assert out == ""
-        assert err == "polycm: numerical error: a result left the binary64 range\n"
+        assert err == f"polycm: numerical error: {exc.value}\n"
+        assert err == "polycm: numerical error: psi_40(1e-08) left the binary64 range\n"
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -78,26 +82,50 @@ def test_unallocatable_grid_is_usage_error(capsys, verb):
     assert err.count("\n") == 1
 
 
+def library_overflow(argv) -> OverflowError:
+    """The OverflowError that the library call behind argv's verb raises."""
+    args = polycm.cli.build_parser().parse_args(argv)
+    with pytest.raises(OverflowError) as exc:
+        if args.verb == "eval":
+            polygamma(args.n, args.x)
+        else:
+            params = ShiftParams(a=args.a, k=args.k)
+            grid = GridSpec(lo=args.lo, hi=args.hi, points=args.points)
+            if args.verb == "verify-cm":
+                cm_scan(params, args.max_order, grid)
+            else:
+                bound_table(params, grid)
+    return exc.value
+
+
 class TestNumericalErrors:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,line",
         [
-            ["eval", "--n", "40", "--x", "1e-7"],
-            ["eval", "--n", "0", "--x", "1e-310"],
-            ["verify-cm", "--a", "0.5", "--k", "32", "--lo", "1e-7", "--hi", "1", "--points", "10"],
-            ["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5",
-             "--hi", "1.7976931348623157e308", "--points", "5"],
+            (["eval", "--n", "40", "--x", "1e-7"],
+             "polycm: numerical error: psi_40(1e-07) left the binary64 range"),
+            (["eval", "--n", "0", "--x", "1e-310"],
+             "polycm: numerical error: psi_0(1e-310) left the binary64 range"),
+            (["verify-cm", "--a", "0.5", "--k", "32", "--lo", "1e-7", "--hi", "1",
+              "--points", "10"],
+             "polycm: numerical error: psi_37(1e-07) left the binary64 range"),
+            (["verify-bounds", "--a", "0.5", "--k", "2", "--lo", "1.5",
+              "--hi", "1.7976931348623157e308", "--points", "5"],
+             "polycm: numerical error: psi_2(1.642114399880073e+154) left the binary64 range"),
         ],
+        ids=[f"argv{i}" for i in range(4)],
     )
-    def test_non_finite_result(self, capsys, argv):
+    def test_non_finite_result(self, capsys, argv, line):
         # the result itself leaves binary64 (psi_40(1e-7) is about 8e334,
-        # psi(1e-310) about -1e310): a numerical error, not a usage error.
-        # A grid ending at DBL_MAX is built without a warning, and only the
-        # bound row there overflows
+        # psi(1e-310) about -1e310): a numerical error, not a usage error,
+        # printed with the library's message.  A grid ending at DBL_MAX is
+        # built without a warning; its first row to overflow is an interior
+        # one, where the power x^3 in psi_2's asymptotic head leaves binary64
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
-        assert err == "polycm: numerical error: a result left the binary64 range\n"
+        assert err == line + "\n"
+        assert line == f"polycm: numerical error: {library_overflow(argv)}"
 
     def test_disagreeing_endpoint_routes(self, capsys, monkeypatch):
         # a direct route far from the quadrature's value: endpoint_constants
@@ -400,6 +428,19 @@ class TestUsage:
     )
     def test_argument_errors_name_their_rule(self, capsys, argv, message):
         assert run(argv, capsys) == (2, "", f"polycm: error: {message}\n")
+
+    def test_ci_console_script_lines_exit_0(self):
+        # the workflow's "Installed console script" step runs each bare
+        # `polycm ...` line through the entry point; here each runs through
+        # main, so a CLI change that would fail that step fails here first
+        step = WORKFLOW.read_text().split("- name: Installed console script\n", 1)[1]
+        step = re.split(r"\n\s*- name: ", step, maxsplit=1)[0]
+        lines = [line.strip() for line in step.splitlines()
+                 if re.fullmatch(r"\s*polycm( [\w.+-]+)+", line)]
+        assert {line.split()[1] for line in lines} == {
+            "eval", "verify-cm", "verify-bounds", "table", "constants"}
+        for line in lines:
+            assert main(line.split()[1:]) == 0, line
 
     def test_console_script_installed(self):
         script = shutil.which("polycm")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -23,6 +25,8 @@ from polycm.cli import main
 
 CSV_COLUMNS = ["x", "lower", "middle", "upper", "lower_margin", "upper_margin", "passed"]
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+# the directory that holds the package under test, for child interpreters
+SRC = str(Path(polycm.cli.__file__).resolve().parent.parent)
 
 
 def run(args, capsys):
@@ -452,3 +456,93 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "psi_1(1)" in proc.stdout
+
+
+def child_env(**overrides) -> dict:
+    """The environment of a child interpreter that imports the package under test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+class TestProcessExit:
+    """python -m polycm.cli and the polycm script exit through console()."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "3", "--x", "0.5", "--format", "json"],
+            ["verify-cm", "--a", "0.5", "--k", "2", "--format", "json"],
+            ["verify-bounds", "--a", "0.5", "--k", "2", "--format", "json"],
+            ["table", "--a", "0.5", "--k", "2", "--format", "json"],
+            ["constants", "--format", "json"],
+            ["verify-bounds", "--a", "0.5", "--k", "2", "--hi", "1e9", "--format", "json"],
+            ["eval", "--n", "1"],
+            ["eval", "--n", "40", "--x", "1e-7"],
+        ],
+        ids=["eval", "verify-cm", "verify-bounds", "table", "constants", "verdict-fail",
+             "usage-error", "numerical-error"],
+    )
+    def test_process_matches_main(self, capsys, argv):
+        # stderr is compared by its end, as a child may print warnings at
+        # import that the in-process call printed before capture began; on
+        # an error exit that end is not empty
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "polycm.cli", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr.endswith(err)
+        assert code in (0, 1) or err != ""
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["eval", "--n", "3", "--x", "0.5"]) == 0
+        assert main(["verify-bounds", "--a", "0.5", "--k", "2", "--hi", "1e9"]) == 1
+        with pytest.raises(SystemExit):
+            main(["eval", "--n", "1"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_console_exits_with_a_frozen_heap(self):
+        # atexit runs its handlers last in, first out, so one registered
+        # before console() runs after console() has exited
+        script = ("import atexit, gc, polycm.cli; "
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+                  "polycm.cli.console()")
+        proc = subprocess.run([sys.executable, "-c", script, "eval", "--x", "1"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [
+            "psi_0(1) = -0.57721566490153275", "abs error estimate <= 3.327e-15", "frozen True"]
+        assert proc.stderr == ""
+
+    # unbuffered, the first print to the closed pipe raises; buffered, the
+    # explicit flush before exit does, or the interpreter's final one would
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_reader_closed_at_once(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "polycm.cli", "eval", "--x", "1"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=child_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_reader_closed_after_one_line(self, unbuffered):
+        # 20,000 csv rows are megabytes, far more than a pipe buffers
+        with subprocess.Popen(
+                [sys.executable, "-m", "polycm.cli", "table", "--a", "0.5", "--k", "2",
+                 "--points", "20000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=child_env(PYTHONUNBUFFERED=unbuffered)) as proc:
+            assert proc.stdout.readline() == ",".join(CSV_COLUMNS) + "\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == ""

@@ -8,18 +8,25 @@ Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate, both
 held as literal tables, so polycm neither imports numpy.polynomial nor
 calls LAPACK for them (numpy 1.x still imports numpy.polynomial itself).
-The reported error has two parts: the truncated upper tail's, an exact
-closed-form bound, and the panels', |G15 - G7| summed over the panels,
-which is an estimate and not a proven bound (a bound of Bernstein-ellipse
-type would make it one).  Bisection runs in rounds: each
-round splits every panel whose discrepancy exceeds its equal share of the
-tolerance, and the integrand is called once per round on the nodes of both
-rules of all its panels.  Each panel estimate is a sequential sum in node
-order and the totals are math.fsum over the panels, so no result depends
-on a BLAS kernel, a SIMD summation order or the order of the panels.  The
-rounds therefore keep their panels in Python lists, in whatever order
-splitting in place leaves them; only the integrand calls use arrays.  The
-terms and integrands themselves do depend on numpy's CPU dispatch: the
+The reported error has three parts: the truncated upper tail's, an exact
+closed-form bound; the panels', |G15 - G7| summed over the panels, which
+is an estimate and not a proven bound (a bound of Bernstein-ellipse type
+would make it one); and a rounding floor, 64 eps |integral|, for what the
+discrepancy stops seeing once the panels converge: the 15-point weights'
+table error, the fixed-order sums and the integrand's own rounding (see
+_ROUNDING_FLOOR).  Where a route rounds apart from its integral, its bar
+says so too: the even gap's bracket is a difference of two terms of size
+a, and psi at n = 0 adds the rounded -gamma.  Bisection starts from a
+partition on the integrand's own scale (see _integrate) and runs in
+rounds: each round splits every panel whose discrepancy exceeds its equal
+share of the tolerance, and the integrand is called once per round on the
+nodes of both rules of all its panels.  Each panel estimate is a
+sequential sum in node order and the totals are math.fsum over the
+panels, so no result depends on a BLAS kernel, a SIMD summation order or
+the order of the panels.  The rounds therefore keep their panels in
+Python lists, in whatever order splitting in place leaves them; only the
+integrand calls use arrays.  The terms and integrands themselves do
+depend on numpy's CPU dispatch: the
 series' powers and the integrands' exp, expm1 and log come from numpy's
 SIMD loops, which can differ from libm's by an ulp.  On the crosscheck
 draws of seed 1 the 164 series results and the 164 quadrature results
@@ -94,6 +101,22 @@ _PROBES_PER_CALL = 8
 _PROBE_STEPS = np.arange(_PROBES_PER_CALL, dtype=np.intc)
 _REL_TOL = 1e-10            # target of discrepancy / |integral|
 _MAX_SUBDIVISIONS = 4000    # panels one quadrature may split, over all rounds
+#: _integrate's first partition holds the points upper * 2^(-j/2), j = 1..8,
+#: formed by repeated multiplication by this binary64 literal, with no **,
+#: so that they are the same points on every host.
+_LADDER_RATIO = 0.7071067811865476
+_LADDER_POINTS = 8
+#: The rounding floor, _ROUNDING_FLOOR * eps * |integral|, covers what
+#: |G15 - G7| cannot see once the panels converge.  Every oracle integrand
+#: keeps one sign on (0, inf), so the sum of |h w f| over all nodes is
+#: |integral|, and each source is a multiple of eps times it: the 15-point
+#: weights' table error, up to 37.7 ulp, so 37.7 eps |w|; the sequential
+#: 15-term sum with its products and the factor h, 16 roundings of half an
+#: ulp, 8 eps; the integrand's own rounding, a handful of operations (exp,
+#: expm1, log, a quotient, a product) of about an ulp each, 8 eps; and
+#: math.fsum's one rounding over the panels.  They sum to about 54, which
+#: rounds up to the next power of two.
+_ROUNDING_FLOOR = 64.0
 
 
 class QuadratureError(RuntimeError):
@@ -320,15 +343,23 @@ def _fsum(values: list[float]) -> float:
 def _integrate(f: Callable[[np.ndarray], np.ndarray], upper: float) -> tuple[float, float]:
     """Adaptive bisection of int_0^upper f in rounds; returns (value, error).
 
-    Starts from a geometric partition 0, 1, 2, 4, ... so the initial panels
-    already track the scale of a decaying integrand.  While the summed
+    Starts from the doublings 1, 2, 4, ... below the cutoff and the ladder
+    upper * 2^(-j/2), j = 1..8, which splits [upper/16, upper] into panels
+    a factor sqrt(2) wide.  The integrand's mass, near n/x for t^n e^-xt,
+    and its decay over the tens of e-folds before the cutoff mostly fall in
+    that range, where the doublings alone leave panels a factor 2 wide.  On
+    the crosscheck benchmark's draws three integrals in four then meet the
+    tolerance in the first integrand call: 1.4 calls per integral, against
+    3.3 from the doublings alone.  While the summed
     15-vs-7-point discrepancies exceed _REL_TOL * |integral|, a round splits
     every panel whose discrepancy exceeds its equal share of that allowance,
     _REL_TOL * |integral| / panels, and the worst panel in any case, so that
     every round makes progress; all halves of a round go through one
     integrand call.  Both totals are math.fsum over the panels, correctly
     rounded and independent of panel order.  _MAX_SUBDIVISIONS caps the
-    number of panels split, over all rounds.
+    number of panels split, over all rounds.  The returned error adds the
+    rounding floor, _ROUNDING_FLOOR * eps * |integral|, to the summed
+    discrepancies.
 
     The panels live in four Python lists (lo, hi, estimate, discrepancy)
     across rounds, a few dozen floats that lists handle faster than arrays:
@@ -336,11 +367,16 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], upper: float) -> tuple[flo
     appended.  That reorders the panels, which neither the totals nor the
     split rule, a function of the set of panels only, can see.
     """
-    lo = [0.0]
+    starts = {0.0}
     step = min(1.0, upper)
     while step < upper:
-        lo.append(step)
+        starts.add(step)
         step *= 2.0
+    step = upper
+    for _ in range(_LADDER_POINTS):
+        step *= _LADDER_RATIO
+        starts.add(step)
+    lo = sorted(starts)
     hi = lo[1:] + [upper]
     v, e = _panels(f, lo, hi)
     splits = 0
@@ -349,7 +385,7 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], upper: float) -> tuple[flo
         total_e = _fsum(e)
         allowance = _REL_TOL * abs(total_v)
         if not total_e > allowance:
-            return total_v, total_e
+            return total_v, total_e + _ROUNDING_FLOOR * _EPS * abs(total_v)
         # no discrepancy is nan here, since one would have made total_e nan
         share = allowance / len(e)
         worst = max(e)
@@ -458,22 +494,30 @@ def polygamma_integral(n: int, x: float) -> EvalResult:
     n = 0:  psi(x) = -gamma + int_0^inf (e^-t - e^-xt)/(1 - e^-t) dt
     n >= 1: psi_n(x) = (-1)^(n+1) int_0^inf t^n e^-xt/(1 - e^-t) dt
 
-    The reported error is the summed panel discrepancy plus the exact bound
-    on the dropped tail, so doubling the cutoff moves the value by less than
-    the bar.
+    The reported error is the summed panel discrepancy and the rounding
+    floor plus the exact bound on the dropped tail, so doubling the cutoff
+    moves the value by less than the bar.
     """
     n = _check_order(n)
     x = _check_x(x)
     if n == 0:
+        # e^-t - e^-xt = sign e^(-rate t) (1 - e^(-|x - 1| t)): a product,
+        # so f keeps its relative accuracy as x nears 1, where the
+        # difference of the two exponentials cancels
+        rate = min(1.0, x)
+        sign = 1.0 if x > 1.0 else -1.0
+        gap = abs(x - 1.0)
 
         def f(t: np.ndarray) -> np.ndarray:
-            num = np.expm1(-t) - np.expm1(-x * t)
-            return num / t * _t_over_one_minus_exp(t)
+            return sign * np.exp(-rate * t) * np.expm1(-gap * t) / np.expm1(-t)
 
-        rate = min(1.0, x)
         v, e, upper = _run_integral(f, x, 0)
         tail = _exp_poly_tail(0, rate, upper) / (-math.expm1(-upper))
-        return _result(-GAMMA_EULER + v, e + tail)
+        # the double nearest gamma and the sum below each round by at most
+        # half an ulp, which no part of the integral's bar holds; eps times
+        # their sizes covers both twice over
+        value = -GAMMA_EULER + v
+        return _result(value, e + tail + _EPS * (GAMMA_EULER + abs(value)))
 
     def f(t: np.ndarray) -> np.ndarray:
         return _power_exp(n, x, t) / -np.expm1(-t)
@@ -507,7 +551,18 @@ def _gap_integral(a: float, power: int, x: float, odd: bool) -> EvalResult:
     # the bracket tends to 1 - a + offset at large t
     v, e, upper = _run_integral(f, x, power, 1.0 - a + offset)
     tail = (1.0 + a if odd else 1.0 - a) * _exp_poly_tail(power, x, upper)
-    return _result(v, e + tail)
+    # _weight is a (r(t) - r(at)) / r(at) with each r within 2 eps, so it
+    # errs by 2 eps w + 4 eps a.  Both are relative to the odd bracket,
+    # which is at least 2a, but the even one tends to 0 as a nears 1, so
+    # its bar takes 4 eps a t^power e^-xt too: 4 eps a power!/x^(power+1),
+    # formed through its log, as power!/x^(power+1) alone can overflow
+    # where the integral does not
+    cancel = 0.0
+    if not odd:
+        ln_cancel = (math.log(4.0 * _EPS * a) + math.lgamma(power + 1.0)
+                     - (power + 1.0) * math.log(x))
+        cancel = math.exp(ln_cancel) if ln_cancel < 709.0 else math.inf
+    return _result(v, e + tail + cancel)
 
 
 def gap_integral_even(a: float, power: int, x: float) -> EvalResult:

@@ -32,6 +32,23 @@ from polycm.oracle import power_integral
 BIG = SeriesSpec(max_terms=4_000_000)
 
 
+def quadrature_referee(mpmath, name, args):
+    """The exact value, at mpmath's working precision, of the quadrature
+    route called name at args: psi_n(x), n!/x^(n+1), or with
+    D = psi_p(x + a) - psi_p(x) the gap integrals (-1)^p D -+ a p!/x^(p+1),
+    minus for the even one."""
+    if name == "polygamma_integral":
+        n, x = args
+        return mpmath.polygamma(n, mpmath.mpf(x))
+    if name == "power_integral":
+        n, x = args
+        return mpmath.factorial(n) / mpmath.mpf(x) ** (n + 1)
+    a, p, x = map(mpmath.mpf, args)
+    shifted = (-1) ** args[1] * (mpmath.polygamma(p, x + a) - mpmath.polygamma(p, x))
+    power = a * mpmath.factorial(p) / x ** (p + 1)
+    return shifted - power if name == "gap_integral_even" else shifted + power
+
+
 class TestSeries:
     def test_digamma_half(self):
         # psi(1/2) = -gamma - 2 ln 2; at 4e6 terms the Euler-Maclaurin
@@ -334,6 +351,39 @@ class TestQuadrature:
                             err = abs(mpmath.mpf(r.value) - truth)
                             assert err <= r.abs_error_estimate, (fn.__name__, a, p, x, float(err))
 
+    def test_half_bar_covers_mpmath_referee_where_one_call_suffices(self):
+        # at n <= 3 and x in [0.3, 3] the first partition usually meets the
+        # tolerance in one integrand call, so the bar rests on one round of
+        # |G15 - G7|, which can sit near the rounding level, and on the
+        # floor beside it; seeded draws, each within half its bar
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(43)
+        log_x = (math.log(0.3), math.log(3.0))
+        cases = [(polygamma_integral, (n, x)) for n, x in zip(
+            rng.integers(0, 4, 3000).tolist(), np.exp(rng.uniform(*log_x, 3000)).tolist())]
+        cases += [(gap_integral_odd if p % 2 else gap_integral_even, (a, p, x))
+                  for a, p, x in zip(rng.uniform(0.0, 1.0, 300).tolist(),
+                                     rng.integers(0, 4, 300).tolist(),
+                                     np.exp(rng.uniform(*log_x, 300)).tolist())]
+        worst = (0.0,)
+        with mpmath.workdps(20):
+            for fn, args in cases:
+                r = fn(*args)
+                err = abs(mpmath.mpf(r.value) - quadrature_referee(mpmath, fn.__name__, args))
+                worst = max(worst, (float(err) / r.abs_error_estimate, fn.__name__, args))
+        assert worst[0] <= 0.5, worst
+
+    def test_even_gap_bar_stays_finite_with_its_integral(self):
+        # the even gap's rounding term, 4 eps a p!/x^(p+1), is formed
+        # through its log: here p!/x^(p+1) alone passes 1e304, while the
+        # integral and its bar are finite
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for args in ((0.5, 0, 5e-305), (0.9, 1, 1e-153), (0.5, 2, 3e-102)):
+                r = gap_integral_even(*args)
+                truth = quadrature_referee(mpmath, "gap_integral_even", args)
+                assert abs(mpmath.mpf(r.value) - truth) <= r.abs_error_estimate, args
+
     def test_digamma_integral_past_1e60_covers_mpmath_referee(self):
         # the n = 0 integrand decays at rate 1 while its cutoff search starts
         # at 30/x, so above x ~ 1.2e60 the cutoff lies more than 200
@@ -553,8 +603,9 @@ for a in (0.01, 0.5, 0.99):
 
 class TestBatchedPanels:
     """_integrate's rounds of panels: one integrand call per round and a
-    budget that counts split panels.  tests/test_bits.py pins their bits
-    against the base commit on these cases."""
+    budget that counts split panels.  tests/test_bits.py checks them
+    against the base commit on these cases under the quadrature rule until
+    BASE advances."""
 
     #: Module settings a case runs under: a forced cutoff of 5.0, and a
     #: tolerance the 10-split budget cannot meet.

@@ -1,22 +1,24 @@
 """Deliberately simple evaluators used to cross-check the fast engine.
 
 Series forms sum their first max_terms terms with one exactly rounded
-math.fsum, which reads the numpy array of terms through a memoryview, and
-close the rest with an Euler-Maclaurin tail whose remainder bound
-(DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
+math.fsum, which reads the numpy arrays of terms, formed 65,536 at a time,
+through memoryviews, and close the rest with an Euler-Maclaurin tail whose
+remainder bound (DLMF 2.10.1, with |B~_8| <= |B_8|) becomes the error bar.
 Integral forms use adaptive bisection with a 15-point Gauss-Legendre rule
 per panel and a 7-point companion rule for the panel error estimate, both
 held as literal tables, so polycm neither imports numpy.polynomial nor
 calls LAPACK for them (numpy 1.x still imports numpy.polynomial itself).
-The reported error has three parts: the truncated upper tail's, an exact
-closed-form bound; the panels', |G15 - G7| summed over the panels, which
-is an estimate and not a proven bound (a bound of Bernstein-ellipse type
-would make it one); and a rounding floor, 64 eps |integral|, for what the
-discrepancy stops seeing once the panels converge: the 15-point weights'
-table error, the fixed-order sums and the integrand's own rounding (see
-_ROUNDING_FLOOR).  Where a route rounds apart from its integral, its bar
-says so too: the even gap's bracket is a difference of two terms of size
-a, and psi at n = 0 adds the rounded -gamma.  Bisection starts from a
+The reported error has three parts: the truncated upper tail's, the exact
+integral past the cutoff T (DLMF 8.4.8) of a closed-form envelope of the
+integrand, which also picks T (see _auto_cutoff); the panels', |G15 - G7|
+summed over the panels, which is an estimate and not a proven bound (a
+bound of Bernstein-ellipse type would make it one); and a rounding floor,
+64 eps |integral|, for what the discrepancy stops seeing once the panels
+converge: the 15-point weights' table error, the fixed-order sums and the
+integrand's own rounding (see _ROUNDING_FLOOR).  Where a route rounds
+apart from its integral, its bar says so too: the even gap's bracket is a
+difference of two terms of size a, and psi at n = 0 adds the rounded
+-gamma.  Bisection starts from a
 partition on the integrand's own scale (see _integrate) and runs in
 rounds: each round splits every panel whose discrepancy exceeds its equal
 share of the tolerance, and the integrand is called once per round on the
@@ -31,7 +33,8 @@ series' powers and the integrands' exp, expm1 and log come from numpy's
 SIMD loops, which can differ from libm's by an ulp.  On the crosscheck
 draws of seed 1 the 164 series results and the 164 quadrature results
 hash differently with numpy's AVX-512 dispatch off, while the engine's,
-which are libm's, do not.
+which are libm's, do not.  The cutoff is libm's, so it does not follow
+that dispatch.
 
 Nothing here shares evaluation code with the engine; only Euler's
 constant, the argument checks, the overflow check on results and the
@@ -52,6 +55,7 @@ from .constants import GAMMA_EULER
 from .polygamma import _EPS, EvalResult, _as_float, _check_order, _check_shift, _check_x, _result
 
 _TINY_INTEGRAND = 1e-18
+_SERIES_CHUNK = 65536  # series terms formed per numpy call
 _SMALL_T = 1e-3        # switch to the Taylor form of t/(1-e^-t)
 _SMALL_T_DIFF = 0.05   # switch to the series form of r(t) - r(at)
 
@@ -95,10 +99,6 @@ _WEIGHTS_LO = np.array([
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))[:, None]
 _WEIGHTS = np.concatenate((_WEIGHTS_HI, _WEIGHTS_LO))[:, None]
 _HI_COUNT = _NODES_HI.size
-#: The cutoff search probes its candidates 30/x * 2^j _PROBES_PER_CALL per
-#: integrand call, j = i + _PROBE_STEPS for i = 0, 8, 16, ...
-_PROBES_PER_CALL = 8
-_PROBE_STEPS = np.arange(_PROBES_PER_CALL, dtype=np.intc)
 _REL_TOL = 1e-10            # target of discrepancy / |integral|
 _MAX_SUBDIVISIONS = 4000    # panels one quadrature may split, over all rounds
 #: _integrate's first partition holds the points upper * 2^(-j/2), j = 1..8,
@@ -134,8 +134,8 @@ class SeriesSpec:
     _em_terms(n, K + x) for polygamma_series, rem from _em_terms(0, K) for
     digamma_series.  The worst case, 3.2e-8 of the bar, is at n = 40,
     x ~ 1283; at K = 128 it is 8.2e-6.  From the minimum of 100 terms on
-    the remainder stays below the bar's 32 eps rounding floor.  All
-    max_terms terms are held at once, 8 bytes each.
+    the remainder stays below the bar's 32 eps rounding floor.  The terms
+    are formed 65,536 at a time, so memory does not grow with max_terms.
     """
 
     max_terms: int = 256
@@ -177,14 +177,17 @@ def _fsum_series(
 ) -> float:
     """math.fsum of term(k) for k = first..count-1 and of tail, one exact rounding.
 
-    The terms are formed as one array, and math.fsum reads its buffer
-    through a memoryview, with no list of Python floats in between; the
-    tail follows in the same call.  A term that overflows does so silently,
-    as in _run_integral.
+    The terms are formed _SERIES_CHUNK at a time, and math.fsum reads each
+    chunk through a memoryview, so no list of Python floats is built and
+    memory does not grow with count; fsum rounds once over its whole input,
+    so the chunks move no bit.  A term that overflows does so silently, as
+    in _run_integral.
     """
+    chunks = (memoryview(term(np.arange(lo, min(lo + _SERIES_CHUNK, count), dtype=float)))
+              for lo in range(first, count, _SERIES_CHUNK))
+    # each chunk is formed when fsum reaches it, so one is held at a time
     with np.errstate(over="ignore"):
-        terms = term(np.arange(first, count, dtype=float))
-    return math.fsum(itertools.chain(memoryview(terms), tail))
+        return math.fsum(itertools.chain(itertools.chain.from_iterable(chunks), tail))
 
 
 def polygamma_series(n: int, x: float, spec: SeriesSpec = _DEFAULT_SERIES) -> EvalResult:
@@ -409,42 +412,36 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], upper: float) -> tuple[flo
         e += new_e[len(split):]
 
 
-def _auto_cutoff(
-    f: Callable[[np.ndarray], np.ndarray], x: float, power: int, lead: float
-) -> float:
-    """The first finite T = 30/x * 2^j, j = 0, 1, 2, ..., with |f(T)| < 1e-18.
+def _auto_cutoff(power: int, rate: float, lead: float, divides: bool) -> float:
+    """The first finite T = 30/rate * 2^j, j = 0, 1, 2, ..., at which the
+    envelope lead T^power e^(-rate T), over 1 - e^-T if divides, is below
+    1e-18: formed with libm in _power_exp's order, so the search calls no
+    integrand, and for psi_n at n >= 1 and power_integral, whose integrand
+    the envelope is, it stops where a search on the integrand would.
 
-    The candidates are probed eight per integrand call, until they leave
-    the binary64 range; those past it are never evaluated.  Scaling by a
-    power of two is exact (np.ldexp), so they are the points repeated
-    doubling of 30/x reaches.  The integral is about
-    lead * power!/x^(power+1) at small x: when 30/x itself is inf, that is
-    inf too (OverflowError) unless power is 0 and lead/x is finite, and then
-    the cutoff is unreachable (QuadratureError).
+    30/rate is inf only for rate = x near 0, where the integral, about
+    lead * power!/x^(power+1), is inf too (OverflowError) unless power is 0
+    and lead/x is finite; then the cutoff is unreachable (QuadratureError).
     """
-    start = 30.0 / x
-    if start == math.inf:
-        if power > 0 or lead / x == math.inf:
+    t = 30.0 / rate
+    if t == math.inf:
+        if power > 0 or lead / rate == math.inf:
             raise OverflowError(
                 f"result left the binary64 range: the integral grows like "
-                f"x^-{power + 1} and x = {x!r}"
+                f"x^-{power + 1} and x = {rate!r}"
             )
-        raise QuadratureError(f"the truncation point 30/x is not finite for x = {x!r}")
-    # x is finite, so 30/x > 2^-1019 and the candidates leave binary64
-    # before j = 2048
-    for i in range(0, 2048, _PROBES_PER_CALL):
-        probes = np.ldexp(start, i + _PROBE_STEPS)
-        probes = probes[probes < math.inf]
-        if not probes.size:
-            break
-        below = np.abs(f(probes)) < _TINY_INTEGRAND
-        if below.any():
-            return float(probes[below.argmax()])
-        # start is finite, so the first group sets this
-        last = float(probes[-1])
-    raise QuadratureError(
-        f"no truncation point up to T = {last!r}: the integrand does not decay"
-    )
+        raise QuadratureError(f"the truncation point 30/x is not finite for x = {rate!r}")
+    while True:
+        z = power * math.log(t) - rate * t
+        over = -math.expm1(-t) if divides else 1.0
+        # past 709 math.exp raises, and the envelope is far above 1e-18
+        if z < 709.0 and lead * math.exp(z) / over < _TINY_INTEGRAND:
+            return t
+        if 2.0 * t == math.inf:
+            raise QuadratureError(
+                f"no truncation point up to T = {t!r}: the integrand does not decay"
+            )
+        t *= 2.0
 
 
 def _exp_poly_tail(m: int, x: float, upper: float) -> float:
@@ -471,21 +468,21 @@ def _exp_poly_tail(m: int, x: float, upper: float) -> float:
     return math.exp(ln_tail)
 
 
-def _run_integral(
-    f: Callable[[np.ndarray], np.ndarray], x: float, power: int, lead: float = 1.0
-) -> tuple[float, float, float]:
-    """Returns (value, quadrature error, cutoff T) of an integral that is
-    about lead * power!/x^(power+1) at small x: integrated up to
-    _auto_cutoff's T at _REL_TOL with at most _MAX_SUBDIVISIONS splits.
-
-    An integrand that overflows does so silently and leaves the value or
-    error non-finite (inf, or nan from inf - inf), which the caller's
-    _result turns into OverflowError.
+def _run_integral(f: Callable[[np.ndarray], np.ndarray], power: int, rate: float,
+                  lead: float = 1.0, divides: bool = False) -> tuple[float, float]:
+    """(value, error) of int_0^inf f, where |f| is at most the envelope
+    lead t^power e^(-rate t), over 1 - e^-t if divides: f integrated up to
+    _auto_cutoff's T at _REL_TOL with at most _MAX_SUBDIVISIONS splits, and
+    the error plus the envelope's exact integral past T, which bounds the
+    dropped tail as 1 - e^-t grows with t.  An integrand that overflows does
+    so silently and leaves the value or error non-finite (inf, or nan from
+    inf - inf), which the caller's _result turns into OverflowError.
     """
+    upper = _auto_cutoff(power, rate, lead, divides)
     with np.errstate(over="ignore", invalid="ignore"):
-        upper = _auto_cutoff(f, x, power, lead)
         v, e = _integrate(f, upper)
-    return v, e, upper
+    over = -math.expm1(-upper) if divides else 1.0
+    return v, e + lead * _exp_poly_tail(power, rate, upper) / over
 
 
 def polygamma_integral(n: int, x: float) -> EvalResult:
@@ -511,21 +508,20 @@ def polygamma_integral(n: int, x: float) -> EvalResult:
         def f(t: np.ndarray) -> np.ndarray:
             return sign * np.exp(-rate * t) * np.expm1(-gap * t) / np.expm1(-t)
 
-        v, e, upper = _run_integral(f, x, 0)
-        tail = _exp_poly_tail(0, rate, upper) / (-math.expm1(-upper))
+        # |f| <= e^(-rate t)/(1 - e^-t), since |expm1(-gap t)| < 1
+        v, e = _run_integral(f, 0, rate, divides=True)
         # the double nearest gamma and the sum below each round by at most
         # half an ulp, which no part of the integral's bar holds; eps times
         # their sizes covers both twice over
         value = -GAMMA_EULER + v
-        return _result(value, e + tail + _EPS * (GAMMA_EULER + abs(value)))
+        return _result(value, e + _EPS * (GAMMA_EULER + abs(value)))
 
     def f(t: np.ndarray) -> np.ndarray:
         return _power_exp(n, x, t) / -np.expm1(-t)
 
-    v, e, upper = _run_integral(f, x, n)
-    tail = _exp_poly_tail(n, x, upper) / (-math.expm1(-upper))
+    v, e = _run_integral(f, n, x, divides=True)
     sign = 1.0 if n % 2 == 1 else -1.0
-    return _result(sign * v, e + tail)
+    return _result(sign * v, e)
 
 
 def power_integral(n: int, x: float) -> EvalResult:
@@ -533,8 +529,8 @@ def power_integral(n: int, x: float) -> EvalResult:
     n = _check_order(n)
     x = _check_x(x)
 
-    v, e, upper = _run_integral(lambda t: _power_exp(n, x, t), x, n)
-    return _result(v, e + _exp_poly_tail(n, x, upper))
+    v, e = _run_integral(lambda t: _power_exp(n, x, t), n, x)
+    return _result(v, e)
 
 
 def _gap_integral(a: float, power: int, x: float, odd: bool) -> EvalResult:
@@ -548,9 +544,8 @@ def _gap_integral(a: float, power: int, x: float, odd: bool) -> EvalResult:
     def f(t: np.ndarray) -> np.ndarray:
         return (_weight(a, t) + offset) * _power_exp(power, x, t)
 
-    # the bracket tends to 1 - a + offset at large t
-    v, e, upper = _run_integral(f, x, power, 1.0 - a + offset)
-    tail = (1.0 + a if odd else 1.0 - a) * _exp_poly_tail(power, x, upper)
+    # the bracket stays below its large-t limit, 1 - a + offset
+    v, e = _run_integral(f, power, x, 1.0 + a if odd else 1.0 - a)
     # _weight is a (r(t) - r(at)) / r(at) with each r within 2 eps, so it
     # errs by 2 eps w + 4 eps a.  Both are relative to the odd bracket,
     # which is at least 2a, but the even one tends to 0 as a nears 1, so
@@ -562,7 +557,7 @@ def _gap_integral(a: float, power: int, x: float, odd: bool) -> EvalResult:
         ln_cancel = (math.log(4.0 * _EPS * a) + math.lgamma(power + 1.0)
                      - (power + 1.0) * math.log(x))
         cancel = math.exp(ln_cancel) if ln_cancel < 709.0 else math.inf
-    return _result(v, e + tail + cancel)
+    return _result(v, e + cancel)
 
 
 def gap_integral_even(a: float, power: int, x: float) -> EvalResult:

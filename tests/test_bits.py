@@ -98,10 +98,13 @@ _CAP_SLACK = 1.0 + 4.0 * sys.float_info.epsilon
 
 def within_tolerance(key, base, head):
     """bar_head over its cap, bar_base + (rel_tol + floor eps) |integral|
-    plus the rounding terms, times the slack.  The cutoff search and the
-    tail bound are unchanged, so beside the rounding terms only the panel
-    term, at most rel_tol |integral| once converged, and the rounding floor
-    can grow."""
+    plus the rounding terms, times the slack.  Beside the rounding terms,
+    the panel term, at most rel_tol |integral| once converged, and the
+    rounding floor can grow.  So can the tail bound, the envelope's tail
+    past the cutoff, where the cutoff falls: the gap integrals' envelope
+    lies above their integrand, so their cutoff does not fall, while
+    psi_0's search now starts at 30/min(1, x) and may stop below BASE's
+    cutoff, at a point where its envelope is under 1e-18."""
     rel_tol = _QUADRATURE_SETTINGS[key].get("_REL_TOL", HEAD.oracle._REL_TOL)
     floor = HEAD.oracle._ROUNDING_FLOOR * sys.float_info.epsilon
     integral, terms = _rounding_terms(key, head[0])
@@ -123,7 +126,8 @@ def covered(key, base, head):
 #: each matches every move of its family.
 MOVES = [
     Rule("quadrature", "first round seeded with the √2 ladder; rounding floor; "
-                       "rounding terms and a product integrand where routes cancel",
+                       "rounding terms and a product integrand where routes cancel; "
+                       "cutoff and tail bound from the integrand's envelope",
          (consistent, within_tolerance, covered)),
 ]
 

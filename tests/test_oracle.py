@@ -218,9 +218,9 @@ class TestQuadrature:
     def test_tail_honesty_on_short_cutoff(self, monkeypatch):
         # doubling a forced cutoff must move the value by less than the
         # error reported for the short one
-        monkeypatch.setattr(oracle, "_auto_cutoff", lambda f, x, power, lead: 20.0)
+        monkeypatch.setattr(oracle, "_auto_cutoff", lambda power, rate, lead, divides: 20.0)
         short = polygamma_integral(2, 1.0)
-        monkeypatch.setattr(oracle, "_auto_cutoff", lambda f, x, power, lead: 40.0)
+        monkeypatch.setattr(oracle, "_auto_cutoff", lambda power, rate, lead, divides: 40.0)
         long = polygamma_integral(2, 1.0)
         moved = abs(long.value - short.value)
         assert moved <= short.abs_error_estimate
@@ -283,41 +283,46 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match=r"up to T = 1\.5000000000000002e\+308"):
             polygamma_integral(0, 2e-307)
 
-    def test_cutoff_probes_where_nothing_decays(self):
-        # the search probes 30/x * 2^j, eight per integrand call, while the
-        # candidate is finite, and names the last one it probed
-        def probe(x):
-            sizes = []
+    def test_cutoff_is_where_the_envelope_falls_below_the_threshold(self, monkeypatch):
+        # the cutoff comes from the integrand's envelope, with no integrand
+        # call, yet at it every integrand is below 1e-18; for psi_n at
+        # n >= 1 and power_integral the envelope is the integrand, so T is
+        # the first candidate 30/x * 2^j at which the integrand is below
+        # 1e-18, where a search that evaluates the integrand stops too
+        seen = []
 
-            def never_small(t):
-                sizes.append(t.size)
-                return np.ones_like(t)
+        def recorded(f, upper):
+            seen.append((f, upper))
+            return 0.0, 0.0
 
-            with np.errstate(over="ignore"), pytest.raises(QuadratureError) as info:
-                oracle._auto_cutoff(never_small, x, 0, 1.0)
-            return sizes, str(info.value)
+        monkeypatch.setattr(oracle, "_integrate", recorded)
+        xs = np.geomspace(1e-3, 1e6, 40).tolist()
+        orders = range(MAX_ORDER + 1)
+        cases = [(fn, (n, x)) for fn in (polygamma_integral, power_integral)
+                 for n in orders for x in xs]
+        cases += [(gap, (a, p, x)) for gap in (gap_integral_even, gap_integral_odd)
+                  for a in (0.01, 0.5, 0.99) for p in orders for x in xs]
+        cases += [(fn, args) for fn, args, settings in TestBatchedPanels._cases()
+                  if "_auto_cutoff" not in settings]
 
-        # from 30/x = 30 = 1.875 * 2^4, the candidates 30 * 2^j are finite
-        # for j <= 1019: 127 full calls, then one of four
-        sizes, message = probe(1.0)
-        assert sizes == [8] * 127 + [4]
-        assert "up to T = 1.6853373139334212e+308:" in message
-        # the smallest start, 30/x at the largest double, is just above
-        # 1.875 * 2^-1020: 2043 doublings stay finite
-        start = 30.0 / sys.float_info.max
-        sizes, message = probe(sys.float_info.max)
-        assert sizes == [8] * 255 + [4]
-        assert f"up to T = {start * 2.0**1000 * 2.0**1000 * 2.0**43!r}:" in message
-        # from 30/x = 2^1005 the candidates 2^1005..2^1023 are finite: two
-        # full calls, then one of three, and the message names 2^1023
-        sizes, message = probe(30.0 / 2.0**1005)
-        assert sizes == [8, 8, 3]
-        assert f"up to T = {2.0**1023!r}:" in message
-        # from 2^1000 the finite candidates fill three calls exactly, and no
-        # call is made on the empty group after them
-        sizes, message = probe(30.0 / 2.0**1000)
-        assert sizes == [8, 8, 8]
-        assert f"up to T = {2.0**1023!r}:" in message
+        def size(f, t):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return abs(f(np.array([t]))[0])
+
+        for fn, args in cases:
+            seen.clear()
+            fn(*args)
+            [(f, upper)] = seen
+            assert size(f, upper) < 1e-18, (fn.__name__, args, upper)
+            if fn is power_integral or (fn is polygamma_integral and args[0] > 0):
+                first = upper == 30.0 / args[-1]
+                assert first or size(f, upper / 2.0) >= 1e-18, (fn.__name__, args, upper)
+        # an envelope above 1e-18 up to the last finite candidate, 2^1023:
+        # its exponent there passes what math.exp can form, and the search
+        # names that candidate instead of raising the overflow
+        with pytest.raises(QuadratureError) as info:
+            oracle._auto_cutoff(MAX_ORDER, 30.0 / 2.0**1020, 1.0, False)
+        assert f"up to T = {2.0**1023!r}:" in str(info.value)
 
     def test_panel_sum_past_binary64_is_an_overflow(self):
         # psi_1(7e-155) ~ 2e308: every panel is finite, their sum is not
@@ -385,9 +390,9 @@ class TestQuadrature:
                 assert abs(mpmath.mpf(r.value) - truth) <= r.abs_error_estimate, args
 
     def test_digamma_integral_past_1e60_covers_mpmath_referee(self):
-        # the n = 0 integrand decays at rate 1 while its cutoff search starts
-        # at 30/x, so above x ~ 1.2e60 the cutoff lies more than 200
-        # doublings out
+        # far from x = 1 the n = 0 integrand is about x - 1 up to t ~ 1/x
+        # and about 1/t beyond, so bisection takes hundreds of rounds to
+        # reach the 1/x scale
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             for x in (1e61, 1e100, 1e300):
@@ -609,7 +614,7 @@ class TestBatchedPanels:
 
     #: Module settings a case runs under: a forced cutoff of 5.0, and a
     #: tolerance the 10-split budget cannot meet.
-    SHORT = {"_auto_cutoff": lambda f, x, power, lead: 5.0}
+    SHORT = {"_auto_cutoff": lambda power, rate, lead, divides: 5.0}
     TIGHT = {"_REL_TOL": 1e-14, "_MAX_SUBDIVISIONS": 10}
 
     @staticmethod
@@ -638,37 +643,26 @@ class TestBatchedPanels:
             m.setattr(oracle, name, value)
 
     def test_one_integrand_call_per_round(self, monkeypatch):
-        # cutoff probes, eight doublings per call up to the one that is the
-        # cutoff; one call on every initial panel; then one call per round
-        # on both halves of each panel split in it
+        # no call before the first panels: one call on every initial panel,
+        # then one call per round on both halves of each panel split in it
         run_integral = oracle._run_integral
         for fn, args, settings in self._cases():
             sizes = []
-            starts = []
 
-            def counting(f, x, *rest):
+            def counting(f, *rest, **options):
                 def g(t):
                     sizes.append(np.size(t))
                     return f(t)
 
-                starts.append(30.0 / x)
-                return run_integral(g, x, *rest)
+                return run_integral(g, *rest, **options)
 
             with monkeypatch.context() as m:
                 self._set(m, settings)
                 m.setattr(oracle, "_run_integral", counting)
                 rounds = _record_rounds(m)
                 _outcome(fn, *args)
-            upper, panels, *split_counts = rounds
-            probes = []
-            if settings is not self.SHORT:
-                [t] = starts
-                doublings = 0
-                while t != upper:
-                    t *= 2.0
-                    doublings += 1
-                probes = [8] * (doublings // 8 + 1)
-            expected = probes + [22 * panels] + [44 * count for count in split_counts]
+            _, panels, *split_counts = rounds
+            expected = [22 * panels] + [44 * count for count in split_counts]
             assert sizes == expected, (fn.__name__, args, settings)
 
     def test_budget_counts_split_panels(self, monkeypatch):
